@@ -29,6 +29,23 @@ func benchCfg(i int) campaign.Config {
 	return campaign.DefaultConfig(uint64(1000+i), benchStrikes)
 }
 
+// figurePass runs the shared figure pass cmd/figures renders from (every
+// scatter point kept) over cells(dev, TestScale) on the K40 and the Phi,
+// and returns those two cell sets with it.
+func figurePass(b *testing.B, i int, cells func(arch.Device, campaign.Scale) []campaign.Cell) (d *campaign.FigureData, k40Cells, phiCells []campaign.Cell) {
+	b.Helper()
+	k40Cells, phiCells = cells(k40.New(), campaign.TestScale), cells(phi.New(), campaign.TestScale)
+	d, err := campaign.RunFigurePass(append(append([]campaign.Cell(nil), k40Cells...), phiCells...), benchCfg(i), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d, k40Cells, phiCells
+}
+
+func hotspotCells(dev arch.Device, s campaign.Scale) []campaign.Cell {
+	return []campaign.Cell{{Dev: dev, Kern: campaign.HotSpotKernel(s)}}
+}
+
 // BenchmarkTable1 regenerates the kernel classification (Table I).
 func BenchmarkTable1(b *testing.B) {
 	dev := k40.New()
@@ -61,9 +78,9 @@ func BenchmarkTable2(b *testing.B) {
 func BenchmarkFigure2(b *testing.B) {
 	var sdcs int
 	for i := 0; i < b.N; i++ {
-		for _, dev := range campaign.Devices() {
-			s := campaign.BuildDGEMMScatter(dev, campaign.TestScale, benchCfg(i))
-			for _, series := range s.Series {
+		d, k, p := figurePass(b, i, campaign.DGEMMCells)
+		for _, cells := range [][]campaign.Cell{k, p} {
+			for _, series := range d.Scatter(cells).Series {
 				sdcs += len(series.Points)
 			}
 		}
@@ -76,8 +93,9 @@ func BenchmarkFigure2(b *testing.B) {
 func BenchmarkFigure3(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		f := campaign.BuildDGEMMLocality(k40.New(), campaign.TestScale, benchCfg(i), 2)
-		_ = campaign.BuildDGEMMLocality(phi.New(), campaign.TestScale, benchCfg(i), 2)
+		d, k, p := figurePass(b, i, campaign.DGEMMCells)
+		f := d.Locality(k)
+		_ = d.Locality(p)
 		last := f.Bars[len(f.Bars)-1]
 		if t := last.All.Total(); t > 0 {
 			gain += 1 - last.Filtered.Total()/t
@@ -89,9 +107,8 @@ func BenchmarkFigure3(b *testing.B) {
 // BenchmarkFigure4 regenerates the LavaMD scatter.
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, dev := range campaign.Devices() {
-			_ = campaign.BuildLavaMDScatter(dev, campaign.TestScale, benchCfg(i))
-		}
+		d, k, p := figurePass(b, i, campaign.LavaMDCells)
+		_, _ = d.Scatter(k), d.Scatter(p)
 	}
 }
 
@@ -100,8 +117,9 @@ func BenchmarkFigure4(b *testing.B) {
 func BenchmarkFigure5(b *testing.B) {
 	var share float64
 	for i := 0; i < b.N; i++ {
-		_ = campaign.BuildLavaMDLocality(k40.New(), campaign.TestScale, benchCfg(i), 2)
-		f := campaign.BuildLavaMDLocality(phi.New(), campaign.TestScale, benchCfg(i), 2)
+		d, k, p := figurePass(b, i, campaign.LavaMDCells)
+		_ = d.Locality(k)
+		f := d.Locality(p)
 		var spread, total float64
 		for _, bar := range f.Bars {
 			spread += bar.All.Values[0] + bar.All.Values[1] // cubic + square
@@ -117,9 +135,8 @@ func BenchmarkFigure5(b *testing.B) {
 // BenchmarkFigure6 regenerates the HotSpot scatter.
 func BenchmarkFigure6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, dev := range campaign.Devices() {
-			_ = campaign.BuildHotSpotScatter(dev, campaign.TestScale, benchCfg(i))
-		}
+		d, k, p := figurePass(b, i, hotspotCells)
+		_, _ = d.Scatter(k), d.Scatter(p)
 	}
 }
 
@@ -128,9 +145,9 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkFigure7(b *testing.B) {
 	var filtered float64
 	for i := 0; i < b.N; i++ {
-		res := campaign.Run(k40.New(), campaign.HotSpotKernel(campaign.TestScale), benchCfg(i))
-		filtered += res.FilteredFraction(2)
-		_ = campaign.BuildHotSpotLocality(phi.New(), campaign.TestScale, benchCfg(i), 2)
+		d, k, p := figurePass(b, i, hotspotCells)
+		filtered += d.Stats(k[0]).Filtered.Fraction()
+		_ = d.Locality(p)
 	}
 	b.ReportMetric(100*filtered/float64(b.N), "K40-filtered-%")
 }
@@ -138,7 +155,12 @@ func BenchmarkFigure7(b *testing.B) {
 // BenchmarkFigure8 regenerates the CLAMR scatter (Xeon Phi).
 func BenchmarkFigure8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = campaign.BuildCLAMRScatter(phi.New(), campaign.TestScale, benchCfg(i))
+		cells := []campaign.Cell{{Dev: phi.New(), Kern: campaign.CLAMRKernel(campaign.TestScale)}}
+		d, err := campaign.RunFigurePass(cells, benchCfg(i), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_ = d.Scatter(cells)
 	}
 }
 
@@ -155,7 +177,8 @@ func BenchmarkFigure9(b *testing.B) {
 // BenchmarkSDCRatios regenerates the §V preamble SDC:DUE statistics.
 func BenchmarkSDCRatios(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := campaign.BuildSDCRatios(campaign.TestScale, benchCfg(i))
+		d, k, p := figurePass(b, i, campaign.DeviceCells)
+		rows := d.Ratios(append(k, p...))
 		if len(rows) == 0 {
 			b.Fatal("no rows")
 		}
@@ -174,7 +197,8 @@ func BenchmarkInputScaling(b *testing.B) {
 		_, sdcS, _, _ := dev.Model().ExpectedRates(small)
 		_, sdcL, _, _ := dev.Model().ExpectedRates(large)
 		growth = (sdcL * dev.SensitiveArea(large)) / (sdcS * dev.SensitiveArea(small))
-		_ = campaign.BuildDGEMMScaling(dev, campaign.TestScale, benchCfg(i), 2)
+		d, k, p := figurePass(b, i, campaign.DGEMMCells)
+		_, _ = d.Scaling(k), d.Scaling(p)
 	}
 	b.ReportMetric(growth, "K40-FIT-growth-x")
 }
@@ -184,9 +208,10 @@ func BenchmarkInputScaling(b *testing.B) {
 func BenchmarkABFTCoverage(b *testing.B) {
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		rows := campaign.BuildABFTCoverage(k40.New(), campaign.TestScale, benchCfg(i))
+		d, k, p := figurePass(b, i, campaign.DGEMMCells)
+		rows := d.ABFTCoverage(k)
 		frac += rows[len(rows)-1].CorrectableFraction
-		_ = campaign.BuildABFTCoverage(phi.New(), campaign.TestScale, benchCfg(i))
+		_ = d.ABFTCoverage(p)
 	}
 	b.ReportMetric(100*frac/float64(b.N), "K40-correctable-%")
 }
@@ -324,10 +349,10 @@ func BenchmarkAblationThreshold(b *testing.B) {
 
 // --- Campaign engine: serial vs parallel (DESIGN.md §5) ---
 
-// benchCampaignEngine measures uncached campaign cells at a fixed worker
-// count. RunFresh bypasses the memo cache, so every iteration pays the
-// full strike loop; the kernel is hoisted so iterations beyond the first
-// run against warm golden-state handles (the engine's steady state).
+// benchCampaignEngine measures whole campaign cells at a fixed worker
+// count. Run memoises nothing, so every iteration pays the full strike
+// loop; the kernel is hoisted so iterations beyond the first run against
+// warm golden-state handles (the engine's steady state).
 func benchCampaignEngine(b *testing.B, workers int) {
 	dev := k40.New()
 	kern := dgemm.New(512)
@@ -335,7 +360,7 @@ func benchCampaignEngine(b *testing.B, workers int) {
 	cfg.Workers = workers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := campaign.RunFresh(dev, kern, cfg)
+		res := campaign.Run(dev, kern, cfg)
 		if res.Tally.Count() != cfg.Strikes {
 			b.Fatal("strike count wrong")
 		}

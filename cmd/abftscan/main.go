@@ -10,7 +10,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 
@@ -42,12 +41,12 @@ func main() {
 		}
 	}
 
-	res, err := radcrit.NewBatchRunner().Run(context.Background(), plan)
+	cells, err := plan.Build()
 	if err != nil {
 		cli.Fatal("abftscan", "%v", err)
 	}
-	for _, cell := range res.Cells {
-		r := cell.Result
+	for _, cell := range cells {
+		r := radcrit.RunCampaign(cell.Dev, cell.Kern, plan.Config())
 		cov := abft.EvaluateCoverage(r.Reports)
 		fmt.Printf("ABFT coverage scan: DGEMM %s on %s, %d strikes, %d SDCs\n",
 			r.Input, r.Device, r.Strikes, len(r.Reports))

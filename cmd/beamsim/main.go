@@ -83,17 +83,20 @@ func main() {
 	}
 }
 
-// runBatch is the classic fixed-budget path: the memoised batch engine,
-// full retained results, and the public log rebuilt from the result.
+// runBatch is the classic fixed-budget path: one report-retaining Result
+// per cell, and the public log rebuilt from the result.
 func runBatch(plan *radcrit.Plan, out string) {
-	res, err := radcrit.NewBatchRunner().Run(context.Background(), plan)
+	cells, err := plan.Build()
 	if err != nil {
 		cli.Fatal("beamsim", "%v", err)
 	}
-	for _, cell := range res.Cells {
-		summarize(cell)
+	cfg := plan.Config()
+	var res *radcrit.Result
+	for _, cell := range cells {
+		res = radcrit.RunCampaign(cell.Dev, cell.Kern, cfg)
+		summarize(res)
 	}
-	if len(res.Cells) == 1 {
+	if len(cells) == 1 {
 		w := os.Stdout
 		if out != "" {
 			f, err := os.Create(out)
@@ -103,7 +106,7 @@ func runBatch(plan *radcrit.Plan, out string) {
 			defer f.Close()
 			w = f
 		}
-		if err := radcrit.WriteLog(w, res.Cells[0].Result, plan.Seed); err != nil {
+		if err := radcrit.WriteLog(w, res, plan.Seed); err != nil {
 			cli.Fatal("beamsim", "write log: %v", err)
 		}
 	}
@@ -137,7 +140,7 @@ type nopCloser struct{ io.Writer }
 func (nopCloser) Close() error { return nil }
 
 // summarizeStream renders an adaptive cell from its streaming info and
-// summary (there is no retained batch Result on this path). Consumed
+// summary (there is no retained Result on this path). Consumed
 // strikes are reported against the plan's per-cell budget: fewer means
 // the confidence target stopped the cell early, more means reallocation
 // granted it strikes other cells freed.
@@ -163,8 +166,7 @@ func summarizeStream(cell *radcrit.CellOutcome, planned int) {
 		info.Exposure.Facility.EquivalentNaturalHours(info.Exposure.BeamHours))
 }
 
-func summarize(cell *radcrit.CellOutcome) {
-	res := cell.Result
+func summarize(res *radcrit.Result) {
 	fmt.Fprintf(os.Stderr, "campaign: %s %s %s\n", res.Device, res.Kernel, res.Input)
 	fmt.Fprintf(os.Stderr, "  strikes:   %d over %.1f simulated beam hours\n",
 		res.Strikes, res.Exposure.BeamHours)

@@ -9,7 +9,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"os"
 
@@ -32,14 +31,14 @@ func main() {
 	plan := radcrit.NewPlan(seed, strikes).
 		Named("dgemm-abft").
 		WithKernelOnDevices("dgemm:256", "k40", "phi")
-	res, err := radcrit.NewBatchRunner().Run(context.Background(), plan)
+	cells, err := plan.Build()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dgemm_abft: %v\n", err)
 		os.Exit(1)
 	}
 
-	for _, cell := range res.Cells {
-		r := cell.Result
+	for _, cell := range cells {
+		r := radcrit.RunCampaign(cell.Dev, cell.Kern, plan.Config())
 		cov := abft.EvaluateCoverage(r.Reports)
 		fmt.Printf("%s: %d SDCs -> %d correctable (single/line), %d detect-only (square/random)\n",
 			r.Device, len(r.Reports), cov.Correctable, cov.DetectOnly)

@@ -1,12 +1,11 @@
 // Quickstart: define a small beam campaign of DGEMM on both devices as a
-// declarative plan, run it through a Runner, then apply the paper's
+// declarative plan, run each of its cells, then apply the paper's
 // criticality methodology — incorrect elements, mean relative error,
 // spatial locality — under the 2% imprecision filter, and compare the
 // architectures.
 package main
 
 import (
-	"context"
 	"fmt"
 	"os"
 
@@ -30,15 +29,19 @@ func main() {
 		WithKernelOnDevices("dgemm:256", "k40", "phi").
 		WithThresholds(0, radcrit.DefaultThresholdPct)
 
-	res, err := radcrit.NewBatchRunner().Run(context.Background(), plan)
+	// The analysis below needs every SDC's report, so each cell runs
+	// through RunCampaign, which returns a report-retaining Result.
+	cells, err := plan.Build()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "quickstart: %v\n", err)
 		os.Exit(1)
 	}
 
 	profiles := map[string]*radcrit.Criticality{}
-	for _, cell := range res.Cells {
-		r := cell.Result
+	var results []*radcrit.Result
+	for _, cell := range cells {
+		r := radcrit.RunCampaign(cell.Dev, cell.Kern, plan.Config())
+		results = append(results, r)
 		fmt.Printf("%s: %d strikes -> %d masked, %d SDC, %d crash, %d hang (SDC:DUE %.2f)\n",
 			r.Device, r.Strikes,
 			r.Tally.Masked, r.Tally.SDC, r.Tally.Crash, r.Tally.Hang,
@@ -64,7 +67,7 @@ func main() {
 	fmt.Println()
 
 	// The paper's proposed follow-up (§VI): find the resources behind the
-	// critical errors and harden only those. The batch runner retained
-	// the K40 cell's full result, reports included.
-	fmt.Print(radcrit.AdviseHardening(res.Cells[0].Result, radcrit.DefaultThresholdPct))
+	// critical errors and harden only those, from the K40 cell's retained
+	// reports.
+	fmt.Print(radcrit.AdviseHardening(results[0], radcrit.DefaultThresholdPct))
 }

@@ -213,19 +213,6 @@ func TestCellKeyAdaptive(t *testing.T) {
 	}
 }
 
-func TestBatchEnginesRejectAdaptive(t *testing.T) {
-	p := adaptiveGoldenPlan()
-	for name, r := range map[string]Runner{
-		"batch":  &BatchRunner{},
-		"matrix": &MatrixRunner{},
-	} {
-		res, err := r.Run(context.Background(), p)
-		if err == nil || res != nil {
-			t.Errorf("%s engine accepted an adaptive plan (res %v, err %v)", name, res, err)
-		}
-	}
-}
-
 // TestEarlyStopMatchesStraightRun is the determinism contract at cell
 // granularity: an early-stopped cell is byte-identical to a straight run
 // whose budget IS the stop point — summary and rescaled exposure both —

@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"radcrit/internal/arch"
 	"radcrit/internal/beam"
@@ -37,8 +36,7 @@ func (e *CellError) Error() string {
 func (e *CellError) Unwrap() error { return e.Err }
 
 // isCancellation reports whether err is the caller's context speaking —
-// the one error class the engines must never cache or wrap as a cell
-// failure.
+// the one error class the engines must never wrap as a cell failure.
 func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
@@ -70,13 +68,13 @@ type Config struct {
 	// derives its randomness from an independent per-index RNG split and
 	// outcomes are merged in index order, so Workers affects wall time
 	// only — Results are bit-identical for any value. It is therefore
-	// deliberately excluded from the memo-cache key.
+	// deliberately excluded from CellKey.
 	Workers int
 	// StreamChunk sizes the streaming engine's execution window
 	// (0 = DefaultStreamChunk). Like Workers it can never change results —
 	// outcomes are consumed in strike-index order whatever the chunking —
 	// it only sets the flush/checkpoint granularity and the engine's peak
-	// outcome memory, so it too is excluded from the memo-cache key.
+	// outcome memory, so it too is excluded from CellKey.
 	//
 	// One carve-out: when Adaptive is set with CheckEvery == 0, the look
 	// spacing defaults to the effective chunk, and the look schedule DOES
@@ -86,9 +84,8 @@ type Config struct {
 	// Adaptive, when non-nil, enables sequential early stopping: the
 	// streaming engine evaluates Adaptive's stop rule at every chunk
 	// boundary and ends the cell once its SDC-proportion confidence
-	// interval is tight enough (DESIGN.md §11). The batch engine and its
-	// memo cache ignore it entirely — batch cells always run their full
-	// budget — so Run/RunCtx results are unaffected.
+	// interval is tight enough (DESIGN.md §11). Run ignores it entirely:
+	// a retained Result always covers the full budget.
 	Adaptive *AdaptiveSpec
 }
 
@@ -121,169 +118,23 @@ type Result struct {
 	Exposure      beam.Exposure
 }
 
-// cacheKey identifies one memoisable experiment cell. It is a comparable
-// struct (not a formatted string) so lookups cost no allocation and fields
-// cannot collide through separator ambiguity. Workers is deliberately
-// absent: it never changes results (see Config.Workers).
-type cacheKey struct {
-	Device, Kernel, Input string
-	Seed                  uint64
-	Strikes               int
-	BaseExecSeconds       float64
-	Facility              string
-}
-
-// cacheEntry is one single-flight memo slot: the first goroutine to claim
-// a key becomes the leader and computes the cell; followers wait on the
-// generation channel and then read the shared outcome. Without this, two
-// goroutines racing on one cell (e.g. a campaign matrix whose figures
-// share cells) would both pay the full strike loop. A failed cell caches
-// its *CellError — every later call gets the same typed error instead of
-// the pre-plan API's panic — but a context cancellation is never cached:
-// the slot returns to idle, the waiters are woken, and the next caller
-// (or a waiting follower) becomes the new leader. Followers wait under
-// their own context, so cancelling a caller that is merely queued behind
-// another caller's computation returns ctx.Err() immediately.
-type cacheEntry struct {
-	mu    sync.Mutex
-	state int           // entryIdle, entryRunning or entryDone
-	wake  chan struct{} // non-nil while running; closed when the leader yields
-	res   *Result
-	err   error
-}
-
-const (
-	entryIdle = iota
-	entryRunning
-	entryDone
-)
-
-// resultCache memoises Run: several figure builders share the same
-// experiment cells, and Run is a pure function of (device, kernel, input,
-// config).
-var resultCache sync.Map // cacheKey -> *cacheEntry
-
-// Run simulates cfg.Strikes strikes of kern on dev. Results are memoised
-// with single-flight deduplication: repeated or concurrent calls with the
-// same cell and config compute once and return the same *Result.
+// Run simulates cfg.Strikes strikes of kern on dev and returns the cell's
+// Result with every SDC report retained. It is one RunStreaming pass with
+// the resultSink stack, so the Result is bit-identical to a serial
+// execution for a given seed whatever the Workers and StreamChunk
+// settings (pinned by parallel_test.go and the golden/property suites).
+// Nothing is memoised: every call pays the full strike loop.
 //
-// Run is the compat face of RunCtx: it cannot be cancelled and panics on
-// an invalid cell. Plan-driven callers use RunCtx, which returns a typed
-// *CellError instead.
+// Run cannot be cancelled and panics on an invalid cell. Plan-driven
+// callers use a Runner (or RunPlanCell), which returns a typed *CellError
+// instead.
 func Run(dev arch.Device, kern kernels.Kernel, cfg Config) *Result {
-	res, err := RunCtx(context.Background(), dev, kern, cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return res
-}
-
-// RunCtx is Run under a context: memoised, single-flighted, and
-// cancellable at chunk boundaries. An invalid cell returns a *CellError
-// (cached, so every caller sees the same failure); a cancelled context
-// returns ctx.Err() without poisoning the cache.
-func RunCtx(ctx context.Context, dev arch.Device, kern kernels.Kernel, cfg Config) (*Result, error) {
-	key := cacheKey{
-		Device:          dev.ShortName(),
-		Kernel:          kern.Name(),
-		Input:           kern.InputLabel(),
-		Seed:            cfg.Seed,
-		Strikes:         cfg.Strikes,
-		BaseExecSeconds: cfg.BaseExecSeconds,
-		Facility:        cfg.Facility.Name,
-	}
-	v, _ := resultCache.LoadOrStore(key, &cacheEntry{})
-	entry := v.(*cacheEntry)
-	for {
-		entry.mu.Lock()
-		switch entry.state {
-		case entryDone:
-			entry.mu.Unlock()
-			return entry.res, entry.err
-
-		case entryRunning:
-			// Another caller is computing this cell: wait for it to yield
-			// under our own context, so a queued caller stays cancellable
-			// even while the leader churns.
-			ch := entry.wake
-			entry.mu.Unlock()
-			select {
-			case <-ch:
-				continue // leader yielded: done, or back to idle — re-examine
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-
-		default: // entryIdle: become the leader
-			entry.state = entryRunning
-			entry.wake = make(chan struct{})
-			entry.mu.Unlock()
-			res, err := leaderCompute(ctx, entry, dev, kern, cfg)
-			if isCancellation(err) {
-				return nil, err
-			}
-			return res, err
-		}
-	}
-}
-
-// leaderCompute runs the cell as the entry's leader and publishes the
-// outcome. The state transition sits in a defer so that even a panic
-// escaping a kernel (a third-party RunInjectedOn bug, say) returns the
-// slot to idle and wakes the waiters before propagating — otherwise the
-// entry would wedge at entryRunning and every future caller of this cell
-// would block forever.
-func leaderCompute(ctx context.Context, entry *cacheEntry, dev arch.Device, kern kernels.Kernel, cfg Config) (res *Result, err error) {
-	completed := false
-	defer func() {
-		entry.mu.Lock()
-		switch {
-		case !completed || isCancellation(err):
-			entry.state = entryIdle // never cache a panic or a cancellation
-		default:
-			entry.state = entryDone
-			entry.res, entry.err = res, err
-		}
-		close(entry.wake)
-		entry.wake = nil
-		entry.mu.Unlock()
-	}()
-	res, err = runUncachedCtx(ctx, dev, kern, cfg)
-	completed = true
-	return res, err
-}
-
-// RunFresh executes the cell without consulting or populating the memo
-// cache. Benchmarks use it to measure true engine cost across repeated
-// runs of one cell; everything else should prefer Run.
-func RunFresh(dev arch.Device, kern kernels.Kernel, cfg Config) *Result {
-	return runUncached(dev, kern, cfg)
-}
-
-// runUncached is runUncachedCtx for callers with no context: it panics on
-// an invalid cell, the compat contract of Run/RunFresh.
-func runUncached(dev arch.Device, kern kernels.Kernel, cfg Config) *Result {
-	res, err := runUncachedCtx(context.Background(), dev, kern, cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return res
-}
-
-// runUncachedCtx executes one experiment cell. It is the batch face of
-// the streaming engine: one RunStreaming pass with the compat resultSink
-// stack, which retains every SDC report and rebuilds the full *Result.
-// The streaming engine consumes outcomes in strike-index order whatever
-// the Workers and StreamChunk settings, so the Result is bit-identical to
-// a serial execution for a given seed (pinned by parallel_test.go and the
-// golden/property suites).
-func runUncachedCtx(ctx context.Context, dev arch.Device, kern kernels.Kernel, cfg Config) (*Result, error) {
 	sink := newResultSink()
-	info, err := RunStreamingCtx(ctx, dev, kern, cfg, sink)
+	info, err := RunStreaming(dev, kern, cfg, sink)
 	if err != nil {
-		return nil, err
+		panic(err.Error())
 	}
-	return sink.result(info), nil
+	return sink.result(info)
 }
 
 // SDCFIT returns the SDC failure rate in FIT, optionally applying the

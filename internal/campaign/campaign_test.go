@@ -16,14 +16,14 @@ import (
 
 func cfg(strikes int) Config { return DefaultConfig(7, strikes) }
 
+// TestRunDeterministicAndCached pins that repeated Runs of one cell are
+// bit-identical and that the Result retains one report per SDC.
 func TestRunDeterministicAndCached(t *testing.T) {
 	dev := k40.New()
 	kern := dgemm.New(128)
 	a := Run(dev, kern, cfg(60))
 	b := Run(dev, kern, cfg(60))
-	if a != b {
-		t.Fatal("identical cells should hit the result cache")
-	}
+	requireIdentical(t, "repeated Run", a, b)
 	if a.Tally.Count() != 60 {
 		t.Fatalf("tally covers %d strikes, want 60", a.Tally.Count())
 	}
@@ -207,8 +207,19 @@ func TestBuildCLAMRLocalityMap(t *testing.T) {
 	}
 }
 
+// figureData runs the shared figure pass over cells, keeping every
+// scatter point.
+func figureData(t *testing.T, cells []Cell, c Config) *FigureData {
+	t.Helper()
+	d, err := RunFigurePass(cells, c, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestBuildSDCRatiosCoversMatrix(t *testing.T) {
-	rows := BuildSDCRatios(TestScale, cfg(80))
+	rows := figureData(t, AllCells(TestScale), cfg(80)).Ratios(AllCells(TestScale))
 	// K40: 3 DGEMM + 3 LavaMD + HotSpot + CLAMR = 8; Phi: 4+4+2 = 10.
 	if len(rows) != 18 {
 		t.Fatalf("expected 18 rows, got %d", len(rows))
@@ -221,7 +232,8 @@ func TestBuildSDCRatiosCoversMatrix(t *testing.T) {
 }
 
 func TestBuildABFTCoverage(t *testing.T) {
-	rows := BuildABFTCoverage(k40.New(), TestScale, cfg(200))
+	cells := DGEMMCells(k40.New(), TestScale)
+	rows := figureData(t, cells, cfg(200)).ABFTCoverage(cells)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}

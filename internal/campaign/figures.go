@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"radcrit/internal/abft"
 	"radcrit/internal/arch"
 	"radcrit/internal/beam"
 	"radcrit/internal/detect"
@@ -30,52 +29,6 @@ type LabeledPoints struct {
 	Points []ScatterPoint
 }
 
-// BuildDGEMMScatter produces Fig. 2a/2b for a device.
-func BuildDGEMMScatter(dev arch.Device, s Scale, cfg Config) ScatterSeries {
-	out := ScatterSeries{Device: dev.ShortName(), Kernel: "DGEMM", CapPct: 100}
-	for _, res := range RunMatrix(DGEMMCells(dev, s), cfg) {
-		out.Series = append(out.Series, LabeledPoints{
-			Label:  res.Input,
-			Points: res.Scatter(out.CapPct),
-		})
-	}
-	return out
-}
-
-// BuildLavaMDScatter produces Fig. 4a/4b for a device.
-func BuildLavaMDScatter(dev arch.Device, s Scale, cfg Config) ScatterSeries {
-	out := ScatterSeries{Device: dev.ShortName(), Kernel: "LavaMD", CapPct: 20000}
-	for _, res := range RunMatrix(LavaMDCells(dev, s), cfg) {
-		out.Series = append(out.Series, LabeledPoints{
-			Label:  res.Input,
-			Points: res.Scatter(out.CapPct),
-		})
-	}
-	return out
-}
-
-// BuildHotSpotScatter produces Fig. 6a/6b for a device.
-func BuildHotSpotScatter(dev arch.Device, s Scale, cfg Config) ScatterSeries {
-	res := Run(dev, HotSpotKernel(s), cfg)
-	return ScatterSeries{
-		Device: dev.ShortName(),
-		Kernel: "HotSpot",
-		CapPct: 0,
-		Series: []LabeledPoints{{Label: res.Input, Points: res.Scatter(0)}},
-	}
-}
-
-// BuildCLAMRScatter produces Fig. 8 (Xeon Phi only in the paper).
-func BuildCLAMRScatter(dev arch.Device, s Scale, cfg Config) ScatterSeries {
-	res := Run(dev, CLAMRKernel(s), cfg)
-	return ScatterSeries{
-		Device: dev.ShortName(),
-		Kernel: "CLAMR",
-		CapPct: 0,
-		Series: []LabeledPoints{{Label: res.Input, Points: res.Scatter(0)}},
-	}
-}
-
 // LocalityBar is one input size's FIT breakdown pair in Figures 3, 5, 7.
 type LocalityBar struct {
 	Input string
@@ -95,44 +48,6 @@ type LocalityFigure struct {
 	Bars         []LocalityBar
 }
 
-// BuildDGEMMLocality produces Fig. 3a/3b.
-func BuildDGEMMLocality(dev arch.Device, s Scale, cfg Config, thresholdPct float64) LocalityFigure {
-	out := LocalityFigure{Device: dev.ShortName(), Kernel: "DGEMM", ThresholdPct: thresholdPct}
-	for _, res := range RunMatrix(DGEMMCells(dev, s), cfg) {
-		out.Bars = append(out.Bars, localityBar(res, thresholdPct))
-	}
-	return out
-}
-
-// BuildLavaMDLocality produces Fig. 5a/5b.
-func BuildLavaMDLocality(dev arch.Device, s Scale, cfg Config, thresholdPct float64) LocalityFigure {
-	out := LocalityFigure{Device: dev.ShortName(), Kernel: "LavaMD", ThresholdPct: thresholdPct}
-	for _, res := range RunMatrix(LavaMDCells(dev, s), cfg) {
-		out.Bars = append(out.Bars, localityBar(res, thresholdPct))
-	}
-	return out
-}
-
-// BuildHotSpotLocality produces Fig. 7a/7b.
-func BuildHotSpotLocality(dev arch.Device, s Scale, cfg Config, thresholdPct float64) LocalityFigure {
-	res := Run(dev, HotSpotKernel(s), cfg)
-	return LocalityFigure{
-		Device:       dev.ShortName(),
-		Kernel:       "HotSpot",
-		ThresholdPct: thresholdPct,
-		Bars:         []LocalityBar{localityBar(res, thresholdPct)},
-	}
-}
-
-func localityBar(res *Result, thresholdPct float64) LocalityBar {
-	return LocalityBar{
-		Input:            res.Input,
-		All:              res.LocalityBreakdown(0),
-		Filtered:         res.LocalityBreakdown(thresholdPct),
-		FilterMeaningful: res.FilteredFraction(thresholdPct) > 0,
-	}
-}
-
 // RatioRow is one (device, kernel, input) SDC:DUE ratio (§V preamble).
 type RatioRow struct {
 	Device string
@@ -141,29 +56,6 @@ type RatioRow struct {
 	SDC    int
 	DUE    int
 	Ratio  float64
-}
-
-// BuildSDCRatios produces the §V preamble statistics for every kernel and
-// input size on both devices. The whole device x kernel x input matrix is
-// evaluated concurrently; rows keep the §V presentation order.
-func BuildSDCRatios(s Scale, cfg Config) []RatioRow {
-	results := RunMatrix(AllCells(s), cfg)
-	rows := make([]RatioRow, len(results))
-	for i, res := range results {
-		rows[i] = ratioRow(res)
-	}
-	return rows
-}
-
-func ratioRow(res *Result) RatioRow {
-	return RatioRow{
-		Device: res.Device,
-		Kernel: res.Kernel,
-		Input:  res.Input,
-		SDC:    res.Tally.SDC,
-		DUE:    res.Tally.Crash + res.Tally.Hang,
-		Ratio:  res.Tally.SDCToDUERatio(),
-	}
 }
 
 // ScalingRow captures FIT growth with input size (§V-A: K40 DGEMM FIT
@@ -177,28 +69,6 @@ type ScalingRow struct {
 	GrowthFilter float64
 }
 
-// BuildDGEMMScaling produces the input-size FIT scaling series.
-func BuildDGEMMScaling(dev arch.Device, s Scale, cfg Config, thresholdPct float64) []ScalingRow {
-	var rows []ScalingRow
-	var baseAll, baseF float64
-	for i, res := range RunMatrix(DGEMMCells(dev, s), cfg) {
-		all := res.SDCFIT(0)
-		fl := res.SDCFIT(thresholdPct)
-		if i == 0 {
-			baseAll, baseF = all, fl
-		}
-		row := ScalingRow{Device: res.Device, Input: res.Input, FITAll: all, FITFiltered: fl}
-		if baseAll > 0 {
-			row.GrowthAll = all / baseAll
-		}
-		if baseF > 0 {
-			row.GrowthFilter = fl / baseF
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
 // ABFTRow is one device's ABFT-correctable share of DGEMM errors (§V-A).
 type ABFTRow struct {
 	Device string
@@ -207,24 +77,6 @@ type ABFTRow struct {
 	CorrectableFraction float64
 	// ResidualFraction is the square+random share ABFT cannot repair.
 	ResidualFraction float64
-}
-
-// BuildABFTCoverage evaluates the ABFT-correctable share of DGEMM SDCs per
-// input size (§V-A: "applying ABFT, DGEMM would be affected by only 20% to
-// 40% of all errors on K40, and 60% to 80% on Xeon Phi").
-func BuildABFTCoverage(dev arch.Device, s Scale, cfg Config) []ABFTRow {
-	var rows []ABFTRow
-	for _, res := range RunMatrix(DGEMMCells(dev, s), cfg) {
-		cov := abft.EvaluateCoverage(res.Reports)
-		frac := cov.CorrectableFraction()
-		rows = append(rows, ABFTRow{
-			Device:              res.Device,
-			Input:               res.Input,
-			CorrectableFraction: frac,
-			ResidualFraction:    1 - frac,
-		})
-	}
-	return rows
 }
 
 // MassCheckRow is the CLAMR detector-coverage statistic (§V-D: 82%).

@@ -1,8 +1,6 @@
 package campaign
 
 import (
-	"sync"
-
 	"radcrit/internal/arch"
 	"radcrit/internal/kernels"
 	"radcrit/internal/kernels/dgemm"
@@ -13,27 +11,6 @@ import (
 type Cell struct {
 	Dev  arch.Device
 	Kern kernels.Kernel
-}
-
-// RunMatrix evaluates every cell under cfg concurrently and returns the
-// results in cell order. Each cell goes through Run, so concurrent
-// requests for the same memo key are single-flighted: a cell shared by
-// several figures (or listed twice) is computed exactly once, and cells
-// already memoised return instantly. Cell-level concurrency composes with
-// the per-cell strike pool — short cells drain while long cells still
-// churn, keeping every core busy across the whole matrix.
-func RunMatrix(cells []Cell, cfg Config) []*Result {
-	results := make([]*Result, len(cells))
-	var wg sync.WaitGroup
-	wg.Add(len(cells))
-	for i := range cells {
-		go func(i int) {
-			defer wg.Done()
-			results[i] = Run(cells[i].Dev, cells[i].Kern, cfg)
-		}(i)
-	}
-	wg.Wait()
-	return results
 }
 
 // DGEMMCells returns the device's DGEMM input-size sweep as matrix cells.

@@ -89,8 +89,8 @@ func TestParallelEngineBitIdentical(t *testing.T) {
 		serial.Workers = 1
 		parallel := serial
 		parallel.Workers = 8
-		a := runUncached(cell.Dev, cell.Kern, serial)
-		b := runUncached(cell.Dev, cell.Kern, parallel)
+		a := Run(cell.Dev, cell.Kern, serial)
+		b := Run(cell.Dev, cell.Kern, parallel)
 		requireIdentical(t, cell.Kern.Name(), a, b)
 	}
 }
@@ -103,9 +103,9 @@ func TestParallelEngineGOMAXPROCSInvariant(t *testing.T) {
 	cfg := DefaultConfig(23, 160) // Workers = 0: sized by GOMAXPROCS
 
 	prev := runtime.GOMAXPROCS(1)
-	a := runUncached(dev, kern, cfg)
+	a := Run(dev, kern, cfg)
 	runtime.GOMAXPROCS(8)
-	b := runUncached(dev, kern, cfg)
+	b := Run(dev, kern, cfg)
 	runtime.GOMAXPROCS(prev)
 
 	requireIdentical(t, "GOMAXPROCS 1 vs 8", a, b)
@@ -119,77 +119,9 @@ func TestParallelEngineRepeatedRunsIdentical(t *testing.T) {
 	kern := dgemm.New(128)
 	cfg := DefaultConfig(31, 160)
 	cfg.Workers = 8
-	a := runUncached(dev, kern, cfg)
-	b := runUncached(dev, kern, cfg)
+	a := Run(dev, kern, cfg)
+	b := Run(dev, kern, cfg)
 	requireIdentical(t, "repeated parallel runs", a, b)
-}
-
-// TestRunSingleFlight verifies the memo cache's single-flight behaviour:
-// concurrent Run calls on one uncached cell must all return the same
-// *Result instance (the racing pre-fix cache could compute a cell twice
-// and hand different callers different instances).
-func TestRunSingleFlight(t *testing.T) {
-	dev := k40.New()
-	kern := dgemm.New(192)
-	cfg := DefaultConfig(47, 60)
-	const callers = 8
-	results := make([]*Result, callers)
-	done := make(chan int)
-	for c := 0; c < callers; c++ {
-		go func(c int) {
-			results[c] = Run(dev, kern, cfg)
-			done <- c
-		}(c)
-	}
-	for i := 0; i < callers; i++ {
-		<-done
-	}
-	for c := 1; c < callers; c++ {
-		if results[c] != results[0] {
-			t.Fatalf("caller %d got a different *Result: single-flight broken", c)
-		}
-	}
-}
-
-// TestRunMatrixOrderAndDedup checks that RunMatrix preserves cell order
-// and that duplicate cells resolve to the same memoised result.
-func TestRunMatrixOrderAndDedup(t *testing.T) {
-	cells := []Cell{
-		{Dev: k40.New(), Kern: dgemm.New(128)},
-		{Dev: phi.New(), Kern: dgemm.New(128)},
-		{Dev: k40.New(), Kern: dgemm.New(128)}, // duplicate of cell 0
-	}
-	cfg := DefaultConfig(53, 60)
-	results := RunMatrix(cells, cfg)
-	if len(results) != len(cells) {
-		t.Fatalf("got %d results for %d cells", len(results), len(cells))
-	}
-	for i, res := range results {
-		if res.Device != cells[i].Dev.ShortName() || res.Input != cells[i].Kern.InputLabel() {
-			t.Fatalf("result %d out of order: %s/%s", i, res.Device, res.Input)
-		}
-	}
-	if results[0] != results[2] {
-		t.Fatal("duplicate cells should share one memoised result")
-	}
-	if results[0] == results[1] {
-		t.Fatal("distinct devices must not share a result")
-	}
-}
-
-// TestWorkersExcludedFromMemoKey pins the Config.Workers contract: the
-// worker count must not fragment the memo cache, because it cannot change
-// results.
-func TestWorkersExcludedFromMemoKey(t *testing.T) {
-	dev := phi.New()
-	kern := dgemm.New(192)
-	a := DefaultConfig(59, 60)
-	a.Workers = 1
-	b := DefaultConfig(59, 60)
-	b.Workers = 8
-	if Run(dev, kern, a) != Run(dev, kern, b) {
-		t.Fatal("Workers fragmented the memo cache")
-	}
 }
 
 // TestSessionlessBuildersDeterministicUnderWorkers checks the ported
@@ -221,10 +153,9 @@ type invalidKernel struct{ kernels.Kernel }
 
 func (invalidKernel) Profile(dev arch.Device) arch.Profile { return arch.Profile{} }
 
-// TestRunPoisonedEntryPanicsAgain pins the memo's failure semantics: a
-// cell whose first computation panicked (invalid profile) must keep
-// failing loudly on retry instead of returning a nil *Result out of the
-// poisoned single-flight entry.
+// TestRunPoisonedEntryPanicsAgain pins Run's failure contract: an
+// invalid cell (here a degenerate profile) panics loudly, and a retry
+// panics again instead of returning a nil *Result.
 func TestRunPoisonedEntryPanicsAgain(t *testing.T) {
 	dev := k40.New()
 	kern := invalidKernel{dgemm.New(128)}
@@ -238,19 +169,19 @@ func TestRunPoisonedEntryPanicsAgain(t *testing.T) {
 		Run(dev, kern, cfg)
 	}
 	mustPanic("first run (invalid profile)")
-	mustPanic("retry on poisoned entry")
+	mustPanic("retry")
 }
 
-// TestRunFreshWorkerInvariant cross-checks RunFresh (the uncached engine
-// entry benchmarks use) across worker counts for every kernel family.
-func TestRunFreshWorkerInvariant(t *testing.T) {
+// TestRunWorkerInvariant cross-checks Run (the engine entry benchmarks
+// use) across worker counts for every kernel family.
+func TestRunWorkerInvariant(t *testing.T) {
 	for _, cell := range determinismCells() {
 		cfgA := DefaultConfig(71, 80)
 		cfgA.Workers = 1
 		cfgB := cfgA
 		cfgB.Workers = 4
-		a := RunFresh(cell.Dev, cell.Kern, cfgA)
-		b := RunFresh(cell.Dev, cell.Kern, cfgB)
-		requireIdentical(t, cell.Kern.Name()+" fresh", a, b)
+		a := Run(cell.Dev, cell.Kern, cfgA)
+		b := Run(cell.Dev, cell.Kern, cfgB)
+		requireIdentical(t, cell.Kern.Name()+" workers 1 vs 4", a, b)
 	}
 }

@@ -3,18 +3,15 @@ package campaign
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sync"
 
 	"radcrit/internal/fit"
 	"radcrit/internal/injector"
 )
 
 // Summary is one cell's aggregated statistics under the plan's
-// thresholds. Both the batch and the streaming engines produce it — from
-// retained reports and from online reducers respectively — and the two
-// are bit-identical for a given plan (pinned by the golden suite), so
-// consumers can switch engines without re-baselining.
+// thresholds, folded by online reducers. Every statistic is bit-identical
+// to the matching Result method over the same cell (pinned by the golden
+// suite), so a summary and a retained Result never disagree.
 type Summary struct {
 	// Thresholds are the relative-error filters (percent) the per-index
 	// slices below are computed under.
@@ -47,9 +44,6 @@ type CellOutcome struct {
 	// it holds the chunk-aligned partial state accumulated so far. Nil
 	// when the cell failed outright.
 	Summary *Summary
-	// Result is the retained batch result (nil under StreamRunner, whose
-	// point is not retaining reports).
-	Result *Result
 	// Err is the cell's failure: a *CellError for an invalid cell, or
 	// ctx.Err() if the run was cancelled while this cell was in flight.
 	Err error
@@ -80,8 +74,8 @@ func (r *PlanResult) Err() error {
 }
 
 // Progress carries a Runner's optional observation hooks. Hooks are
-// invoked synchronously; MatrixRunner serialises OnCell calls, so hooks
-// never need their own locking.
+// invoked synchronously from the runner's goroutine, so they never need
+// their own locking.
 type Progress struct {
 	// OnCell fires when a cell completes (successfully or not), with its
 	// plan index.
@@ -100,23 +94,6 @@ type Runner interface {
 	Run(ctx context.Context, p *Plan) (*PlanResult, error)
 }
 
-// BatchRunner executes cells sequentially through the memoised batch
-// engine: every CellOutcome retains its full *Result (reports included),
-// and cells shared with other plans or figure builders are computed once.
-// Memory is O(total SDC reports); prefer StreamRunner for huge strike
-// budgets.
-type BatchRunner struct {
-	Progress Progress
-}
-
-// MatrixRunner is BatchRunner with cell-level concurrency: all cells run
-// at once (each memoised and single-flighted), composing with the
-// per-cell worker pool exactly like RunMatrix. Outcomes are still
-// reported in plan order.
-type MatrixRunner struct {
-	Progress Progress
-}
-
 // StreamRunner executes cells sequentially through the streaming engine:
 // summaries come from online reducers, no reports are retained, and peak
 // memory per cell is O(StreamChunk + reducer state). A cancelled cell's
@@ -126,11 +103,7 @@ type StreamRunner struct {
 	Progress Progress
 }
 
-var (
-	_ Runner = (*BatchRunner)(nil)
-	_ Runner = (*MatrixRunner)(nil)
-	_ Runner = (*StreamRunner)(nil)
-)
+var _ Runner = (*StreamRunner)(nil)
 
 // planStart validates and builds the plan (honouring ctx between kernel
 // constructions — the golden simulations happen here) and allocates the
@@ -162,112 +135,6 @@ func planShell(p *Plan) *PlanResult {
 		res.Cells[i] = &CellOutcome{Spec: p.Cells[i]}
 	}
 	return res
-}
-
-// batchSummary derives a Summary from a retained batch Result.
-func batchSummary(res *Result, ts []float64) *Summary {
-	s := &Summary{
-		Thresholds: append([]float64(nil), ts...),
-		Tally:      res.Tally,
-		DUEFIT:     res.DUEFIT(),
-	}
-	for _, t := range ts {
-		s.SDCFIT = append(s.SDCFIT, res.SDCFIT(t))
-		s.Locality = append(s.Locality, res.LocalityBreakdown(t))
-		s.FilteredFraction = append(s.FilteredFraction, res.FilteredFraction(t))
-	}
-	return s
-}
-
-// runBatchCell executes one resolved cell through the memoised engine and
-// fills its outcome.
-func runBatchCell(ctx context.Context, cell Cell, cfg Config, ts []float64, out *CellOutcome) {
-	res, err := RunCtx(ctx, cell.Dev, cell.Kern, cfg)
-	if err != nil {
-		out.Err = err
-		return
-	}
-	out.Result = res
-	out.Info = StreamInfo{
-		Device:   res.Device,
-		Kernel:   res.Kernel,
-		Input:    res.Input,
-		Profile:  res.Profile,
-		Strikes:  res.Strikes,
-		Exposure: res.Exposure,
-	}
-	out.Summary = batchSummary(res, ts)
-}
-
-// rejectAdaptive refuses adaptive plans on the batch engines: the memo
-// cache and retained-report path always run a cell's full budget, so
-// silently ignoring the spec would quietly spend the strikes the plan
-// asked to save.
-func rejectAdaptive(p *Plan, engine string) error {
-	if p != nil && p.Adaptive != nil {
-		return fmt.Errorf("campaign: plan %q has an adaptive spec; the %s engine cannot stop early — use StreamRunner or AdaptiveRunner", p.Name, engine)
-	}
-	return nil
-}
-
-// Run implements Runner.
-func (r *BatchRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) {
-	if err := rejectAdaptive(p, "batch"); err != nil {
-		return nil, err
-	}
-	res, cells, err := planStart(ctx, p)
-	if err != nil {
-		// res is non-nil (with cells marked) for build-phase cancellation,
-		// nil for an invalid plan.
-		return res, err
-	}
-	for i, cell := range cells {
-		if cerr := ctx.Err(); cerr != nil {
-			markCancelled(res.Cells[i:], cerr)
-			return res, cerr
-		}
-		runBatchCell(ctx, cell, p.Config(), res.Thresholds, res.Cells[i])
-		if r.Progress.OnCell != nil {
-			r.Progress.OnCell(i, res.Cells[i])
-		}
-		if isCancellation(res.Cells[i].Err) {
-			markCancelled(res.Cells[i+1:], res.Cells[i].Err)
-			return res, ctx.Err()
-		}
-	}
-	return res, res.Err()
-}
-
-// Run implements Runner.
-func (r *MatrixRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) {
-	if err := rejectAdaptive(p, "matrix"); err != nil {
-		return nil, err
-	}
-	res, cells, err := planStart(ctx, p)
-	if err != nil {
-		// res is non-nil (with cells marked) for build-phase cancellation,
-		// nil for an invalid plan.
-		return res, err
-	}
-	var mu sync.Mutex // serialises Progress.OnCell
-	var wg sync.WaitGroup
-	wg.Add(len(cells))
-	for i, cell := range cells {
-		go func(i int, cell Cell) {
-			defer wg.Done()
-			runBatchCell(ctx, cell, p.Config(), res.Thresholds, res.Cells[i])
-			if r.Progress.OnCell != nil {
-				mu.Lock()
-				r.Progress.OnCell(i, res.Cells[i])
-				mu.Unlock()
-			}
-		}(i, cell)
-	}
-	wg.Wait()
-	if cerr := ctx.Err(); cerr != nil {
-		return res, cerr
-	}
-	return res, res.Err()
 }
 
 // markCancelled stamps ctx's error on outcomes the runner never reached.

@@ -39,19 +39,15 @@ const goldenPlanJSON = `{
 
 // TestPlanReproducesGoldenTable is the plan API's regression anchor: a
 // campaign defined entirely as JSON must reproduce the frozen
-// seed-42/300-strike table bit for bit through every Runner — the batch
-// engine, the streaming reducer stack, and the concurrent matrix.
+// seed-42/300-strike table bit for bit through every Runner — the
+// streaming reducer stack, and the adaptive engine delegating a plan
+// without a spec.
 func TestPlanReproducesGoldenTable(t *testing.T) {
 	plan, err := LoadPlan(strings.NewReader(goldenPlanJSON))
 	if err != nil {
 		t.Fatalf("golden plan failed to load: %v", err)
 	}
-	runners := map[string]Runner{
-		"batch":  &BatchRunner{},
-		"stream": &StreamRunner{},
-		"matrix": &MatrixRunner{},
-	}
-	for rname, r := range runners {
+	for rname, r := range allRunners() {
 		res, err := r.Run(context.Background(), plan)
 		if err != nil {
 			t.Fatalf("%s: %v", rname, err)
@@ -80,14 +76,13 @@ func TestPlanReproducesGoldenTable(t *testing.T) {
 				requireGoldenFloat(t, label+": locality["+s.Locality[0].Labels[k]+"]",
 					s.Locality[0].Values[k], hex)
 			}
-			if rname == "stream" && out.Result != nil {
-				t.Errorf("%s: streaming runner retained a batch Result", label)
-			}
-			if rname != "stream" && out.Result == nil {
-				t.Errorf("%s: batch-family runner dropped its Result", label)
-			}
 		}
 	}
+}
+
+// allRunners is every Runner a plan without an adaptive spec can run on.
+func allRunners() map[string]Runner {
+	return map[string]Runner{"stream": &StreamRunner{}, "adaptive": &AdaptiveRunner{}}
 }
 
 // TestStreamRunnerCancellation pins graceful cancellation: cancelling
@@ -157,42 +152,6 @@ func TestStreamRunnerCancellation(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
-func TestBatchRunnerCancellationBetweenCells(t *testing.T) {
-	before := runtime.NumGoroutine()
-	plan := NewPlan(9, 120).
-		WithCell("k40", "dgemm:128").
-		WithCell("phi", "dgemm:128")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	r := &BatchRunner{Progress: Progress{
-		OnCell: func(i int, out *CellOutcome) {
-			if i == 0 {
-				cancel()
-			}
-		},
-	}}
-	res, err := r.Run(ctx, plan)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled run returned %v", err)
-	}
-	if res.Cells[0].Err != nil || res.Cells[0].Summary == nil {
-		t.Errorf("completed cell lost its outcome: %+v", res.Cells[0])
-	}
-	if !errors.Is(res.Cells[1].Err, context.Canceled) || res.Cells[1].Summary != nil {
-		t.Errorf("unreached cell = %+v", res.Cells[1])
-	}
-	waitForGoroutines(t, before)
-}
-
-func TestMatrixRunnerPreCancelled(t *testing.T) {
-	plan := NewPlan(9, 50).WithKernelOnDevices("dgemm:128", "k40", "phi")
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := (&MatrixRunner{}).Run(ctx, plan); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled run returned %v", err)
-	}
-}
-
 // TestBuildCtxHonoursCancellation pins that the construction phase — the
 // expensive golden simulations of iterative kernels — is abandoned under
 // a cancelled context instead of building the whole plan first.
@@ -203,9 +162,7 @@ func TestBuildCtxHonoursCancellation(t *testing.T) {
 	if _, err := plan.BuildCtx(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled BuildCtx returned %v", err)
 	}
-	for name, r := range map[string]Runner{
-		"batch": &BatchRunner{}, "stream": &StreamRunner{}, "matrix": &MatrixRunner{},
-	} {
+	for name, r := range allRunners() {
 		res, err := r.Run(ctx, plan)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: pre-cancelled Run returned %v", name, err)
@@ -240,127 +197,25 @@ func (stubKernel) RunInjectedPooled(kernels.GoldenState, arch.Injection, *xrand.
 	return nil
 }
 
-// TestCellErrorCachedNotRepanicked pins the satellite fix: a failed cell
-// returns a typed *CellError through RunCtx, the memo caches that error
-// (single-flight semantics preserved), and retries observe the identical
-// cached failure instead of the old "previously failed to compute" panic.
+// TestCellErrorCachedNotRepanicked pins the typed failure of an invalid
+// cell on the streaming path: both the engine and the per-cell plan body
+// return a *CellError naming the cell instead of panicking.
 func TestCellErrorCachedNotRepanicked(t *testing.T) {
 	dev := mustDev(t, "k40")
 	cfg := DefaultConfig(1, 10)
-	_, err1 := RunCtx(context.Background(), dev, stubKernel{}, cfg)
-	var ce *CellError
-	if !errors.As(err1, &ce) {
-		t.Fatalf("want *CellError, got %T: %v", err1, err1)
+	_, streamErr := RunStreaming(dev, stubKernel{}, cfg, NewTallyReducer())
+	_, sum, cellErr := RunPlanCell(context.Background(), Cell{Dev: dev, Kern: stubKernel{}}, cfg, []float64{0, 2})
+	if sum != nil {
+		t.Errorf("failed cell returned a summary: %+v", sum)
 	}
-	if ce.Device != "K40" || ce.Kernel != "Stub" || ce.Input != "0x0" {
-		t.Errorf("CellError lacks cell identity: %+v", ce)
-	}
-	_, err2 := RunCtx(context.Background(), dev, stubKernel{}, cfg)
-	if err1 != err2 {
-		t.Errorf("second call recomputed the failure: %v vs %v", err1, err2)
-	}
-}
-
-// TestCancelledCellNotCached pins that a context cancellation is never
-// memoised: the next caller with a live context gets the real result.
-func TestCancelledCellNotCached(t *testing.T) {
-	dev := mustDev(t, "phi")
-	kern := mustKern(t, "lavamd:3")
-	cfg := DefaultConfig(1234, 200)
-	cfg.StreamChunk = 16
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RunCtx(ctx, dev, kern, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled RunCtx returned %v", err)
-	}
-	res, err := RunCtx(context.Background(), dev, kern, cfg)
-	if err != nil || res == nil {
-		t.Fatalf("cache poisoned by cancellation: %v", err)
-	}
-	if got := res.Tally.Masked + res.Tally.SDC + res.Tally.Crash + res.Tally.Hang; got != 200 {
-		t.Errorf("retry ran %d strikes, want 200", got)
-	}
-}
-
-// panicKernel panics during session setup: the worst-case third-party
-// kernel bug the memo must survive.
-type panicKernel struct{ stubKernel }
-
-func (panicKernel) Name() string { return "PanicStub" }
-func (panicKernel) Profile(arch.Device) arch.Profile {
-	panic("third-party kernel bug")
-}
-
-// TestPanickingCellDoesNotWedgeMemo pins that a panic escaping a cell
-// computation returns the single-flight slot to idle: the panic
-// propagates to the caller, but later callers of the same cell retry
-// (and observe the same panic) instead of blocking forever on a wake
-// channel that never closes.
-func TestPanickingCellDoesNotWedgeMemo(t *testing.T) {
-	dev := mustDev(t, "k40")
-	cfg := DefaultConfig(1, 10)
-	mustPanic := func(call int) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("call %d: kernel panic was swallowed", call)
-			}
-		}()
-		_, _ = RunCtx(context.Background(), dev, panicKernel{}, cfg)
-	}
-	mustPanic(1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		mustPanic(2)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("second call deadlocked on the wedged memo entry")
-	}
-}
-
-// TestSingleFlightFollowerCancellable pins the memo's waiting contract: a
-// caller queued behind another caller's in-flight computation of the same
-// cell must honour its own context instead of blocking until the leader
-// finishes — and the leader must still complete and populate the cache.
-func TestSingleFlightFollowerCancellable(t *testing.T) {
-	dev := mustDev(t, "k40")
-	kern := mustKern(t, "dgemm:128")
-	cfg := DefaultConfig(777, 3000) // long enough that a leader is usually mid-flight
-	cfg.StreamChunk = 64
-
-	leaderDone := make(chan *Result, 1)
-	go func() {
-		res, err := RunCtx(context.Background(), dev, kern, cfg)
-		if err != nil {
-			t.Errorf("leader: %v", err)
+	for name, err := range map[string]error{"RunStreaming": streamErr, "RunPlanCell": cellErr} {
+		var ce *CellError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: want *CellError, got %T: %v", name, err, err)
 		}
-		leaderDone <- res
-	}()
-
-	// Whichever state the follower finds — queued behind the leader, or
-	// leading itself — a cancelled context must surface promptly as
-	// ctx.Err(), never as a wait for the full strike loop.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := time.Now()
-	if _, err := RunCtx(ctx, dev, kern, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled follower returned %v", err)
-	}
-	if waited := time.Since(start); waited > 2*time.Second {
-		t.Errorf("cancelled follower blocked %v behind the leader", waited)
-	}
-
-	res := <-leaderDone
-	if res == nil {
-		t.Fatal("leader produced no result")
-	}
-	// The cache must now be warm: a background-context call returns the
-	// leader's exact result.
-	again, err := RunCtx(context.Background(), dev, kern, cfg)
-	if err != nil || again != res {
-		t.Errorf("cache not populated by leader: %v (same=%v)", err, again == res)
+		if ce.Device != "K40" || ce.Kernel != "Stub" || ce.Input != "0x0" {
+			t.Errorf("%s: CellError lacks cell identity: %+v", name, ce)
+		}
 	}
 }
 

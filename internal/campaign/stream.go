@@ -199,8 +199,9 @@ func RunStreamingFromCtx(ctx context.Context, dev arch.Device, kern kernels.Kern
 // streaming engine. The sinks factory is called once per cell (from that
 // cell's goroutine) and must return the sinks that cell feeds; per-cell
 // reducers need no locking because each cell's consume loop is a single
-// goroutine. Infos are returned in cell order. Unlike RunMatrix, nothing
-// is memoised: streaming trades the shared-cell cache for bounded memory.
+// goroutine. Infos are returned in cell order. Every listed cell runs:
+// callers that want one run per distinct cell dedupe first, as
+// RunFigurePass does.
 func StreamMatrix(cells []Cell, cfg Config, sinks func(i int, c Cell) []Sink) ([]StreamInfo, error) {
 	infos := make([]StreamInfo, len(cells))
 	errs := make([]error, len(cells))
@@ -436,8 +437,8 @@ func (r *ABFTReducer) Consume(_ int, out injector.Outcome) {
 	r.Coverage.Add(out.Report)
 }
 
-// resultSink rebuilds the batch *Result from the outcome stream: the
-// compat stack that lets Run/RunFresh share one engine with RunStreaming.
+// resultSink rebuilds the report-retaining *Result from the outcome
+// stream: the stack that makes Run one RunStreaming pass.
 // The tally/per-resource accounting is delegated to a TallyReducer (one
 // merge loop, not two to drift apart); this sink only adds the report
 // retention that makes a Result a Result. Because the engine recycles

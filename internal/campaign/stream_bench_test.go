@@ -74,10 +74,9 @@ func benchStreamingPeak(b *testing.B, strikes int) {
 func BenchmarkStreamingPeak12k(b *testing.B) { benchStreamingPeak(b, 12500) }
 func BenchmarkStreamingPeak50k(b *testing.B) { benchStreamingPeak(b, 50000) }
 
-// benchBatchRetained measures what the batch engine holds live once a
-// cell of the same size completes: the retained SDC reports the memo
-// cache keeps for the Result's lifetime. This is the O(SDC) cost the
-// streaming engine removes.
+// benchBatchRetained measures what Run holds live once a cell of the same
+// size completes: the SDC reports a Result retains for its lifetime. This
+// is the O(SDC) cost the streaming reducers avoid.
 func benchBatchRetained(b *testing.B, strikes int) {
 	dev := k40.New()
 	kern := dgemm.New(128)
@@ -88,7 +87,7 @@ func benchBatchRetained(b *testing.B, strikes int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		before := liveHeap()
-		res := RunFresh(dev, kern, cfg)
+		res := Run(dev, kern, cfg)
 		after := liveHeap()
 		if after > before {
 			b.ReportMetric(float64(after-before), "retained-bytes")

@@ -125,7 +125,7 @@ func TestStreamingEquivalenceProperty(t *testing.T) {
 
 		batchCfg := cfg
 		batchCfg.Workers = 1
-		res := RunFresh(dev, kern, batchCfg)
+		res := Run(dev, kern, batchCfg)
 
 		for _, workers := range []int{1, 8} {
 			streamCfg := cfg
@@ -182,60 +182,102 @@ func TestScatterReservoirBounded(t *testing.T) {
 	}
 }
 
-// TestStreamingBuildersMatchBatch pins the streaming figure builders
-// against their batch counterparts on a shared matrix.
-func TestStreamingBuildersMatchBatch(t *testing.T) {
-	cfg := DefaultConfig(301, 120)
-	dev := k40.New()
+// TestFigurePassMatchesReference pins every artifact of the shared figure
+// pass against its reference: the uncached Run of each cell plus the
+// Result methods (abft.EvaluateCoverage over the retained reports for
+// ABFT, Result.ResourceTally for the X1 comparison).
+func TestFigurePassMatchesReference(t *testing.T) {
+	c := DefaultConfig(301, 120)
+	dgemmCells := DGEMMCells(k40.New(), TestScale)
+	lavaCells := LavaMDCells(phi.New(), TestScale)
+	d := figureData(t, append(append([]Cell{}, dgemmCells...), lavaCells...), c)
+	dg, lv := runAll(dgemmCells, c), runAll(lavaCells, c)
 
-	batchScatter := BuildDGEMMScatter(dev, TestScale, cfg)
-	streamScatter, err := ScatterStreaming("DGEMM", 100, 0, DGEMMCells(dev, TestScale), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(batchScatter, streamScatter) {
-		t.Fatal("streaming DGEMM scatter differs from batch")
-	}
-
-	batchLoc := BuildDGEMMLocality(dev, TestScale, cfg, 2)
-	streamLoc, err := LocalityStreaming("DGEMM", DGEMMCells(dev, TestScale), cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(batchLoc, streamLoc) {
-		t.Fatal("streaming DGEMM locality differs from batch")
-	}
+	requireDeepEqual(t, "DGEMM scatter", d.Scatter(dgemmCells), refScatter(dg, 100))
+	requireDeepEqual(t, "LavaMD scatter", d.Scatter(lavaCells), refScatter(lv, 20000))
+	requireDeepEqual(t, "DGEMM locality", d.Locality(dgemmCells), refLocality(dg, 2))
+	requireDeepEqual(t, "LavaMD locality", d.Locality(lavaCells), refLocality(lv, 2))
+	requireDeepEqual(t, "DGEMM scaling", d.Scaling(dgemmCells), refScaling(dg, 2))
+	requireDeepEqual(t, "DGEMM ABFT coverage", d.ABFTCoverage(dgemmCells), refABFT(dg))
+	requireDeepEqual(t, "X1 resource tally", d.ResourceTally(dgemmCells[0]), dg[0].ResourceTally)
 
 	// The full 18-cell matrix is the expensive comparison: a reduced
 	// strike count keeps the property meaningful (every cell, every row
 	// field) without doubling the suite's wall time.
 	ratioCfg := DefaultConfig(301, 40)
-	batchRatios := BuildSDCRatios(TestScale, ratioCfg)
-	streamRatios, err := SDCRatiosStreaming(TestScale, ratioCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(batchRatios, streamRatios) {
-		t.Fatal("streaming SDC ratios differ from batch")
-	}
+	all := AllCells(TestScale)
+	requireDeepEqual(t, "SDC ratios", figureData(t, all, ratioCfg).Ratios(all), refRatios(runAll(all, ratioCfg)))
+}
 
-	batchScaling := BuildDGEMMScaling(dev, TestScale, cfg, 2)
-	streamScaling, err := DGEMMScalingStreaming(dev, TestScale, cfg, 2)
-	if err != nil {
-		t.Fatal(err)
+func requireDeepEqual(t *testing.T, label string, got, want any) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: figure pass\n  %+v\ndiffers from reference\n  %+v", label, got, want)
 	}
-	if !reflect.DeepEqual(batchScaling, streamScaling) {
-		t.Fatal("streaming DGEMM scaling differs from batch")
-	}
+}
 
-	batchABFT := BuildABFTCoverage(dev, TestScale, cfg)
-	streamABFT, err := ABFTCoverageStreaming(dev, TestScale, cfg)
-	if err != nil {
-		t.Fatal(err)
+func runAll(cells []Cell, c Config) []*Result {
+	out := make([]*Result, len(cells))
+	for i, cell := range cells {
+		out[i] = Run(cell.Dev, cell.Kern, c)
 	}
-	if !reflect.DeepEqual(batchABFT, streamABFT) {
-		t.Fatal("streaming ABFT coverage differs from batch")
+	return out
+}
+
+func refScatter(rs []*Result, capPct float64) ScatterSeries {
+	out := ScatterSeries{Device: rs[0].Device, Kernel: rs[0].Kernel, CapPct: capPct}
+	for _, r := range rs {
+		out.Series = append(out.Series, LabeledPoints{Label: r.Input, Points: r.Scatter(capPct)})
 	}
+	return out
+}
+
+func refLocality(rs []*Result, thresholdPct float64) LocalityFigure {
+	out := LocalityFigure{Device: rs[0].Device, Kernel: rs[0].Kernel, ThresholdPct: thresholdPct}
+	for _, r := range rs {
+		out.Bars = append(out.Bars, LocalityBar{
+			Input:            r.Input,
+			All:              r.LocalityBreakdown(0),
+			Filtered:         r.LocalityBreakdown(thresholdPct),
+			FilterMeaningful: r.FilteredFraction(thresholdPct) > 0,
+		})
+	}
+	return out
+}
+
+func refScaling(rs []*Result, thresholdPct float64) []ScalingRow {
+	var rows []ScalingRow
+	for _, r := range rs {
+		row := ScalingRow{Device: r.Device, Input: r.Input, FITAll: r.SDCFIT(0), FITFiltered: r.SDCFIT(thresholdPct)}
+		if base := rs[0].SDCFIT(0); base > 0 {
+			row.GrowthAll = row.FITAll / base
+		}
+		if base := rs[0].SDCFIT(thresholdPct); base > 0 {
+			row.GrowthFilter = row.FITFiltered / base
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+func refABFT(rs []*Result) []ABFTRow {
+	var rows []ABFTRow
+	for _, r := range rs {
+		frac := abft.EvaluateCoverage(r.Reports).CorrectableFraction()
+		rows = append(rows, ABFTRow{Device: r.Device, Input: r.Input, CorrectableFraction: frac, ResidualFraction: 1 - frac})
+	}
+	return rows
+}
+
+func refRatios(rs []*Result) []RatioRow {
+	var rows []RatioRow
+	for _, r := range rs {
+		rows = append(rows, RatioRow{
+			Device: r.Device, Kernel: r.Kernel, Input: r.Input,
+			SDC: r.Tally.SDC, DUE: r.Tally.Crash + r.Tally.Hang, Ratio: r.Tally.SDCToDUERatio(),
+		})
+	}
+	return rows
 }
 
 // TestCheckpointLogMatchesResult checks the checkpointed event stream is a
@@ -263,7 +305,7 @@ func TestCheckpointLogMatchesResult(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res := RunFresh(dev, kern, cfg)
+	res := Run(dev, kern, cfg)
 	l, err := logdata.Parse(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +449,7 @@ func TestStreamChunkInvariant(t *testing.T) {
 	for _, chunk := range []int{1, 7, 64, 1000} {
 		cfg := base
 		cfg.StreamChunk = chunk
-		res := RunFresh(dev, kern, cfg)
+		res := Run(dev, kern, cfg)
 		if first == nil {
 			first = res
 			continue

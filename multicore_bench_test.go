@@ -1,6 +1,6 @@
 // BenchmarkCampaignMulticore is the honest multicore record behind
-// BENCH_campaign.json's "multicore" section: whole uncached campaign
-// cells (RunFresh, so no cross-run memoisation) at worker counts
+// BENCH_campaign.json's "multicore" section: whole campaign cells
+// (campaign.Run, which memoises nothing) at worker counts
 // {1, 2, NumCPU}, for one cheap-strike kernel (DGEMM) and one
 // expensive-strike kernel (LavaMD). Results are bit-identical across
 // worker counts (DESIGN.md §5); only wall time may differ, so ns/op is
@@ -69,10 +69,10 @@ func BenchmarkCampaignMulticore(b *testing.B) {
 				// through the kernel instance, so a partial warm-up would
 				// charge the first sub-benchmark for construction the later
 				// ones inherit.
-				campaign.RunFresh(c.dev, c.kern, cfg)
+				campaign.Run(c.dev, c.kern, cfg)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					campaign.RunFresh(c.dev, c.kern, cfg)
+					campaign.Run(c.dev, c.kern, cfg)
 				}
 			})
 		}

@@ -17,11 +17,15 @@
 //	plan := radcrit.NewPlan(42, 500).
 //		WithKernelOnDevices("dgemm:1024", "k40", "phi").
 //		WithThresholds(0, 2)
-//	res, err := radcrit.NewBatchRunner().Run(ctx, plan)
+//	res, err := radcrit.NewStreamRunner().Run(ctx, plan)
 //	if err != nil { ... }
 //	for _, cell := range res.Cells {
 //		fmt.Println(cell.Info.Device, cell.Summary.SDCFIT)
 //	}
+//
+// When the per-execution reports themselves are wanted (Analyze,
+// AdviseHardening, WriteLog), run each cell of plan.Build() through
+// RunCampaign, which returns a report-retaining Result.
 //
 // Plans serialise to JSON (LoadPlan/SavePlan), so the same campaign is a
 // shareable artifact, a CLI argument (-plan plan.json on every cmd/
@@ -110,7 +114,7 @@ type (
 	// CellOutcome is one plan cell's execution record.
 	CellOutcome = campaign.CellOutcome
 	// Summary is a cell's statistics under the plan's thresholds,
-	// bit-identical between the batch and streaming runners.
+	// bit-identical to the matching Result methods.
 	Summary = campaign.Summary
 	// Progress carries a Runner's optional OnCell/OnChunk hooks.
 	Progress = campaign.Progress
@@ -183,14 +187,6 @@ func LoadPlan(r io.Reader) (*Plan, error) { return campaign.LoadPlan(r) }
 // SavePlan validates p and writes it as indented JSON.
 func SavePlan(w io.Writer, p *Plan) error { return campaign.SavePlan(w, p) }
 
-// NewBatchRunner returns the memoised batch engine as a Runner: cells run
-// sequentially, every outcome retains its full Result.
-func NewBatchRunner() *campaign.BatchRunner { return &campaign.BatchRunner{} }
-
-// NewMatrixRunner returns the concurrent batch engine as a Runner: all
-// cells at once, memoised and single-flighted, outcomes in plan order.
-func NewMatrixRunner() *campaign.MatrixRunner { return &campaign.MatrixRunner{} }
-
 // NewStreamRunner returns the bounded-memory streaming engine as a
 // Runner: summaries come from online reducers and no reports are
 // retained.
@@ -230,7 +226,8 @@ func SplitKernelSpec(spec string) (name, params string) { return registry.SplitS
 
 // RunCampaign simulates a beam campaign cell: cfg.Strikes strikes of kern
 // on dev, each resolved by the device architecture and propagated through
-// the kernel's real computation.
+// the kernel's real computation. The Result retains every SDC report; it
+// panics on an invalid cell (plans validate before they build cells).
 func RunCampaign(dev Device, kern Kernel, cfg Config) *Result {
 	return campaign.Run(dev, kern, cfg)
 }

@@ -12,7 +12,8 @@ import (
 
 // TestPlanFacadeEndToEnd drives the declarative surface exactly as a
 // third-party consumer would: build a plan fluently, serialise it, load
-// it back, and run it on both engine families with progress hooks.
+// it back, and run it on the streaming runner and on the adaptive runner
+// (which delegates a plan without a spec), with progress hooks.
 func TestPlanFacadeEndToEnd(t *testing.T) {
 	plan := radcrit.NewPlan(42, 120).
 		Named("facade-e2e").
@@ -30,11 +31,11 @@ func TestPlanFacadeEndToEnd(t *testing.T) {
 	}
 
 	var cells int
-	batch := radcrit.NewBatchRunner()
-	batch.Progress = radcrit.Progress{OnCell: func(int, *radcrit.CellOutcome) { cells++ }}
-	bres, err := batch.Run(context.Background(), loaded)
+	adaptive := radcrit.NewAdaptiveRunner()
+	adaptive.Progress = radcrit.Progress{OnCell: func(int, *radcrit.CellOutcome) { cells++ }}
+	ares, err := adaptive.Run(context.Background(), loaded)
 	if err != nil {
-		t.Fatalf("batch run: %v", err)
+		t.Fatalf("adaptive run: %v", err)
 	}
 	if cells != 2 {
 		t.Errorf("OnCell fired %d times", cells)
@@ -43,17 +44,17 @@ func TestPlanFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stream run: %v", err)
 	}
-	for i := range bres.Cells {
-		b, s := bres.Cells[i].Summary, sres.Cells[i].Summary
-		if b.Tally != s.Tally {
-			t.Errorf("cell %d: engines disagree on tally: %+v vs %+v", i, b.Tally, s.Tally)
+	for i := range ares.Cells {
+		a, s := ares.Cells[i].Summary, sres.Cells[i].Summary
+		if a.Tally != s.Tally {
+			t.Errorf("cell %d: runners disagree on tally: %+v vs %+v", i, a.Tally, s.Tally)
 		}
-		for k := range b.SDCFIT {
-			if b.SDCFIT[k] != s.SDCFIT[k] {
-				t.Errorf("cell %d threshold %d: engines disagree on SDC FIT", i, k)
+		for k := range a.SDCFIT {
+			if a.SDCFIT[k] != s.SDCFIT[k] {
+				t.Errorf("cell %d threshold %d: runners disagree on SDC FIT", i, k)
 			}
 		}
-		if b.Tally.SDC == 0 {
+		if a.Tally.SDC == 0 {
 			t.Errorf("cell %d: campaign produced no SDCs — test is vacuous", i)
 		}
 	}
@@ -67,9 +68,8 @@ func TestFacadeRejectsInvalidPlans(t *testing.T) {
 	}
 	bad := radcrit.NewPlan(1, 0).WithCell("k40", "dgemm:128")
 	for name, r := range map[string]radcrit.Runner{
-		"batch":  radcrit.NewBatchRunner(),
-		"stream": radcrit.NewStreamRunner(),
-		"matrix": radcrit.NewMatrixRunner(),
+		"stream":   radcrit.NewStreamRunner(),
+		"adaptive": radcrit.NewAdaptiveRunner(),
 	} {
 		if _, err := r.Run(context.Background(), bad); err == nil {
 			t.Errorf("%s runner accepted a zero-strike plan", name)
