@@ -99,7 +99,10 @@ type item struct {
 	firstDispatch time.Time
 
 	// bestStrikes/bestLog are the furthest checkpoint any lease has
-	// streamed back — the seed for requeues and local fallback.
+	// streamed back — the seed for requeues and local fallback. bestLog
+	// is never mutated in place, only replaced by a slice the coordinator
+	// owns outright (RunRemote's PrevLog, a decoded heartbeat body), so
+	// WorkItems and SaveLog share it without copying it under c.mu.
 	bestStrikes int
 	bestLog     []byte
 	// delivered (guarded by cbMu, not the coordinator mutex) is the last
@@ -198,7 +201,7 @@ func (c *Coordinator) RunRemote(ctx context.Context, req service.RemoteCell) (*s
 		req:         req,
 		leases:      map[string]*lease{},
 		bestStrikes: 0,
-		bestLog:     append([]byte(nil), req.PrevLog...),
+		bestLog:     req.PrevLog,
 		done:        make(chan struct{}),
 	}
 	it.seq = c.seq
@@ -444,7 +447,7 @@ func (c *Coordinator) grantLocked(w *workerState, it *item, now time.Time) WorkI
 		Key:             it.req.Key,
 		Spec:            it.req.Spec,
 		Cfg:             cellConfig(it.req.Cfg, it.req.Thresholds),
-		Log:             append([]byte(nil), it.bestLog...),
+		Log:             it.bestLog,
 		LeaseTTLMillis:  c.opts.LeaseTTL.Milliseconds(),
 		HeartbeatMillis: c.opts.Heartbeat.Milliseconds(),
 	}
@@ -565,7 +568,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	improved := req.Strikes > it.bestStrikes && len(req.Log) > 0
 	if improved {
 		it.bestStrikes = req.Strikes
-		it.bestLog = append([]byte(nil), req.Log...)
+		it.bestLog = req.Log
 	}
 	if req.Abandon {
 		c.counters.Abandons++

@@ -293,8 +293,11 @@ func TestFleetLeaseExpiryRequeueFromCheckpoint(t *testing.T) {
 	})
 	ct := &cutTransport{}
 	// The doomed worker paces itself so its lease is mid-cell for long
-	// enough to observe; it heartbeats every 100ms regardless.
-	startWorker(t, tf.srv.URL, "doomed", 120*time.Millisecond, &http.Client{Transport: ct})
+	// enough to observe; it heartbeats every 100ms regardless. The pause
+	// must outlast a log-bearing heartbeat's round trip (hundreds of ms
+	// under -race), or the cell can complete before the coordinator has
+	// recorded any flushed strikes.
+	startWorker(t, tf.srv.URL, "doomed", 300*time.Millisecond, &http.Client{Transport: ct})
 	waitWorkers(t, tf.coord, 1)
 
 	plan := smokePlan(96, "k40/dgemm:128")

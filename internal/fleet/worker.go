@@ -212,11 +212,8 @@ func (w *Worker) runItem(ctx context.Context, item *WorkItem) {
 			case <-cellCtx.Done():
 				return
 			case <-t.C:
-				strikes, log := buf.snapshot()
-				req := HeartbeatRequest{Strikes: strikes}
-				if strikes > sent {
-					req.Log = log
-				}
+				strikes, log := buf.snapshot(sent)
+				req := HeartbeatRequest{Strikes: strikes, Log: log}
 				var resp HeartbeatResponse
 				status, err := w.postJSON(cellCtx, "/v1/fleet/leases/"+item.Lease+"/heartbeat", req, &resp)
 				switch {
@@ -247,7 +244,7 @@ func (w *Worker) runItem(ctx context.Context, item *WorkItem) {
 		// best log so the cell requeues immediately instead of waiting out
 		// the lease TTL. Best effort — a SIGKILLed worker never gets here,
 		// and the TTL covers that.
-		strikes, log := buf.snapshot()
+		strikes, log := buf.snapshot(-1)
 		abandonCtx, acancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer acancel()
 		var resp HeartbeatResponse
@@ -382,9 +379,16 @@ func (b *logBuffer) setFlushed(n int) {
 	b.mu.Unlock()
 }
 
-func (b *logBuffer) snapshot() (int, []byte) {
+// snapshot returns the flushed strike count and, only when it exceeds
+// after, a copy of the log. The log grows to tens of MiB on a large cell,
+// so a heartbeat tick with no new chunk since the last acknowledged send
+// (after) must not pay for a copy it would discard; -1 always copies.
+func (b *logBuffer) snapshot(after int) (int, []byte) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.flushed <= after {
+		return b.flushed, nil
+	}
 	return b.flushed, append([]byte(nil), b.data...)
 }
 

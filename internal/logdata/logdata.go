@@ -122,8 +122,9 @@ func (l *Log) Reports() []*metrics.Report {
 func Write(w io.Writer, l *Log) error {
 	bw := bufio.NewWriter(w)
 	writeHeader(bw, l)
+	var line []byte
 	for _, e := range l.Events {
-		writeEvent(bw, e)
+		line = writeEvent(bw, line, e)
 	}
 	fmt.Fprintf(bw, "#END sdc:%d due:%d masked:%d\n", l.SDCCount(), l.CrashHangCount(), l.Masked)
 	return bw.Flush()
@@ -132,29 +133,72 @@ func Write(w io.Writer, l *Log) error {
 // writeHeader emits the #HEADER and #BEGIN lines of the format.
 func writeHeader(bw *bufio.Writer, l *Log) {
 	fmt.Fprintf(bw, "#HEADER device:%s kernel:%s input:%s facility:%s seed:%d dims:%d,%d,%d\n",
-		field(l.Device), field(l.Kernel), field(l.Input), field(l.Facility),
+		HeaderField(l.Device), HeaderField(l.Kernel), HeaderField(l.Input), HeaderField(l.Facility),
 		l.Seed, l.OutputDims.X, l.OutputDims.Y, l.OutputDims.Z)
 	fmt.Fprintf(bw, "#BEGIN executions:%d beam_hours:%s\n",
 		l.Executions, strconv.FormatFloat(l.BeamHours, 'x', -1, 64))
 }
 
 // writeEvent emits one event's lines (shared by Write and StreamWriter).
-func writeEvent(bw *bufio.Writer, e Event) {
+// Each line is built in line, a scratch buffer the caller keeps across
+// events; the grown buffer is returned for reuse. This runs once per
+// corrupted element of every SDC, so it appends with strconv instead of
+// formatting with fmt: once line has grown to the longest line, an event
+// costs no allocation.
+func writeEvent(bw *bufio.Writer, line []byte, e Event) []byte {
 	switch e.Class {
 	case fault.SDC:
-		fmt.Fprintf(bw, "#SDC exec:%d resource:%s scope:%s count:%d\n",
-			e.Exec, field(e.Resource), field(e.Scope), len(e.Mismatches))
+		line = append(line[:0], "#SDC exec:"...)
+		line = strconv.AppendInt(line, int64(e.Exec), 10)
+		line = append(line, " resource:"...)
+		line = appendField(line, e.Resource)
+		line = append(line, " scope:"...)
+		line = appendField(line, e.Scope)
+		line = append(line, " count:"...)
+		line = strconv.AppendInt(line, int64(len(e.Mismatches)), 10)
+		line = append(line, '\n')
+		bw.Write(line)
 		for _, m := range e.Mismatches {
-			fmt.Fprintf(bw, "#ERR x:%d y:%d z:%d read:%s expected:%s\n",
-				m.Coord.X, m.Coord.Y, m.Coord.Z,
-				strconv.FormatFloat(m.Read, 'x', -1, 64),
-				strconv.FormatFloat(m.Expected, 'x', -1, 64))
+			line = append(line[:0], "#ERR x:"...)
+			line = strconv.AppendInt(line, int64(m.Coord.X), 10)
+			line = append(line, " y:"...)
+			line = strconv.AppendInt(line, int64(m.Coord.Y), 10)
+			line = append(line, " z:"...)
+			line = strconv.AppendInt(line, int64(m.Coord.Z), 10)
+			line = append(line, " read:"...)
+			line = strconv.AppendFloat(line, m.Read, 'x', -1, 64)
+			line = append(line, " expected:"...)
+			line = strconv.AppendFloat(line, m.Expected, 'x', -1, 64)
+			line = append(line, '\n')
+			bw.Write(line)
 		}
-	case fault.Crash:
-		fmt.Fprintf(bw, "#CRASH exec:%d resource:%s\n", e.Exec, field(e.Resource))
-	case fault.Hang:
-		fmt.Fprintf(bw, "#HANG exec:%d resource:%s\n", e.Exec, field(e.Resource))
+	case fault.Crash, fault.Hang:
+		tag := "#CRASH exec:"
+		if e.Class == fault.Hang {
+			tag = "#HANG exec:"
+		}
+		line = append(line[:0], tag...)
+		line = strconv.AppendInt(line, int64(e.Exec), 10)
+		line = append(line, " resource:"...)
+		line = appendField(line, e.Resource)
+		line = append(line, '\n')
+		bw.Write(line)
 	}
+	return line
+}
+
+// appendCheckpoint appends a #CHK record, the per-chunk line of a
+// streamed log, without fmt for the same reason as writeEvent.
+func appendCheckpoint(line []byte, next, masked, sdc, due int) []byte {
+	line = append(line, "#CHK next:"...)
+	line = strconv.AppendInt(line, int64(next), 10)
+	line = append(line, " masked:"...)
+	line = strconv.AppendInt(line, int64(masked), 10)
+	line = append(line, " sdc:"...)
+	line = strconv.AppendInt(line, int64(sdc), 10)
+	line = append(line, " due:"...)
+	line = strconv.AppendInt(line, int64(due), 10)
+	return append(line, '\n')
 }
 
 // writeEpoch emits one #EPOCH budget record. The half-width uses hex
@@ -185,12 +229,20 @@ func parseEpoch(kv map[string]string) (EpochMark, error) {
 	}, nil
 }
 
-// field sanitises a free-text field for the space-separated format.
-func field(s string) string {
+// appendField appends a free-text field sanitised for the
+// space-separated format: "-" when empty, spaces as underscores.
+func appendField(b []byte, s string) []byte {
 	if s == "" {
-		return "-"
+		return append(b, '-')
 	}
-	return strings.ReplaceAll(s, " ", "_")
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == ' ' {
+			c = '_'
+		}
+		b = append(b, c)
+	}
+	return b
 }
 
 // HeaderField returns the sanitised form a free-text header field is
@@ -199,7 +251,7 @@ func field(s string) string {
 // metadata must escape the live side with this function rather than
 // expect the parsed side to round-trip.
 func HeaderField(s string) string {
-	return field(s)
+	return string(appendField(nil, s))
 }
 
 func unfield(s string) string {

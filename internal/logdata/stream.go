@@ -23,17 +23,23 @@ import (
 // it from its in-order consume loop.
 type StreamWriter struct {
 	bw     *bufio.Writer
+	line   []byte // scratch line buffer reused across events
 	masked int
 	sdc    int
 	due    int
 	err    error
 }
 
+// streamBufSize is the StreamWriter's buffer: between checkpoints a
+// file-backed log reaches the kernel in writes of this size, not the
+// bufio default of 4 KiB.
+const streamBufSize = 64 << 10
+
 // NewStreamWriter writes the header lines for the campaign described by
 // meta (whose Events and Masked are ignored) and returns a writer ready to
 // accept events.
 func NewStreamWriter(w io.Writer, meta *Log) (*StreamWriter, error) {
-	sw := &StreamWriter{bw: bufio.NewWriter(w)}
+	sw := &StreamWriter{bw: bufio.NewWriterSize(w, streamBufSize)}
 	writeHeader(sw.bw, meta)
 	if err := sw.bw.Flush(); err != nil {
 		return nil, fmt.Errorf("logdata: %v", err)
@@ -62,7 +68,7 @@ func (sw *StreamWriter) WriteEvent(e Event) error {
 		sw.err = fmt.Errorf("logdata: stream event with class %v", e.Class)
 		return sw.err
 	}
-	writeEvent(sw.bw, e)
+	sw.line = writeEvent(sw.bw, sw.line, e)
 	return sw.setErr(nil)
 }
 
@@ -73,7 +79,8 @@ func (sw *StreamWriter) Checkpoint(next int) error {
 	if sw.err != nil {
 		return sw.err
 	}
-	fmt.Fprintf(sw.bw, "#CHK next:%d masked:%d sdc:%d due:%d\n", next, sw.masked, sw.sdc, sw.due)
+	sw.line = appendCheckpoint(sw.line[:0], next, sw.masked, sw.sdc, sw.due)
+	sw.bw.Write(sw.line)
 	return sw.setErr(sw.bw.Flush())
 }
 

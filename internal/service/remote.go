@@ -34,7 +34,8 @@ type RemoteCell struct {
 	CostNS uint64
 	// PrevLog is the cell's checkpoint log so far — empty for a fresh
 	// cell, a salvageable #CHK-checkpointed prefix for one a previous
-	// attempt (local or remote) already progressed.
+	// attempt (local or remote) already progressed. The runner may keep
+	// the slice, so the caller must not modify it after the call.
 	PrevLog []byte
 
 	// Progress relays the cell's flushed strike count (monotonic
@@ -45,7 +46,8 @@ type RemoteCell struct {
 	// manager writes it to the job's cell log file, which is what lets a
 	// coordinator restart — or a degrade-to-local fallback — resume from
 	// the last streamed #CHK record instead of strike zero. Calls are
-	// serialised by the RemoteRunner. May be nil.
+	// serialised by the RemoteRunner, and log is shared with it: read it,
+	// never modify it. May be nil.
 	SaveLog func(log []byte)
 }
 
