@@ -354,21 +354,43 @@ func (w *Worker) postJSON(ctx context.Context, path string, in, out any) (int, e
 	return resp.StatusCode, nil
 }
 
+// logBlockSize is the size of one logBuffer block. A large cell's log
+// runs to tens of MiB, so blocks are big enough that the block list stays
+// short and small enough that the last, partly filled one wastes little.
+const logBlockSize = 1 << 20
+
 // logBuffer accumulates the cell's checkpoint log under a mutex so the
 // heartbeat goroutine can snapshot a consistent (strikes, log) pair
 // while the engine's consume loop appends.
+//
+// The log is held as a list of fixed-size blocks: each written byte is
+// copied once, into the last block, and nothing written is ever moved,
+// so appending never copies the log so far. It runs to tens of MiB and
+// is read only when a heartbeat or the abandon path sends it.
 type logBuffer struct {
 	mu      sync.Mutex
-	data    []byte
+	blocks  [][]byte // every block but the last is full
+	size    int
 	flushed int
 }
 
 // Write implements io.Writer for the checkpoint stream.
 func (b *logBuffer) Write(p []byte) (int, error) {
 	b.mu.Lock()
-	b.data = append(b.data, p...)
+	n := len(p)
+	b.size += n
+	for len(p) > 0 {
+		last := len(b.blocks) - 1
+		if last < 0 || len(b.blocks[last]) == logBlockSize {
+			b.blocks = append(b.blocks, make([]byte, 0, logBlockSize))
+			last++
+		}
+		k := min(len(p), logBlockSize-len(b.blocks[last]))
+		b.blocks[last] = append(b.blocks[last], p[:k]...)
+		p = p[k:]
+	}
 	b.mu.Unlock()
-	return len(p), nil
+	return n, nil
 }
 
 func (b *logBuffer) setFlushed(n int) {
@@ -380,16 +402,21 @@ func (b *logBuffer) setFlushed(n int) {
 }
 
 // snapshot returns the flushed strike count and, only when it exceeds
-// after, a copy of the log. The log grows to tens of MiB on a large cell,
-// so a heartbeat tick with no new chunk since the last acknowledged send
-// (after) must not pay for a copy it would discard; -1 always copies.
+// after, the log concatenated into one slice the caller owns. The log
+// grows to tens of MiB on a large cell, so a heartbeat tick with no new
+// chunk since the last acknowledged send (after) must not pay for a copy
+// it would discard; -1 always copies.
 func (b *logBuffer) snapshot(after int) (int, []byte) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.flushed <= after {
+	if b.flushed <= after || b.size == 0 {
 		return b.flushed, nil
 	}
-	return b.flushed, append([]byte(nil), b.data...)
+	log := make([]byte, 0, b.size)
+	for _, blk := range b.blocks {
+		log = append(log, blk...)
+	}
+	return b.flushed, log
 }
 
 // chunkTracker is a no-op Sink whose FlushChunk records the flushed
