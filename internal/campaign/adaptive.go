@@ -43,12 +43,6 @@ const (
 	DefaultAdaptiveAlpha = stats.DefaultAlpha
 	// DefaultMaxEpochs bounds the AdaptiveRunner's reallocation rounds.
 	DefaultMaxEpochs = 8
-	// defaultLookSpacing is the look spacing of a spec that leaves
-	// CheckEvery unset in a plan that leaves StreamChunk unset. It is
-	// deliberately not DefaultStreamChunk: the spacing decides where a
-	// cell stops and enters CellKey, so it must not move when the
-	// engine's default window is retuned for memory.
-	defaultLookSpacing = 512
 )
 
 // AdaptiveSpec configures sequential early stopping for a plan: stop a
@@ -63,8 +57,7 @@ type AdaptiveSpec struct {
 	MinStrikes int `json:"min_strikes,omitempty"`
 	// CheckEvery is the look spacing in strikes. The engine forces its
 	// stream chunk to this value so every chunk boundary is a scheduled
-	// look; 0 adopts the plan's stream chunk, or 512 when the plan leaves
-	// that unset too.
+	// look; 0 adopts the plan's effective stream chunk.
 	CheckEvery int `json:"check_every,omitempty"`
 	// Alpha is the confidence sequence's overall error budget
 	// (0 = DefaultAdaptiveAlpha).
@@ -121,14 +114,12 @@ func (a AdaptiveSpec) rule() stats.StopRule {
 	}
 }
 
-// effectiveChunk is the stream chunk an adaptive cell runs under when its
-// spec leaves CheckEvery unset: the plan's StreamChunk, else
-// defaultLookSpacing.
+// effectiveChunk is the stream chunk the engine will actually use.
 func (cfg Config) effectiveChunk() int {
 	if cfg.StreamChunk > 0 {
 		return cfg.StreamChunk
 	}
-	return defaultLookSpacing
+	return DefaultStreamChunk
 }
 
 // adaptiveConfig resolves cfg's adaptive spec: defaults filled in, the

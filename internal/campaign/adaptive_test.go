@@ -127,23 +127,35 @@ func TestAdaptivePlanJSONRoundTrip(t *testing.T) {
 }
 
 func TestAdaptiveConfigNormalization(t *testing.T) {
-	cfg := NewPlan(1, 100).WithCell("k40", "dgemm:128").
-		WithAdaptive(AdaptiveSpec{TargetHalfWidth: 0.1}).Config()
+	p := NewPlan(1, 100).WithCell("k40", "dgemm:128").
+		WithAdaptive(AdaptiveSpec{TargetHalfWidth: 0.1})
+	cfg := p.Config()
 	got, rule, ok := adaptiveConfig(cfg)
 	if !ok {
 		t.Fatal("adaptive config not detected")
 	}
-	// CheckEvery defaults to the default look spacing, and the chunk is
-	// forced to the look spacing so every boundary is a look.
-	if got.StreamChunk != defaultLookSpacing || got.Adaptive.CheckEvery != defaultLookSpacing {
+	// CheckEvery defaults to the effective chunk, and the chunk is forced
+	// to the look spacing so every boundary is a look.
+	if got.StreamChunk != DefaultStreamChunk || got.Adaptive.CheckEvery != DefaultStreamChunk {
 		t.Fatalf("chunk/check_every = %d/%d, want %d/%d",
-			got.StreamChunk, got.Adaptive.CheckEvery, defaultLookSpacing, defaultLookSpacing)
+			got.StreamChunk, got.Adaptive.CheckEvery, DefaultStreamChunk, DefaultStreamChunk)
 	}
 	if got.Adaptive.Alpha != DefaultAdaptiveAlpha || got.Adaptive.MaxEpochs != DefaultMaxEpochs {
 		t.Fatalf("defaults not filled: %+v", got.Adaptive)
 	}
-	if rule.CheckEvery != defaultLookSpacing || rule.Alpha != DefaultAdaptiveAlpha {
+	if rule.CheckEvery != DefaultStreamChunk || rule.Alpha != DefaultAdaptiveAlpha {
 		t.Fatalf("rule not derived from normalized spec: %+v", rule)
+	}
+	// The default spacing enters CellKey and decides where a cell stops,
+	// so it is pinned to the literal 512 and the key it gives: retuning
+	// DefaultStreamChunk must not move a stored result, stop point or
+	// #EPOCH record.
+	if got.Adaptive.CheckEvery != 512 {
+		t.Fatalf("default check_every = %d, want 512", got.Adaptive.CheckEvery)
+	}
+	const wantKey = "77d43b2f9b3a88ead8b3b0716553b53f6e513df1be39b76870085c81d75ad217"
+	if key := p.CellKey(0); key != wantKey {
+		t.Fatalf("CellKey = %s, want %s", key, wantKey)
 	}
 
 	// An explicit spacing overrides the chunk outright.
@@ -157,25 +169,6 @@ func TestAdaptiveConfigNormalization(t *testing.T) {
 	cfg.Adaptive = nil
 	if got, _, ok = adaptiveConfig(cfg); ok || got.StreamChunk != 128 {
 		t.Fatalf("non-adaptive config altered: %+v ok=%v", got, ok)
-	}
-}
-
-// TestAdaptiveDefaultSpacingPinned: a spec with CheckEvery 0 in a plan
-// with no stream chunk resolves to the same look spacing and CellKey it
-// did when the engine's default chunk was 512, so retuning
-// DefaultStreamChunk moves no stored result, stop point or #EPOCH record.
-// The key was computed before the default chunk changed.
-func TestAdaptiveDefaultSpacingPinned(t *testing.T) {
-	p := NewPlan(7, 2000).WithCell("k40", "hotspot:64x80").WithThresholds(0, 2).
-		WithAdaptive(AdaptiveSpec{TargetHalfWidth: 0.05})
-	const wantKey = "9edbf53ebea2280f3dff3371a9cb56fd40be2701a8f0f22e5bf59c1fe01e17a8"
-	if got := p.CellKey(0); got != wantKey {
-		t.Fatalf("CellKey = %s, want %s", got, wantKey)
-	}
-	got, rule, _ := adaptiveConfig(p.Config())
-	if got.Adaptive.CheckEvery != 512 || got.StreamChunk != 512 || rule.CheckEvery != 512 {
-		t.Fatalf("check_every/chunk/rule = %d/%d/%d, want 512/512/512",
-			got.Adaptive.CheckEvery, got.StreamChunk, rule.CheckEvery)
 	}
 }
 

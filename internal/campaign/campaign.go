@@ -77,10 +77,9 @@ type Config struct {
 	// outcome memory, so it too is excluded from CellKey.
 	//
 	// One carve-out: when Adaptive is set with CheckEvery == 0, the look
-	// spacing defaults to StreamChunk (512 when StreamChunk is 0, not
-	// DefaultStreamChunk), and the look schedule DOES change where a cell
-	// stops. The resolved spacing (not StreamChunk itself) is what enters
-	// CellKey.
+	// spacing defaults to the effective chunk, and the look schedule DOES
+	// change where a cell stops. The resolved spacing (not StreamChunk
+	// itself) is what enters CellKey.
 	StreamChunk int
 	// Adaptive, when non-nil, enables sequential early stopping: the
 	// streaming engine evaluates Adaptive's stop rule at every chunk

@@ -23,12 +23,8 @@ import (
 // DefaultStreamChunk is the streaming engine's flush granularity: strikes
 // are executed in chunks of this many indices, consumed in order, and the
 // chunk buffer is recycled. Peak memory is O(chunk) outcomes plus reducer
-// state, independent of the campaign's SDC count — but every SDC outcome
-// of a chunk holds its report until the chunk is consumed, so the peak is
-// about chunk × SDC share × report size (DESIGN.md §6). The default keeps
-// that window small; an adaptive cell's default look spacing is separate
-// (defaultLookSpacing) and does not follow it.
-const DefaultStreamChunk = 64
+// state, independent of the campaign's SDC count.
+const DefaultStreamChunk = 512
 
 // Sink consumes classified strike outcomes as the engine produces them.
 //
