@@ -333,7 +333,8 @@ func TestAdaptiveGoldenSavings(t *testing.T) {
 
 // TestAdaptiveReplayByteIdentity: a stopped cell's #EPOCH+#CHK log
 // replays through ResumePlanCell to the byte-identical summary — from
-// the complete log (pure replay, no engine work) and from a prefix
+// an empty log (a fresh run, whose log bytes match too), from the
+// complete log (pure replay, no engine work) and from a prefix
 // truncated mid-campaign (replay + deterministic tail re-run that makes
 // the same stop decision).
 func TestAdaptiveReplayByteIdentity(t *testing.T) {
@@ -367,6 +368,20 @@ func TestAdaptiveReplayByteIdentity(t *testing.T) {
 	}
 	if !strings.Contains(orig.String(), "#EPOCH ") {
 		t.Fatal("stopped cell's log carries no #EPOCH record")
+	}
+
+	// An empty prior log is a fresh run: the same stop, the same summary
+	// and the same log bytes, #EPOCH record included.
+	var fresh bytes.Buffer
+	fInfo, fSum, err := ResumePlanCell(context.Background(), bytes.NewReader(nil), &fresh, cells[cell], cfg, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fInfo, liveInfo) || !reflect.DeepEqual(fSum, liveSum) {
+		t.Fatalf("empty-log run diverges:\n%+v\nvs live\n%+v", fSum, liveSum)
+	}
+	if fresh.String() != orig.String() {
+		t.Fatalf("empty-log run wrote a different log (%d bytes vs %d live)", fresh.Len(), orig.Len())
 	}
 
 	// Replay the complete log: same summary, no strikes re-run.

@@ -2,22 +2,20 @@ package campaign
 
 // This file is the serving-layer surface: the per-cell execution
 // primitives a long-lived campaign service composes — summary
-// accumulation as a Sink, one-cell execution with attachable sinks, and
-// checkpointed resume. StreamRunner and RecoverLog are thin arrangements
-// of the same primitives, so a daemon that interleaves caching and
-// checkpointing still runs the exact engine path the in-process runners
-// are pinned against.
+// accumulation as a Sink and one-cell execution with attachable sinks,
+// with or without a checkpoint log. RunPlanCell, ResumePlanCell and
+// RecoverLog are thin calls into one core (runCell), so a daemon that
+// interleaves caching and checkpointing still runs the exact engine path
+// the in-process runners are pinned against.
 
 import (
 	"context"
 	"fmt"
 	"io"
 
-	"radcrit/internal/arch"
 	"radcrit/internal/fault"
 	"radcrit/internal/grid"
 	"radcrit/internal/injector"
-	"radcrit/internal/kernels"
 	"radcrit/internal/logdata"
 	"radcrit/internal/metrics"
 )
@@ -97,8 +95,8 @@ func (a *SummaryAccumulator) Summary(info StreamInfo) *Summary {
 // RunPlanCell executes one resolved plan cell through the streaming
 // engine and returns its StreamInfo and Summary — StreamRunner's per-cell
 // body, exported for serving layers. The extra sinks observe the same
-// in-order outcome stream after the accumulator (so a CheckpointSink's
-// chunk flush always covers what the summary has consumed).
+// in-order outcome stream after the accumulator. It keeps no checkpoint
+// log of its own; ResumePlanCell is the same run under one.
 //
 // On cancellation the returned info is rescaled to the chunk-aligned
 // prefix actually consumed and the partial summary over that prefix is
@@ -112,25 +110,97 @@ func (a *SummaryAccumulator) Summary(info StreamInfo) *Summary {
 // sinks. Callers distinguish "stopped early" from "ran the budget" by
 // Info.Strikes, never by the error.
 func RunPlanCell(ctx context.Context, cell Cell, cfg Config, thresholds []float64, extra ...Sink) (StreamInfo, *Summary, error) {
+	return runCell(ctx, nil, nil, cell, cfg, thresholds, extra)
+}
+
+// ResumePlanCell runs a cell under the checkpoint log it writes to w,
+// picking up from prev, the (possibly truncated, possibly empty) log a
+// previous execution left behind. It is the one way to run a cell under
+// a checkpoint log: an empty prev is a fresh run from strike 0 whose log
+// is byte-identical to a NewCheckpointSink attached to RunPlanCell.
+// Otherwise the salvaged prefix — everything up to the last complete
+// #CHK record — is replayed into the summary and into the new log, and
+// only the uncovered tail re-runs. The final summary is bit-identical to
+// an uninterrupted run's (per-index RNG splits reproduce the tail;
+// hex-float logging reproduces the prefix), and the log written to w is
+// event-for-event what an uninterrupted run would have written — so a
+// resume interrupted again stays resumable, indefinitely.
+//
+// prev must describe this cell and seed; a mismatch, like an
+// unparseable prev, is an error rather than a silently wrong summary,
+// and is returned before anything is written to w — a caller may discard
+// prev and start again on the same w. On cancellation the returned
+// info/summary cover the consumed prefix (like RunPlanCell) and w holds
+// a resumable log without its #END trailer. Adaptive configs behave as
+// under RunPlanCell, with the #EPOCH records going to w's log.
+func ResumePlanCell(ctx context.Context, prev io.Reader, w io.Writer, cell Cell, cfg Config, thresholds []float64, extra ...Sink) (StreamInfo, *Summary, error) {
+	return runCell(ctx, prev, w, cell, cfg, thresholds, extra)
+}
+
+// runCell is the one body under RunPlanCell, ResumePlanCell and
+// RecoverLog. With w nil the cell runs unlogged from strike 0; otherwise
+// salvage opens w's log and replays prev's prefix first. The sink order
+// is fixed here: the accumulator, then the checkpoint log (so a chunk's
+// #CHK record is written before any extra sink sees that chunk boundary),
+// then the extra sinks, then the stop rule (so every checkpoint has
+// flushed before it requests a stop).
+//
+// Under an adaptive cfg a salvaged prefix is re-judged exactly as the
+// original run judged it: the replayed events seed the stop rule's SDC
+// count, the salvage point itself is a look — a run whose stop decision
+// was made but whose log tore before recording it stops again without
+// re-running anything — and the re-run tail evaluates live at every
+// boundary. The decisions are pure functions of (SDC, trials), so the
+// resumed cell stops where the uninterrupted one did. Nothing salvaged
+// means no look at trial 0 and nothing written beyond a fresh run's log.
+func runCell(ctx context.Context, prev io.Reader, w io.Writer, cell Cell, cfg Config, thresholds []float64, extra []Sink) (StreamInfo, *Summary, error) {
 	cfg, rule, adaptive := adaptiveConfig(cfg)
 	acc := NewSummaryAccumulator(thresholds)
-	sinks := make([]Sink, 0, len(extra)+2)
-	sinks = append(sinks, acc)
-	sinks = append(sinks, extra...)
-	runCtx := ctx
 	var es *earlyStopSink
 	if adaptive {
-		var cancel context.CancelCauseFunc
-		runCtx, cancel = context.WithCancelCause(ctx)
-		defer cancel(nil)
-		es = &earlyStopSink{rule: rule, cancel: cancel}
-		sinks = append(sinks, es) // last: checkpoints flush before the stop
+		es = &earlyStopSink{rule: rule}
 	}
-	info, err := RunStreamingCtx(runCtx, cell.Dev, cell.Kern, cfg, sinks...)
-	if adaptive && es.stopped && ctx.Err() == nil {
-		// The stop rule cancelled, not the caller: the cell is complete at
-		// its chunk-aligned stop point.
-		err = nil
+	sinks := make([]Sink, 0, len(extra)+3)
+	sinks = append(sinks, acc)
+	var info StreamInfo
+	var chk *CheckpointSink
+	var res logdata.Resume
+	epoch := 1
+	if w != nil {
+		var err error
+		if info, chk, res, err = salvage(prev, w, cell, cfg, acc, es); err != nil {
+			return info, nil, err
+		}
+		sinks = append(sinks, chk)
+		if n := len(res.Log.Epochs); n > 0 {
+			epoch = res.Log.Epochs[n-1].Epoch + 1
+		}
+	}
+	sinks = append(sinks, extra...)
+
+	run := !res.Complete
+	if run && es != nil && res.Next > 0 {
+		// The salvage point is a look: a prefix that already satisfies the
+		// rule stops here, re-running nothing.
+		es.evaluate(res.Next)
+		run = !es.stopped
+	}
+	var err error
+	if run {
+		runCtx := ctx
+		if es != nil {
+			var cancel context.CancelCauseFunc
+			runCtx, cancel = context.WithCancelCause(ctx)
+			defer cancel(nil)
+			es.cancel = cancel
+			sinks = append(sinks, es)
+		}
+		info, err = RunStreamingFromCtx(runCtx, cell.Dev, cell.Kern, cfg, res.Next, sinks...)
+		if es != nil && es.stopped && ctx.Err() == nil {
+			// The stop rule cancelled, not the caller: the cell is complete
+			// at its chunk-aligned stop point.
+			err = nil
+		}
 	}
 	if err != nil {
 		if isCancellation(err) {
@@ -140,63 +210,39 @@ func RunPlanCell(ctx context.Context, cell Cell, cfg Config, thresholds []float6
 		return info, nil, err
 	}
 	if adaptive {
-		recordEpoch(sinks, es.mark(1, cfg.Strikes, acc.Consumed()))
+		// Rescale to the strikes the cell actually holds, so the summary
+		// rates are true over the executed prefix. A complete log already
+		// carries its #EPOCH records.
+		if !res.Complete {
+			recordEpoch(sinks, es.mark(epoch, cfg.Strikes, acc.Consumed()))
+		}
 		info = prefixInfo(info, acc.Consumed())
 	}
-	return info, acc.Summary(info), nil
-}
-
-// ResumePlanCell completes a cell whose previous execution was
-// interrupted after writing the (possibly truncated) checkpoint log in
-// truncated: the salvaged prefix — everything up to the last complete
-// #CHK record — is replayed into the summary and into a fresh checkpoint
-// log at w, and only the uncovered tail re-runs. The final summary is
-// bit-identical to an uninterrupted run's (per-index RNG splits reproduce
-// the tail; hex-float logging reproduces the prefix), and the log written
-// to w is event-for-event what an uninterrupted run would have written —
-// so a resume interrupted again stays resumable, indefinitely.
-//
-// The log must describe this cell and seed; a mismatch is an error rather
-// than a silently wrong summary. On cancellation mid-tail the returned
-// info/summary cover the consumed prefix (like RunPlanCell) and w holds a
-// resumable log without its #END trailer.
-func ResumePlanCell(ctx context.Context, truncated io.Reader, w io.Writer, cell Cell, cfg Config, thresholds []float64, extra ...Sink) (StreamInfo, *Summary, error) {
-	acc := NewSummaryAccumulator(thresholds)
-	info, err := resumeStreaming(ctx, w, truncated, cell.Dev, cell.Kern, cfg, acc, extra)
-	if err != nil {
-		if isCancellation(err) {
-			info = prefixInfo(info, acc.Consumed())
-			return info, acc.Summary(info), err
+	if chk != nil {
+		// The #END trailer is written only on completion, so an
+		// interrupted run leaves w resumable.
+		if err := chk.Close(); err != nil {
+			return info, nil, err
 		}
-		return info, nil, err
 	}
 	return info, acc.Summary(info), nil
 }
 
-// resumeStreaming is the shared core of RecoverLog and ResumePlanCell:
-// salvage the truncated log, validate it describes (dev, kern, cfg),
-// replay the prefix into a fresh checkpoint log at w (and into acc, when
-// summarising), then re-run the uncovered tail with acc, the extra sinks
-// and the new checkpoint log attached. The #END trailer is written only
-// on full completion, so an interrupted resume leaves w resumable.
-// Under an adaptive cfg the salvaged prefix is re-judged exactly as the
-// original run judged it: the replayed events seed the stop rule's SDC
-// count, salvaged #EPOCH marks are re-emitted at their original positions
-// (the parsers' count-consistency checks demand it), the salvage point
-// itself is evaluated as a look — a run whose stop decision was made but
-// whose log tore before recording it stops again without re-running
-// anything — and the re-run tail evaluates live at every boundary. The
-// decisions are pure functions of (SDC, trials), so the resumed cell
-// stops where the uninterrupted one did.
-func resumeStreaming(ctx context.Context, w io.Writer, truncated io.Reader, dev arch.Device, kern kernels.Kernel, cfg Config, acc *SummaryAccumulator, extra []Sink) (StreamInfo, error) {
-	cfg, rule, adaptive := adaptiveConfig(cfg)
-	res, err := logdata.ParseResume(truncated)
+// salvage validates that prev describes (cell, cfg), opens the new
+// checkpoint log at w, and replays prev's salvaged prefix into it, into
+// acc and into es (when adaptive). Every check precedes the first write
+// to w. Salvaged #EPOCH marks are re-emitted where they originally
+// stood: a mark at consumed c precedes the first event at strike index
+// >= c, so every re-emitted #EPOCH still agrees with the cumulative SDC
+// count at its position — the consistency both parsers enforce.
+func salvage(prev io.Reader, w io.Writer, cell Cell, cfg Config, acc *SummaryAccumulator, es *earlyStopSink) (StreamInfo, *CheckpointSink, logdata.Resume, error) {
+	res, err := logdata.ParseResume(prev)
 	if err != nil {
-		return StreamInfo{}, err
+		return StreamInfo{}, nil, res, err
 	}
-	info, err := CellInfo(dev, kern, cfg)
+	info, err := CellInfo(cell.Dev, cell.Kern, cfg)
 	if err != nil {
-		return StreamInfo{}, err
+		return StreamInfo{}, nil, res, err
 	}
 	// Header fields are serialised space-escaped and the escaping is lossy
 	// (logdata.HeaderField), so the live metadata is escaped before the
@@ -205,114 +251,48 @@ func resumeStreaming(ctx context.Context, w io.Writer, truncated io.Reader, dev 
 		(res.Log.Device != logdata.HeaderField(info.Device) ||
 			res.Log.Kernel != logdata.HeaderField(info.Kernel) ||
 			res.Log.Input != logdata.HeaderField(info.Input)) {
-		return info, fmt.Errorf("campaign: log describes %s/%s/%s, not %s/%s/%s",
+		return info, nil, res, fmt.Errorf("campaign: log describes %s/%s/%s, not %s/%s/%s",
 			res.Log.Device, res.Log.Kernel, res.Log.Input, info.Device, info.Kernel, info.Input)
 	}
 	if res.Log.Device != "" && res.Log.Seed != cfg.Seed {
-		return info, fmt.Errorf("campaign: log was written under seed %d, not %d — the tail would not match",
+		return info, nil, res, fmt.Errorf("campaign: log was written under seed %d, not %d — the tail would not match",
 			res.Log.Seed, cfg.Seed)
 	}
-	sink, err := NewCheckpointSink(w, info, cfg.Seed)
+	chk, err := NewCheckpointSink(w, info, cfg.Seed)
 	if err != nil {
-		return info, err
+		return info, nil, res, err
 	}
-	var es *earlyStopSink
-	if adaptive {
-		es = &earlyStopSink{rule: rule}
-	}
-	sink.sw.AddMasked(res.Masked)
-	if acc != nil {
-		acc.AddMasked(res.Masked)
-	}
-	// Replay events with the salvaged epoch marks interleaved where they
-	// originally stood: a mark at consumed c precedes the first event at
-	// strike index >= c, so every re-emitted #EPOCH still agrees with the
-	// cumulative SDC count at its position — the consistency both parsers
-	// enforce.
+	chk.sw.AddMasked(res.Masked)
+	acc.AddMasked(res.Masked)
 	marks := res.Log.Epochs
 	for _, ev := range res.Log.Events {
 		for len(marks) > 0 && marks[0].Consumed <= ev.Exec {
-			if err := sink.RecordEpoch(marks[0]); err != nil {
-				return info, err
+			if err := chk.RecordEpoch(marks[0]); err != nil {
+				return info, nil, res, err
 			}
 			marks = marks[1:]
 		}
-		if err := sink.sw.WriteEvent(ev); err != nil {
-			return info, err
+		if err := chk.sw.WriteEvent(ev); err != nil {
+			return info, nil, res, err
 		}
-		if acc != nil {
-			acc.ReplayEvent(ev, info.Profile.OutputDims)
-		}
+		acc.ReplayEvent(ev, info.Profile.OutputDims)
 		if es != nil {
 			es.seed(ev)
 		}
 	}
 	for _, m := range marks {
-		if err := sink.RecordEpoch(m); err != nil {
-			return info, err
+		if err := chk.RecordEpoch(m); err != nil {
+			return info, nil, res, err
 		}
 	}
-	epoch := 1
-	if n := len(res.Log.Epochs); n > 0 {
-		epoch = res.Log.Epochs[n-1].Epoch + 1
-	}
-	if !res.Complete {
+	if res.Next > 0 && !res.Complete {
 		// Flush a checkpoint covering the replayed prefix before any tail
 		// strike runs: the new log is now durable to at least the point
 		// the old one reached, so an interruption during the tail — or
 		// even before its first chunk — can never lose salvaged progress.
-		if err := sink.sw.Checkpoint(res.Next); err != nil {
-			return info, err
-		}
-		if es != nil {
-			// The salvage point is a look: a prefix that already satisfies
-			// the rule stops here, re-running nothing.
-			es.evaluate(res.Next)
-		}
-		if es == nil || !es.stopped {
-			runCtx := ctx
-			if es != nil {
-				var cancel context.CancelCauseFunc
-				runCtx, cancel = context.WithCancelCause(ctx)
-				defer cancel(nil)
-				es.cancel = cancel
-			}
-			sinks := make([]Sink, 0, len(extra)+3)
-			if acc != nil {
-				sinks = append(sinks, acc)
-			}
-			sinks = append(sinks, extra...)
-			sinks = append(sinks, sink)
-			if es != nil {
-				sinks = append(sinks, es) // last: checkpoints flush first
-			}
-			if _, err := RunStreamingFromCtx(runCtx, dev, kern, cfg, res.Next, sinks...); err != nil {
-				if !(es != nil && es.stopped && ctx.Err() == nil) {
-					return info, err
-				}
-			}
-		}
-		if es != nil {
-			consumed := cfg.Strikes
-			if es.stopped {
-				consumed = es.stopAt
-			}
-			if err := sink.RecordEpoch(es.mark(epoch, cfg.Strikes, consumed)); err != nil {
-				return info, err
-			}
+		if err := chk.sw.Checkpoint(res.Next); err != nil {
+			return info, nil, res, err
 		}
 	}
-	if adaptive {
-		// Rescale to the strikes the cell actually holds, so the caller's
-		// summary rates are true over the executed prefix: a complete log
-		// carries its own total; an early-stopped tail its stop point.
-		consumed := cfg.Strikes
-		if res.Complete {
-			consumed = res.Masked + len(res.Log.Events)
-		} else if es.stopped {
-			consumed = es.stopAt
-		}
-		info = prefixInfo(info, consumed)
-	}
-	return info, sink.Close()
+	return info, chk, res, nil
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"radcrit/internal/injector"
 	"radcrit/internal/k40"
 	"radcrit/internal/kernels/dgemm"
 	"radcrit/internal/logdata"
@@ -133,6 +134,11 @@ func TestResumePlanCellBitIdentical(t *testing.T) {
 			t.Fatalf("cut %d: ResumePlanCell: %v", cut, err)
 		}
 		requireSameSummary(t, "cut "+strconv.Itoa(cut), got, want)
+		// A cut that salvages nothing is a fresh run: byte for byte the
+		// uninterrupted log, with no checkpoint for the empty prefix.
+		if res, err := logdata.ParseResume(bytes.NewReader(truncated)); err == nil && res.Next == 0 && recovered.String() != full.String() {
+			t.Errorf("cut %d: log salvaging nothing differs from the fresh log", cut)
+		}
 		// The recovered log is event-for-event identical to the
 		// uninterrupted one (checkpoint-record placement may differ: the
 		// replayed prefix is written in one piece). Equality is checked on
@@ -221,4 +227,83 @@ func TestResumeSurvivesImmediateInterruption(t *testing.T) {
 	if after.Masked != before.Masked {
 		t.Errorf("rewritten log masked count %d, want %d", after.Masked, before.Masked)
 	}
+}
+
+// coverageSink asserts, at every chunk boundary it sees, that the
+// checkpoint log written so far already covers that boundary: the cell's
+// checkpoint sink must flush ahead of every extra sink, or a progress
+// relay could claim strikes the log would lose in a crash.
+type coverageSink struct {
+	t       *testing.T
+	label   string
+	log     *bytes.Buffer
+	flushes int
+}
+
+func (s *coverageSink) Consume(int, injector.Outcome) {}
+
+func (s *coverageSink) FlushChunk(next int) {
+	s.flushes++
+	res, err := logdata.ParseResume(bytes.NewReader(s.log.Bytes()))
+	if err != nil {
+		s.t.Errorf("%s: log unparseable at FlushChunk(%d): %v", s.label, next, err)
+		return
+	}
+	if res.Next != next {
+		s.t.Errorf("%s: at FlushChunk(%d) the log covers strikes up to %d", s.label, next, res.Next)
+	}
+}
+
+// TestResumePlanCellCheckpointsBeforeExtraSinks pins the sink order of
+// the logged-cell path, from an empty prior log and from a salvaged one.
+func TestResumePlanCellCheckpointsBeforeExtraSinks(t *testing.T) {
+	cell := Cell{Dev: k40.New(), Kern: dgemm.New(64)}
+	cfg := DefaultConfig(42, 128)
+	cfg.StreamChunk = 32
+	ts := []float64{0, 2}
+
+	var full bytes.Buffer
+	fresh := &coverageSink{t: t, label: "empty log", log: &full}
+	if _, _, err := ResumePlanCell(context.Background(), bytes.NewReader(nil), &full, cell, cfg, ts, fresh); err != nil {
+		t.Fatal(err)
+	}
+	cut := full.Len() / 2
+	if res, err := logdata.ParseResume(bytes.NewReader(full.Bytes()[:cut])); err != nil || res.Next == 0 {
+		t.Fatalf("cut %d salvages nothing (%v); pick a later cut", cut, err)
+	}
+	var resumed bytes.Buffer
+	tail := &coverageSink{t: t, label: "salvaged log", log: &resumed}
+	if _, _, err := ResumePlanCell(context.Background(), bytes.NewReader(full.Bytes()[:cut]), &resumed, cell, cfg, ts, tail); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.flushes != 4 || tail.flushes == 0 {
+		t.Fatalf("saw %d fresh and %d tail chunk flushes, want 4 and > 0", fresh.flushes, tail.flushes)
+	}
+}
+
+// FuzzResumePlanCellCut truncates a small cell's fresh log at a fuzzed
+// byte and resumes it: every cut, 0 included, must give the fresh run's
+// summary bit for bit.
+func FuzzResumePlanCellCut(f *testing.F) {
+	cell := Cell{Dev: k40.New(), Kern: dgemm.New(64)}
+	cfg := DefaultConfig(42, 96)
+	cfg.StreamChunk = 32
+	ts := []float64{0, 2}
+	var full bytes.Buffer
+	_, want, err := ResumePlanCell(context.Background(), bytes.NewReader(nil), &full, cell, cfg, ts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, cut := range []uint{0, uint(full.Len() / 3), uint(full.Len() - 1), uint(full.Len())} {
+		f.Add(cut)
+	}
+	f.Fuzz(func(t *testing.T, cut uint) {
+		cut %= uint(full.Len() + 1)
+		var w bytes.Buffer
+		_, got, err := ResumePlanCell(context.Background(), bytes.NewReader(full.Bytes()[:cut]), &w, cell, cfg, ts)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		requireSameSummary(t, "cut "+strconv.Itoa(int(cut)), got, want)
+	})
 }

@@ -551,8 +551,8 @@ func (c *CheckpointSink) Close() error { return c.sw.Close() }
 // checkpoint does not cover, and closes the log. The recovered log is
 // event-for-event identical to one written by an uninterrupted run —
 // checkpoint/resume's determinism contract (DESIGN.md §6). It is
-// resumeStreaming (serve.go) without a summary: log in, log out.
+// ResumePlanCell (serve.go) with the summary dropped: log in, log out.
 func RecoverLog(w io.Writer, truncated io.Reader, dev arch.Device, kern kernels.Kernel, cfg Config) error {
-	_, err := resumeStreaming(context.Background(), w, truncated, dev, kern, cfg, nil, nil)
+	_, _, err := runCell(context.Background(), truncated, w, Cell{Dev: dev, Kern: kern}, cfg, nil, nil)
 	return err
 }

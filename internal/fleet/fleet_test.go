@@ -18,6 +18,7 @@ import (
 	"radcrit/internal/campaign"
 	"radcrit/internal/fleet"
 	"radcrit/internal/fleet/chaostest"
+	"radcrit/internal/logdata"
 	"radcrit/internal/service"
 )
 
@@ -354,6 +355,59 @@ func TestFleetDegradeToLocal(t *testing.T) {
 	}
 	if got := tf.coord.Health().Counters.LocalFallbacks; got != len(jr.Cells) {
 		t.Errorf("local fallbacks = %d, want %d", got, len(jr.Cells))
+	}
+}
+
+// TestFleetWorkerDiscardsUnresumableLog: a leased cell whose checkpoint
+// log cannot be resumed runs from strike 0 on the worker, exactly as the
+// daemon handles such a log locally, instead of failing the cell.
+func TestFleetWorkerDiscardsUnresumableLog(t *testing.T) {
+	tf := startFleet(t, fleet.Options{LeaseTTL: 5 * time.Second, Poll: 20 * time.Millisecond})
+	startWorker(t, tf.srv.URL, "w1", 0, nil)
+	waitWorkers(t, tf.coord, 1)
+
+	plan := smokePlan(64, "k40/dgemm:128")
+	cfg, ts := plan.Config(), plan.EffectiveThresholds()
+	cell, err := campaign.BuildCell(plan.Cells[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantInfo, wantSum, err := campaign.RunPlanCell(context.Background(), cell, cfg, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log strings.Builder
+	if _, _, err := campaign.ResumePlanCell(context.Background(), strings.NewReader(""), &log, cell, cfg, ts); err != nil {
+		t.Fatal(err)
+	}
+	// Lose the first #SDC line: its #ERR lines are orphaned.
+	full := log.String()
+	at := strings.Index(full, "#SDC ")
+	if at < 0 {
+		t.Fatal("cell log holds no SDC; pick a cell that has one")
+	}
+	damaged := full[:at] + full[at+strings.IndexByte(full[at:], '\n')+1:]
+	if _, err := logdata.ParseResume(strings.NewReader(damaged)); err == nil || !strings.Contains(err.Error(), "#ERR outside #SDC") {
+		t.Fatalf("damaged log parses with %v, want #ERR outside #SDC", err)
+	}
+
+	res, err := tf.coord.RunRemote(context.Background(), service.RemoteCell{
+		JobID: "j1", Cell: 0, Spec: plan.Cells[0], Cfg: cfg, Thresholds: ts,
+		Key: plan.CellKey(0), PrevLog: []byte(damaged),
+	})
+	if err != nil {
+		t.Fatalf("RunRemote with a damaged log: %v", err)
+	}
+	got, err := json.Marshal([]any{res.Info, res.Summary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal([]any{wantInfo, wantSum})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("remote result differs from a direct RunPlanCell:\n got %s\nwant %s", got, want)
 	}
 }
 

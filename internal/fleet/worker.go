@@ -262,13 +262,14 @@ func (w *Worker) runItem(ctx context.Context, item *WorkItem) {
 	w.complete(ctx, item, req)
 }
 
-// executeCell runs or resumes the leased cell. Sink order matters: on
-// the fresh path the CheckpointSink precedes the tracker, so a snapshot
-// never claims strikes its log does not cover. (On the resume path the
-// engine's internal checkpoint sink flushes last; a snapshot there may
-// lead log coverage by at most one chunk, which only ever costs a
-// requeued lease one extra chunk of re-execution — never correctness,
-// which rests on the log alone.)
+// executeCell runs the leased cell under its checkpoint log, resuming
+// from the item's log (empty: from strike 0). The campaign core attaches
+// its checkpoint sink ahead of the tracker, so a chunk's #CHK record is
+// in buf before the tracker counts that chunk: a heartbeat snapshot never
+// claims strikes its log does not cover. A log that cannot be resumed
+// (damaged beyond salvage, or describing another cell or seed) is
+// discarded and the cell runs from strike 0, as the daemon does locally;
+// the core rejects such a log before writing anything to buf.
 func (w *Worker) executeCell(ctx context.Context, item *WorkItem, buf *logBuffer, tracker *chunkTracker) (campaign.StreamInfo, *campaign.Summary, error) {
 	cfg, err := item.Cfg.EngineConfig()
 	if err != nil {
@@ -282,22 +283,12 @@ func (w *Worker) executeCell(ctx context.Context, item *WorkItem, buf *logBuffer
 	if w.opts.Metrics != nil {
 		sinks = append(sinks, w.opts.Metrics.Sink(item.Spec.Kernel, item.Spec.Device))
 	}
-	if len(item.Log) > 0 {
-		return campaign.ResumePlanCell(ctx, bytes.NewReader(item.Log), buf, cell, cfg, item.Cfg.Thresholds, sinks...)
-	}
-	info, err := campaign.CellInfo(cell.Dev, cell.Kern, cfg)
-	if err != nil {
-		return campaign.StreamInfo{}, nil, err
-	}
-	chk, err := campaign.NewCheckpointSink(buf, info, cfg.Seed)
-	if err != nil {
-		return campaign.StreamInfo{}, nil, err
-	}
-	info, sum, err := campaign.RunPlanCell(ctx, cell, cfg, item.Cfg.Thresholds, append(sinks, chk)...)
-	if err != nil {
+	info, sum, err := campaign.ResumePlanCell(ctx, bytes.NewReader(item.Log), buf, cell, cfg, item.Cfg.Thresholds, sinks...)
+	if err == nil || len(item.Log) == 0 || ctx.Err() != nil {
 		return info, sum, err
 	}
-	return info, sum, chk.Close()
+	w.logf("fleet worker %s: lease %s: discarding unresumable log (%v), running from strike 0", w.id, item.Lease, err)
+	return campaign.ResumePlanCell(ctx, bytes.NewReader(nil), buf, cell, cfg, item.Cfg.Thresholds, sinks...)
 }
 
 // complete reports the cell's outcome, retrying transient transport

@@ -152,7 +152,9 @@ func ParseResume(r io.Reader) (Resume, error) {
 		data = data[:i+1]
 	}
 	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	// No line is longer than the data, so a short log — an empty one is a
+	// fresh run's — never needs the full initial buffer.
+	sc.Buffer(make([]byte, 0, min(len(data), 1<<20)), 1<<24)
 	var cur *Event
 	sdc, due := 0, 0
 	mark := 0 // events covered by the last complete checkpoint

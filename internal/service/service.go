@@ -1068,73 +1068,39 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 
 	cfg := j.Plan.Config()
 	ts := j.Plan.EffectiveThresholds()
-	if m.opts.Remote != nil {
-		outcomes, stop := m.runCellsSharded(jctx, j, cfg, ts)
-		m.finishJob(j, outcomes, stop)
-		return
-	}
-	// Kernel construction (the golden simulations) happens here, under
-	// the job's context so a drain during construction still interrupts.
-	cells, err := j.Plan.BuildCtx(jctx)
-	if err != nil {
-		m.finishJob(j, nil, err)
-		return
-	}
-	var localMu sync.Mutex
-	var outcomes []CellResult
-	var stop error
-	for i := range cells {
-		if err := jctx.Err(); err != nil {
-			stop = err
-			break
-		}
-		cell := cells[i]
-		cr, err := m.runCell(jctx, j, i, func() (campaign.Cell, error) { return cell, nil }, &localMu, cfg, ts)
-		if err != nil {
-			stop = err // only cancellation/interruption surfaces here
-			break
-		}
-		outcomes = append(outcomes, cr)
-	}
-	m.finishJob(j, outcomes, stop)
-}
-
-// runCellsSharded dispatches every cell of the job concurrently — the
-// fleet path. Remote execution is naturally parallel (each cell waits on
-// its own lease), while local fallback work is serialised through one
-// mutex so a fleetless or degraded job loads the host exactly like the
-// sequential path. Outcomes come back in plan order; a cell interrupted
-// by cancellation is simply absent (its durable record or checkpoint log
-// carries it across the requeue).
-func (m *Manager) runCellsSharded(jctx context.Context, j *Job, cfg campaign.Config, ts []float64) ([]CellResult, error) {
+	// One loop for both dispatch modes. Each cell builds its own kernel
+	// (the golden simulations) only when it has to run, so cells served
+	// from the job record or the store never pay for construction, and a
+	// construction failure is that cell's error. Without a fleet the cells
+	// run in plan order on this goroutine until the job is cancelled.
+	// With one every cell is dispatched concurrently: remote execution
+	// waits on its own lease, while local fallback work is serialised
+	// through localMu so a degraded job loads the host exactly like the
+	// sequential path. A cell that cancellation interrupted or never
+	// started is absent from the outcomes (its durable record or
+	// checkpoint log carries it across the requeue).
 	n := len(j.Plan.Cells)
 	results := make([]CellResult, n)
 	errs := make([]error, n)
 	var localMu sync.Mutex
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var cell campaign.Cell
-			built := false
-			getCell := func() (campaign.Cell, error) {
-				if !built {
-					c, err := campaign.BuildCell(j.Plan.Cells[i])
-					if err != nil {
-						return campaign.Cell{}, err
-					}
-					cell, built = c, true
-				}
-				return cell, nil
-			}
-			results[i], errs[i] = m.runCell(jctx, j, i, getCell, &localMu, cfg, ts)
-		}(i)
+	for i := range n {
+		if m.opts.Remote != nil {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[i], errs[i] = m.runCell(jctx, j, i, &localMu, cfg, ts)
+			}()
+			continue
+		}
+		if errs[i] = jctx.Err(); errs[i] == nil {
+			results[i], errs[i] = m.runCell(jctx, j, i, &localMu, cfg, ts)
+		}
 	}
 	wg.Wait()
 	var outcomes []CellResult
 	var stop error
-	for i := 0; i < n; i++ {
+	for i := range n {
 		if errs[i] != nil {
 			if stop == nil {
 				stop = errs[i]
@@ -1143,7 +1109,7 @@ func (m *Manager) runCellsSharded(jctx context.Context, j *Job, cfg campaign.Con
 		}
 		outcomes = append(outcomes, results[i])
 	}
-	return outcomes, stop
+	m.finishJob(j, outcomes, stop)
 }
 
 // finishJob resolves the job's final (or re-queued) state.
@@ -1224,13 +1190,13 @@ func (m *Manager) setCellState(j *Job, i int, cs CellStatus, emit bool) {
 // runCell produces one cell's outcome: from the job's own durable record
 // (a previous incarnation finished it), from the content-addressed store
 // (any job anywhere computed an identical cell), remotely through the
-// fleet (when Options.Remote is set and has healthy workers), by resuming
-// a checkpoint log (a previous incarnation — local or remote — was
-// interrupted mid-cell), or by running it fresh under a new checkpoint
-// log. Local engine work is serialised through localMu so sharded
-// dispatch never oversubscribes the host. Only cancellation is returned
-// as an error; cell failures are recorded in the outcome.
-func (m *Manager) runCell(jctx context.Context, j *Job, i int, getCell func() (campaign.Cell, error), localMu *sync.Mutex, cfg campaign.Config, ts []float64) (CellResult, error) {
+// fleet (when Options.Remote is set and has healthy workers), or locally
+// under its checkpoint log — resuming whatever prefix an interrupted
+// previous incarnation, local or remote, left there, or from strike 0
+// when there is none. Local engine work is serialised through localMu so
+// sharded dispatch never oversubscribes the host. Only cancellation is
+// returned as an error; cell failures are recorded in the outcome.
+func (m *Manager) runCell(jctx context.Context, j *Job, i int, localMu *sync.Mutex, cfg campaign.Config, ts []float64) (CellResult, error) {
 	spec := j.Plan.Cells[i]
 	total := cfg.Strikes
 	cr := CellResult{Spec: spec, Key: campaign.CellKey(spec, cfg, ts)}
@@ -1314,24 +1280,21 @@ func (m *Manager) runCell(jctx context.Context, j *Job, i int, getCell func() (c
 	}
 
 	if !ran {
-		cell, cerr := getCell()
+		cell, cerr := campaign.BuildCell(spec)
 		if cerr != nil {
 			runErr = cerr // construction failure: recorded as the cell's error
 		} else {
 			localMu.Lock()
-			if prev, err := os.ReadFile(logPath); err == nil && len(prev) > 0 {
-				resumed = true
-				info, sum, runErr = m.resumeCell(jctx, prev, logPath, cell, cfg, ts, sinks)
-				if runErr != nil && !isCancellation(runErr) {
-					// The log could not be resumed (damaged beyond salvage, or it
-					// describes something else): discard it and run fresh rather
-					// than wedging the job forever.
-					_ = os.Remove(logPath)
-					resumed = false
-					info, sum, runErr = m.freshCell(jctx, logPath, cell, cfg, ts, sinks)
-				}
-			} else {
-				info, sum, runErr = m.freshCell(jctx, logPath, cell, cfg, ts, sinks)
+			prev, _ := os.ReadFile(logPath)
+			resumed = len(prev) > 0
+			info, sum, runErr = m.loggedCell(jctx, prev, logPath, cell, cfg, ts, sinks)
+			if resumed && runErr != nil && !isCancellation(runErr) {
+				// The log could not be resumed (damaged beyond salvage, or it
+				// describes something else): discard it and run fresh rather
+				// than wedging the job forever.
+				_ = os.Remove(logPath)
+				resumed = false
+				info, sum, runErr = m.loggedCell(jctx, nil, logPath, cell, cfg, ts, sinks)
 			}
 			localMu.Unlock()
 		}
@@ -1392,38 +1355,17 @@ func cellStatusOf(cr *CellResult, total int) CellStatus {
 	return cs
 }
 
-// freshCell runs a cell from strike zero under a new checkpoint log.
-func (m *Manager) freshCell(jctx context.Context, logPath string, cell campaign.Cell, cfg campaign.Config, ts []float64, sinks []campaign.Sink) (campaign.StreamInfo, *campaign.Summary, error) {
-	info, err := campaign.CellInfo(cell.Dev, cell.Kern, cfg)
-	if err != nil {
-		return campaign.StreamInfo{}, nil, err
+// loggedCell runs a cell under its checkpoint log, resuming from prev
+// (empty: a fresh run). It only chooses the file: a fresh run streams
+// straight into logPath; a resume writes logPath.resume and renames it
+// over the old log on success or cancellation, so a failed resume never
+// destroys the log it started from.
+func (m *Manager) loggedCell(jctx context.Context, prev []byte, logPath string, cell campaign.Cell, cfg campaign.Config, ts []float64, sinks []campaign.Sink) (campaign.StreamInfo, *campaign.Summary, error) {
+	target := logPath
+	if len(prev) > 0 {
+		target = logPath + ".resume"
 	}
-	f, err := os.Create(logPath)
-	if err != nil {
-		return info, nil, fmt.Errorf("service: checkpoint log: %w", err)
-	}
-	chk, err := campaign.NewCheckpointSink(f, info, cfg.Seed)
-	if err != nil {
-		f.Close()
-		return info, nil, err
-	}
-	info, sum, runErr := campaign.RunPlanCell(jctx, cell, cfg, ts, append(append([]campaign.Sink{}, sinks...), chk)...)
-	if runErr == nil {
-		runErr = chk.Close() // writes the #END trailer
-	}
-	// On cancellation the trailer is deliberately not written: the log
-	// stays resumable from its last flushed #CHK record.
-	if cerr := f.Close(); runErr == nil {
-		runErr = cerr
-	}
-	return info, sum, runErr
-}
-
-// resumeCell completes a cell from its truncated checkpoint log,
-// rewriting the log (replayed prefix + re-run tail) alongside.
-func (m *Manager) resumeCell(jctx context.Context, prev []byte, logPath string, cell campaign.Cell, cfg campaign.Config, ts []float64, sinks []campaign.Sink) (campaign.StreamInfo, *campaign.Summary, error) {
-	tmp := logPath + ".resume"
-	f, err := os.Create(tmp)
+	f, err := os.Create(target)
 	if err != nil {
 		return campaign.StreamInfo{}, nil, fmt.Errorf("service: checkpoint log: %w", err)
 	}
@@ -1431,14 +1373,19 @@ func (m *Manager) resumeCell(jctx context.Context, prev []byte, logPath string, 
 	if cerr := f.Close(); runErr == nil {
 		runErr = cerr
 	}
+	if target == logPath {
+		// On cancellation the log has no #END trailer: it stays resumable
+		// from its last flushed #CHK record.
+		return info, sum, runErr
+	}
 	if runErr == nil || isCancellation(runErr) {
 		// Keep the rewritten log: it covers at least as much as the old
 		// one (replayed prefix plus any newly checkpointed tail).
-		if rerr := os.Rename(tmp, logPath); rerr != nil && runErr == nil {
+		if rerr := os.Rename(target, logPath); rerr != nil && runErr == nil {
 			runErr = fmt.Errorf("service: checkpoint log: %w", rerr)
 		}
 	} else {
-		_ = os.Remove(tmp)
+		_ = os.Remove(target)
 	}
 	return info, sum, runErr
 }
