@@ -418,9 +418,10 @@ func BenchmarkDGEMMInjection(b *testing.B) {
 		Scope: arch.ScopeCacheLine, Words: 16, Lines: 2,
 		Flip: fault.FlipSpec{Field: floatbits.AnyField, Bits: 1},
 	}
+	golden := kern.Golden(dev)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = kern.RunInjected(dev, inj, xrand.New(uint64(i)))
+		_ = kern.RunInjectedPooled(golden, inj, xrand.New(uint64(i)), nil)
 	}
 }
 

@@ -52,10 +52,11 @@ func main() {
 		Words: 1, Lines: 1, Tasks: 1,
 		Flip: fault.FlipSpec{Field: floatbits.Exponent, Bits: 1},
 	}
+	gs := kern.Golden(dev)
 	var shown *radcrit.Report
 	var detected, escaped bool
 	for seed := uint64(1); seed < 60 && (!detected || !escaped); seed++ {
-		rep, det := kern.RunInjectedDetailed(dev, inj, xrand.New(seed))
+		rep, det := kern.RunInjectedDetailed(gs, inj, xrand.New(seed))
 		if rep.Count() == 0 {
 			continue
 		}
@@ -95,7 +96,7 @@ func main() {
 		if syn.Outcome != fault.SDC {
 			continue
 		}
-		r, d := kern.RunInjectedDetailed(dev, syn.Injection, sub)
+		r, d := kern.RunInjectedDetailed(gs, syn.Injection, sub)
 		if r.Filter(2).Count() == 0 {
 			continue
 		}

@@ -42,6 +42,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hotspot_entropy: %v\n", err)
 		os.Exit(1)
 	}
+	gs := kern.Golden(dev)
 	goldenEntropy := hotspot.Entropy(kern.GoldenFinal(), 64)
 	fmt.Printf("golden output entropy: %.4f bits\n\n", goldenEntropy)
 
@@ -57,7 +58,7 @@ func main() {
 			Lines: 2,
 			Flip:  fault.FlipSpec{Field: floatbits.Exponent, Bits: 1},
 		}
-		rep := kern.RunInjected(dev, inj, xrand.New(5))
+		rep := kern.RunInjectedPooled(gs, inj, xrand.New(5), nil)
 		fmt.Printf("  %.2f   %9d  %11.4g%%  %12d\n",
 			when, rep.Count(), rep.MeanRelErrPct(1e6), rep.Filter(2).Count())
 	}
@@ -81,7 +82,7 @@ func main() {
 		// Identical injection RNG streams so the dense run and the report
 		// describe the same corrupted execution.
 		golden, faulty := kern.RunDense(dev, syn.Injection, rng.Split(uint64(i)+1_000_000))
-		rep := kern.RunInjected(dev, syn.Injection, rng.Split(uint64(i)+1_000_000))
+		rep := kern.RunInjectedPooled(gs, syn.Injection, rng.Split(uint64(i)+1_000_000), nil)
 		if rep.Count() < 100 {
 			continue // not widespread
 		}

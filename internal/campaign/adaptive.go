@@ -328,12 +328,14 @@ func (r *AdaptiveRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) 
 			runCtx, cancel := context.WithCancelCause(ctx)
 			st.es.cancel = cancel
 			sinks := make([]Sink, 0, 4)
+			// The order runCell uses: accumulator, #CHK log, extra sinks,
+			// stop rule — so OnChunk never hears of strikes the log lacks.
 			sinks = append(sinks, st.acc)
-			if r.Progress.OnChunk != nil {
-				sinks = append(sinks, &chunkRelay{cell: i, fn: r.Progress.OnChunk})
-			}
 			if st.chk != nil {
 				sinks = append(sinks, st.chk)
+			}
+			if r.Progress.OnChunk != nil {
+				sinks = append(sinks, &chunkRelay{cell: i, fn: r.Progress.OnChunk})
 			}
 			sinks = append(sinks, &st.es)
 			info, err := RunStreamingFromCtx(runCtx, cell.Dev, cell.Kern, cfg, st.consumed, sinks...)

@@ -560,6 +560,30 @@ func TestAdaptiveRunnerResumesOwnLog(t *testing.T) {
 	}
 }
 
+// TestAdaptiveRunnerCheckpointsBeforeProgress pins the adaptive runner's
+// sink order across epochs: when OnChunk hears of a chunk boundary, the
+// cell's log already holds the #CHK covering it.
+func TestAdaptiveRunnerCheckpointsBeforeProgress(t *testing.T) {
+	plan := adaptiveGoldenPlan().
+		WithAdaptive(AdaptiveSpec{TargetHalfWidth: 0.08, MinStrikes: 100, CheckEvery: 50, MaxEpochs: 3})
+	covs := make([]*coverageSink, len(plan.Cells))
+	r := &AdaptiveRunner{
+		Progress: Progress{OnChunk: func(cell, done int) { covs[cell].FlushChunk(done) }},
+		Logs: func(i int, spec CellSpec) (io.WriteCloser, error) {
+			covs[i] = &coverageSink{t: t, label: spec.Kernel, log: &bytes.Buffer{}}
+			return bufCloser{covs[i].log}, nil
+		},
+	}
+	if _, err := r.Run(context.Background(), plan); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range covs {
+		if c.flushes == 0 {
+			t.Errorf("cell %d: OnChunk never fired", i)
+		}
+	}
+}
+
 // TestAdaptiveRunnerCancellation: an external cancellation mid-plan
 // still returns partial outcomes and resumable logs, never #END.
 func TestAdaptiveRunnerCancellation(t *testing.T) {

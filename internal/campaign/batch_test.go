@@ -10,7 +10,6 @@ import (
 	"radcrit/internal/beam"
 	"radcrit/internal/fault"
 	"radcrit/internal/injector"
-	"radcrit/internal/kernels"
 	"radcrit/internal/xrand"
 )
 
@@ -41,9 +40,6 @@ func requireSameOutcome(t *testing.T, label string, i int, got, want injector.Ou
 func TestBatchMatchesRunOneBitIdentical(t *testing.T) {
 	const strikes = 160
 	for _, cell := range determinismCells() {
-		if _, ok := cell.Kern.(kernels.BatchRunner); !ok {
-			t.Errorf("%s: kernel does not implement the batch seam", cell.Kern.Name())
-		}
 		sesOne, err := injector.NewSession(cell.Dev, cell.Kern)
 		if err != nil {
 			t.Fatal(err)
@@ -73,35 +69,6 @@ func TestBatchMatchesRunOneBitIdentical(t *testing.T) {
 			for i := 0; i < strikes; i++ {
 				requireSameOutcome(t, cell.Kern.Name(), i, got[i], want[i])
 			}
-		}
-	}
-}
-
-// TestBatchFallbackMatchesRunOne pins kernels.RunBatchFallback itself: a
-// kernel stripped of its BatchRunner seam must flow through the fallback
-// loop and still match RunOne bit for bit.
-func TestBatchFallbackMatchesRunOne(t *testing.T) {
-	cell := determinismCells()[0]
-	ses, err := injector.NewSession(cell.Dev, cell.Kern)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := xrand.New(0xFA11)
-	const strikes = 64
-	golden := cell.Kern.Golden(cell.Dev)
-	for i := 0; i < strikes; i++ {
-		strike, sub := strikeAtIndex(base, i)
-		syn := cell.Dev.ResolveStrike(ses.Profile(), strike, sub)
-		if syn.Outcome != fault.SDC {
-			continue
-		}
-		_, ref := strikeAtIndex(base, i)
-		refSyn := cell.Dev.ResolveStrike(ses.Profile(), strike, ref)
-		want := cell.Kern.RunInjectedPooled(golden, refSyn.Injection, ref, nil)
-		batch := []kernels.BatchStrike{{Inj: syn.Injection, RNG: sub}}
-		kernels.RunBatchFallback(cell.Kern, golden, batch, nil)
-		if !sameReport(batch[0].Report, want) {
-			t.Fatalf("strike %d: fallback report differs from direct pooled run", i)
 		}
 	}
 }

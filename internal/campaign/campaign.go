@@ -119,8 +119,8 @@ type Result struct {
 }
 
 // Run simulates cfg.Strikes strikes of kern on dev and returns the cell's
-// Result with every SDC report retained. It is one RunStreaming pass with
-// the resultSink stack, so the Result is bit-identical to a serial
+// Result with every SDC report retained. It is one RunStreamingCtx pass
+// with the resultSink stack, so the Result is bit-identical to a serial
 // execution for a given seed whatever the Workers and StreamChunk
 // settings (pinned by parallel_test.go and the golden/property suites).
 // Nothing is memoised: every call pays the full strike loop.
@@ -130,7 +130,7 @@ type Result struct {
 // instead.
 func Run(dev arch.Device, kern kernels.Kernel, cfg Config) *Result {
 	sink := newResultSink()
-	info, err := RunStreaming(dev, kern, cfg, sink)
+	info, err := RunStreamingCtx(context.Background(), dev, kern, cfg, sink)
 	if err != nil {
 		panic(err.Error())
 	}

@@ -107,7 +107,7 @@ func BuildMassCheckCoverage(dev arch.Device, s Scale, cfg Config, thresholdPct f
 		if syn.Outcome != fault.SDC {
 			return
 		}
-		rep, det := k.RunInjectedDetailedOn(golden, syn.Injection, sub)
+		rep, det := k.RunInjectedDetailed(golden, syn.Injection, sub)
 		if !rep.Filter(thresholdPct).IsSDC() {
 			return
 		}
@@ -167,7 +167,7 @@ func BuildCLAMRLocalityMap(dev arch.Device, s Scale, cfg Config) LocalityMap {
 		if syn.Outcome != fault.SDC {
 			return nil
 		}
-		return k.RunInjectedOn(golden, syn.Injection, sub)
+		return k.RunInjectedPooled(golden, syn.Injection, sub, nil)
 	}
 	counts := make([]int, cfg.Strikes)
 	par.For(cfg.Strikes, cfg.Workers, func(i int) {

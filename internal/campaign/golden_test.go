@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"math"
 	"strconv"
 	"testing"
@@ -149,7 +150,7 @@ func TestGoldenValues(t *testing.T) {
 			tally := NewTallyReducer()
 			counts := NewSDCCountReducer(0, 1)
 			loc := NewLocalityReducer(0)
-			info, err := RunStreaming(dev, kern, cfg, tally, counts, loc)
+			info, err := RunStreamingCtx(context.Background(), dev, kern, cfg, tally, counts, loc)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

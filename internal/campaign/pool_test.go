@@ -14,7 +14,7 @@ import (
 // TestPooledKernelPathsBitIdentical is the pooled hot path's contract
 // (ISSUE 4): RunInjectedPooled against recycled scratch and a shared
 // report pool produces bit-identical reports to the allocate-fresh
-// RunInjectedOn path, across random (kernel, device, seed) draws for all
+// nil-pool path, across random (kernel, device, seed) draws for all
 // four kernel families. Each SDC syndrome is replayed three ways from
 // identical RNG states — pooled (into a reused pool), unpooled, and
 // pooled again after the first report was recycled — so a strike leaking
@@ -48,7 +48,7 @@ func TestPooledKernelPathsBitIdentical(t *testing.T) {
 			}
 			sdcs++
 			pooled := cell.Kern.RunInjectedPooled(golden, syn.Injection, subs[0], &pool)
-			fresh := cell.Kern.RunInjectedOn(golden, syn.Injection, subs[1])
+			fresh := cell.Kern.RunInjectedPooled(golden, syn.Injection, subs[1], nil)
 			if !sameReport(pooled, fresh) {
 				t.Fatalf("%s strike %d: pooled report differs from unpooled", cell.Kern.Name(), i)
 			}

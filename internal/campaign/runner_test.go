@@ -134,7 +134,7 @@ func TestStreamRunnerCancellation(t *testing.T) {
 	// diluted by the cancelled tail.
 	full := NewTallyReducer()
 	counts := NewSDCCountReducer(out.Summary.Thresholds...)
-	refInfo, err := RunStreamingFrom(mustDev(t, "k40"), mustKern(t, "dgemm:128"),
+	refInfo, err := RunStreamingFromCtx(context.Background(), mustDev(t, "k40"), mustKern(t, "dgemm:128"),
 		Config{Seed: 7, Strikes: cancelAt, BaseExecSeconds: 1.0, Facility: plan.Config().Facility, StreamChunk: 100},
 		0, full, counts)
 	if err != nil {
@@ -187,15 +187,10 @@ func (stubKernel) Profile(arch.Device) arch.Profile {
 	return arch.Profile{Kernel: "stub", OutputDims: grid.Dims{}}
 }
 func (stubKernel) Golden(arch.Device) kernels.GoldenState { return nil }
-func (stubKernel) RunInjected(arch.Device, arch.Injection, *xrand.RNG) *metrics.Report {
-	return nil
-}
-func (stubKernel) RunInjectedOn(kernels.GoldenState, arch.Injection, *xrand.RNG) *metrics.Report {
-	return nil
-}
 func (stubKernel) RunInjectedPooled(kernels.GoldenState, arch.Injection, *xrand.RNG, *metrics.ReportPool) *metrics.Report {
 	return nil
 }
+func (stubKernel) RunInjectedBatch(kernels.GoldenState, []kernels.BatchStrike, *metrics.ReportPool) {}
 
 // TestCellErrorCachedNotRepanicked pins the typed failure of an invalid
 // cell on the streaming path: both the engine and the per-cell plan body
@@ -203,12 +198,12 @@ func (stubKernel) RunInjectedPooled(kernels.GoldenState, arch.Injection, *xrand.
 func TestCellErrorCachedNotRepanicked(t *testing.T) {
 	dev := mustDev(t, "k40")
 	cfg := DefaultConfig(1, 10)
-	_, streamErr := RunStreaming(dev, stubKernel{}, cfg, NewTallyReducer())
+	_, streamErr := RunStreamingCtx(context.Background(), dev, stubKernel{}, cfg, NewTallyReducer())
 	_, sum, cellErr := RunPlanCell(context.Background(), Cell{Dev: dev, Kern: stubKernel{}}, cfg, []float64{0, 2})
 	if sum != nil {
 		t.Errorf("failed cell returned a summary: %+v", sum)
 	}
-	for name, err := range map[string]error{"RunStreaming": streamErr, "RunPlanCell": cellErr} {
+	for name, err := range map[string]error{"RunStreamingCtx": streamErr, "RunPlanCell": cellErr} {
 		var ce *CellError
 		if !errors.As(err, &ce) {
 			t.Fatalf("%s: want *CellError, got %T: %v", name, err, err)

@@ -100,35 +100,25 @@ func cellInfo(ses *injector.Session, dev arch.Device, kern kernels.Kernel, cfg C
 	}
 }
 
-// RunStreaming executes cfg.Strikes strikes of kern on dev, feeding every
-// outcome to the sinks in strike-index order, holding O(chunk + reducer
-// state) memory instead of the batch engine's O(SDC reports). Strikes
-// within a chunk fan out over the Config.Workers pool with per-index RNG
-// splits, so the outcome stream is bit-identical for any worker count.
-func RunStreaming(dev arch.Device, kern kernels.Kernel, cfg Config, sinks ...Sink) (StreamInfo, error) {
-	return RunStreamingFromCtx(context.Background(), dev, kern, cfg, 0, sinks...)
-}
-
-// RunStreamingCtx is RunStreaming under a context: cancellation is
+// RunStreamingCtx executes cfg.Strikes strikes of kern on dev, feeding
+// every outcome to the sinks in strike-index order, holding O(chunk +
+// reducer state) memory instead of O(SDC reports). Strikes within a chunk
+// fan out over the Config.Workers pool with per-index RNG splits, so the
+// outcome stream is bit-identical for any worker count. Cancellation is
 // honoured at chunk boundaries (see RunStreamingFromCtx).
 func RunStreamingCtx(ctx context.Context, dev arch.Device, kern kernels.Kernel, cfg Config, sinks ...Sink) (StreamInfo, error) {
 	return RunStreamingFromCtx(ctx, dev, kern, cfg, 0, sinks...)
 }
 
-// RunStreamingFrom is RunStreaming restarted at strike index start: it
-// executes indices [start, cfg.Strikes). Because every strike derives its
-// randomness from an independent per-index RNG split, the tail produced
-// here is bit-identical to the same indices of a full run — the foundation
-// of checkpoint/resume (a crashed campaign re-runs only the strikes after
-// its last flushed checkpoint).
-func RunStreamingFrom(dev arch.Device, kern kernels.Kernel, cfg Config, start int, sinks ...Sink) (StreamInfo, error) {
-	return RunStreamingFromCtx(context.Background(), dev, kern, cfg, start, sinks...)
-}
-
-// RunStreamingFromCtx is RunStreamingFrom under a context. Cancellation is
-// graceful and chunk-aligned: a chunk whose execution was interrupted is
-// discarded whole, so the sinks always observe a chunk-aligned prefix of
-// the deterministic outcome stream — partial reducer state remains
+// RunStreamingFromCtx is RunStreamingCtx restarted at strike index start:
+// it executes indices [start, cfg.Strikes). Because every strike derives
+// its randomness from an independent per-index RNG split, the tail
+// produced here is bit-identical to the same indices of a full run — the
+// foundation of checkpoint/resume (a crashed campaign re-runs only the
+// strikes after its last flushed checkpoint). Cancellation is graceful
+// and chunk-aligned: a chunk whose execution was interrupted is discarded
+// whole, so the sinks always observe a chunk-aligned prefix of the
+// deterministic outcome stream — partial reducer state remains
 // meaningful, and a CheckpointSink's log stays recoverable. The engine
 // then stops and returns ctx.Err() alongside the cell's StreamInfo; no
 // worker goroutine outlives the call.
@@ -210,7 +200,7 @@ func StreamMatrix(cells []Cell, cfg Config, sinks func(i int, c Cell) []Sink) ([
 	for i := range cells {
 		go func(i int) {
 			defer wg.Done()
-			info, err := RunStreaming(cells[i].Dev, cells[i].Kern, cfg, sinks(i, cells[i])...)
+			info, err := RunStreamingCtx(context.Background(), cells[i].Dev, cells[i].Kern, cfg, sinks(i, cells[i])...)
 			infos[i] = info
 			if err != nil {
 				errs[i] = fmt.Errorf("cell %d (%s/%s/%s): %w", i,
@@ -438,7 +428,7 @@ func (r *ABFTReducer) Consume(_ int, out injector.Outcome) {
 }
 
 // resultSink rebuilds the report-retaining *Result from the outcome
-// stream: the stack that makes Run one RunStreaming pass.
+// stream: the stack that makes Run one RunStreamingCtx pass.
 // The tally/per-resource accounting is delegated to a TallyReducer (one
 // merge loop, not two to drift apart); this sink only adds the report
 // retention that makes a Result a Result. Because the engine recycles

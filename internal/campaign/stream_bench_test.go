@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -48,7 +49,7 @@ func benchStreamingPeak(b *testing.B, strikes int) {
 	cfg := DefaultConfig(42, strikes)
 	// Warm the shared golden-state handle so the measurement isolates
 	// engine retention from one-time kernel state.
-	if _, err := RunStreaming(dev, kern, DefaultConfig(42, 2)); err != nil {
+	if _, err := RunStreamingCtx(context.Background(), dev, kern, DefaultConfig(42, 2)); err != nil {
 		b.Fatal(err)
 	}
 	base := liveHeap()
@@ -59,7 +60,7 @@ func benchStreamingPeak(b *testing.B, strikes int) {
 		counts := NewSDCCountReducer(0, 2)
 		loc := NewLocalityReducer(2)
 		scatter := NewScatterReducer(100, 1024, nil)
-		if _, err := RunStreaming(dev, kern, cfg, tally, counts, loc, scatter, sink); err != nil {
+		if _, err := RunStreamingCtx(context.Background(), dev, kern, cfg, tally, counts, loc, scatter, sink); err != nil {
 			b.Fatal(err)
 		}
 		if sink.peak > base {
@@ -81,7 +82,7 @@ func benchBatchRetained(b *testing.B, strikes int) {
 	dev := k40.New()
 	kern := dgemm.New(128)
 	cfg := DefaultConfig(42, strikes)
-	if _, err := RunStreaming(dev, kern, DefaultConfig(42, 2)); err != nil {
+	if _, err := RunStreamingCtx(context.Background(), dev, kern, DefaultConfig(42, 2)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -131,7 +132,7 @@ func TestStreamingEquivalenceProperty(t *testing.T) {
 			streamCfg := cfg
 			streamCfg.Workers = workers
 			s, sinks := newStreamSinks(threshold, capPct, cfg.Strikes+1)
-			info, err := RunStreaming(dev, kern, streamCfg, sinks...)
+			info, err := RunStreamingCtx(context.Background(), dev, kern, streamCfg, sinks...)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -155,7 +156,7 @@ func TestScatterReservoirBounded(t *testing.T) {
 	const maxPts = 10
 	sample := func() []ScatterPoint {
 		sc := NewScatterReducer(100, maxPts, xrand.New(5))
-		if _, err := RunStreaming(dev, kern, cfg, sc); err != nil {
+		if _, err := RunStreamingCtx(context.Background(), dev, kern, cfg, sc); err != nil {
 			t.Fatal(err)
 		}
 		if sc.Seen() != res.Tally.SDC {
@@ -298,7 +299,7 @@ func TestCheckpointLogMatchesResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunStreaming(dev, kern, cfg, sink); err != nil {
+	if _, err := RunStreamingCtx(context.Background(), dev, kern, cfg, sink); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {
@@ -348,7 +349,7 @@ func TestCheckpointResumeReproducesTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunStreaming(dev, kern, cfg, sink); err != nil {
+	if _, err := RunStreamingCtx(context.Background(), dev, kern, cfg, sink); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {
@@ -421,7 +422,7 @@ func TestRecoverLogRejectsMismatchedCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunStreaming(dev, kern, cfg, sink); err != nil {
+	if _, err := RunStreamingCtx(context.Background(), dev, kern, cfg, sink); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {

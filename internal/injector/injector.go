@@ -1,7 +1,10 @@
 // Package injector turns a raw beam strike into one classified irradiated
 // execution: it resolves the strike against the device architecture,
 // applies the resulting injection to the real kernel, and classifies the
-// outcome (Masked / SDC / Crash / Hang, §II-A).
+// outcome (Masked / SDC / Crash / Hang, §II-A). A Session, prepared once
+// per (device, kernel), is the one way in: the campaign engine runs spans
+// of strikes through Session.RunBatch, and Session.RunOne is the
+// single-strike form it is pinned bit-identical to.
 //
 // Logical masking is emergent: a syndrome that the architecture resolves
 // to an SDC can still produce a bit-identical output (a flipped bit below
@@ -13,7 +16,6 @@ import (
 	"sync"
 
 	"radcrit/internal/arch"
-	"radcrit/internal/beam"
 	"radcrit/internal/fault"
 	"radcrit/internal/kernels"
 	"radcrit/internal/metrics"
@@ -69,12 +71,6 @@ func NewSession(dev arch.Device, kern kernels.Kernel) (*Session, error) {
 	return &Session{dev: dev, kern: kern, prof: prof, golden: kern.Golden(dev)}, nil
 }
 
-// newSessionUnchecked prepares a session without profile validation, for
-// the one-shot convenience paths that historically did not validate.
-func newSessionUnchecked(dev arch.Device, kern kernels.Kernel) *Session {
-	return &Session{dev: dev, kern: kern, prof: kern.Profile(dev), golden: kern.Golden(dev)}
-}
-
 // Device returns the session's device.
 func (s *Session) Device() arch.Device { return s.dev }
 
@@ -117,9 +113,9 @@ func (s *Session) RunOne(strike fault.Strike, rng *xrand.RNG) Outcome {
 // is bit-identical to calling RunOne per index — every strike consumes
 // only its own rngs[i], so resolving all syndromes up front and running
 // the SDC survivors through the kernel's cross-strike batch seam
-// (kernels.BatchRunner, falling back to a RunInjectedPooled loop) changes
-// locality, not results. Report ownership matches RunOne: non-nil
-// Outcome.Reports are borrowed from the session pool.
+// (Kernel.RunInjectedBatch) changes locality, not results. Report
+// ownership matches RunOne: non-nil Outcome.Reports are borrowed from the
+// session pool.
 //
 // strikes, rngs and outs must have equal lengths.
 func (s *Session) RunBatch(strikes []fault.Strike, rngs []*xrand.RNG, outs []Outcome) {
@@ -137,7 +133,7 @@ func (s *Session) RunBatch(strikes []fault.Strike, rngs []*xrand.RNG, outs []Out
 		items = append(items, kernels.BatchStrike{Inj: syn.Injection, RNG: rngs[i]})
 		idx = append(idx, i)
 	}
-	kernels.RunBatch(s.kern, s.golden, items, &s.reports)
+	s.kern.RunInjectedBatch(s.golden, items, &s.reports)
 	for j, i := range idx {
 		rep := items[j].Report
 		items[j].Report = nil // the pooled buffer must not retain reports
@@ -162,26 +158,6 @@ func (s *Session) RunBatch(strikes []fault.Strike, rngs []*xrand.RNG, outs []Out
 // are ignored.
 func (s *Session) ReleaseReport(rep *metrics.Report) {
 	s.reports.Put(rep)
-}
-
-// RunOne executes one strike against kern on dev and classifies it. For
-// strike loops, prepare a Session instead of paying the setup per call.
-func RunOne(dev arch.Device, kern kernels.Kernel, strike fault.Strike, rng *xrand.RNG) Outcome {
-	return newSessionUnchecked(dev, kern).RunOne(strike, rng)
-}
-
-// RunMany executes n strikes with independent sub-streams of rng, at
-// uniformly random execution moments and beam-distributed deposition
-// energies. It returns the outcomes in order.
-func RunMany(dev arch.Device, kern kernels.Kernel, n int, rng *xrand.RNG) []Outcome {
-	ses := newSessionUnchecked(dev, kern)
-	outs := make([]Outcome, n)
-	for i := range outs {
-		sub := rng.Split(uint64(i) + 1)
-		strike := fault.Strike{When: sub.Float64(), Energy: beam.StrikeEnergy(sub)}
-		outs[i] = ses.RunOne(strike, sub)
-	}
-	return outs
 }
 
 // Tally summarises outcome classes.

@@ -3,22 +3,30 @@ package injector
 import (
 	"testing"
 
-	"radcrit/internal/beam"
+	"radcrit/internal/arch"
 	"radcrit/internal/fault"
 	"radcrit/internal/k40"
+	"radcrit/internal/kernels"
 	"radcrit/internal/kernels/dgemm"
-	"radcrit/internal/phi"
 	"radcrit/internal/xrand"
 )
 
+func mustSession(t *testing.T, dev arch.Device, kern kernels.Kernel) *Session {
+	t.Helper()
+	ses, err := NewSession(dev, kern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ses
+}
+
 func TestRunOneClassifies(t *testing.T) {
-	dev := k40.New()
-	kern := dgemm.New(128)
+	ses := mustSession(t, k40.New(), dgemm.New(128))
 	rng := xrand.New(1)
 	seen := map[fault.OutcomeClass]int{}
 	for i := 0; i < 400; i++ {
 		sub := rng.Split(uint64(i))
-		out := RunOne(dev, kern, fault.Strike{When: sub.Float64(), Energy: 1}, sub)
+		out := ses.RunOne(fault.Strike{When: sub.Float64(), Energy: 1}, sub)
 		seen[out.Class]++
 		if out.Class == fault.SDC {
 			if out.Report == nil || out.Report.Count() == 0 {
@@ -39,7 +47,8 @@ func TestLogicalMaskingReclassifies(t *testing.T) {
 	// so Masked count exceeds the architectural masking alone.
 	dev := k40.New()
 	kern := dgemm.New(128)
-	prof := kern.Profile(dev)
+	ses := mustSession(t, dev, kern)
+	prof := ses.Profile()
 	rng := xrand.New(7)
 	architectural := 0
 	observed := 0
@@ -52,7 +61,7 @@ func TestLogicalMaskingReclassifies(t *testing.T) {
 		syn := dev.ResolveStrike(prof, strike, archRng)
 		if syn.Outcome == fault.SDC {
 			architectural++
-			out := RunOne(dev, kern, strike, sub)
+			out := ses.RunOne(strike, sub)
 			if out.Class == fault.SDC {
 				observed++
 			}
@@ -67,9 +76,9 @@ func TestLogicalMaskingReclassifies(t *testing.T) {
 }
 
 func TestSessionMatchesRunOne(t *testing.T) {
-	// The prepared-session hot path and the one-shot convenience path
-	// must classify identically: both resolve the same profile and golden
-	// state, so only the per-call setup cost differs.
+	// A session reused across strikes (its report pool recycling) must
+	// classify identically to a fresh session per strike: both resolve the
+	// same profile and golden state, so only the per-call setup differs.
 	dev := k40.New()
 	kern := dgemm.New(128)
 	ses, err := NewSession(dev, kern)
@@ -89,49 +98,15 @@ func TestSessionMatchesRunOne(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		strike := fault.Strike{When: rng.Split(uint64(i)).Float64(), Energy: 1.2}
 		a := ses.RunOne(strike, rng.Split(uint64(i)+1))
-		b := RunOne(dev, kern, strike, rng.Split(uint64(i)+1))
+		b := mustSession(t, dev, kern).RunOne(strike, rng.Split(uint64(i)+1))
 		if a.Class != b.Class || a.Resource != b.Resource || a.Scope != b.Scope {
-			t.Fatalf("strike %d: session %+v != convenience %+v", i, a, b)
+			t.Fatalf("strike %d: session %+v != fresh session %+v", i, a, b)
 		}
 		if (a.Report == nil) != (b.Report == nil) {
 			t.Fatalf("strike %d: report presence differs", i)
 		}
 		if a.Report != nil && a.Report.Count() != b.Report.Count() {
 			t.Fatalf("strike %d: report sizes differ", i)
-		}
-	}
-}
-
-func TestRunManyUsesBeamEnergyDistribution(t *testing.T) {
-	// RunMany must sample strike energies through beam.StrikeEnergy — the
-	// single source of the deposition-energy distribution — so the two
-	// strike paths cannot drift. Replaying the RNG stream reproduces the
-	// exact energies RunMany consumed.
-	dev := k40.New()
-	kern := dgemm.New(128)
-	outs := RunMany(dev, kern, 30, xrand.New(3))
-	if len(outs) != 30 {
-		t.Fatalf("got %d outcomes", len(outs))
-	}
-	rng := xrand.New(3)
-	for i := 0; i < 30; i++ {
-		sub := rng.Split(uint64(i) + 1)
-		strike := fault.Strike{When: sub.Float64(), Energy: beam.StrikeEnergy(sub)}
-		out := RunOne(dev, kern, strike, sub)
-		if out.Class != outs[i].Class || out.Resource != outs[i].Resource {
-			t.Fatalf("strike %d: replay %+v != RunMany %+v", i, out, outs[i])
-		}
-	}
-}
-
-func TestRunManyDeterministic(t *testing.T) {
-	dev := phi.New()
-	kern := dgemm.New(128)
-	a := RunMany(dev, kern, 50, xrand.New(3))
-	b := RunMany(dev, kern, 50, xrand.New(3))
-	for i := range a {
-		if a[i].Class != b[i].Class || a[i].Resource != b[i].Resource {
-			t.Fatalf("run %d diverged between identical campaigns", i)
 		}
 	}
 }

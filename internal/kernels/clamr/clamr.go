@@ -176,7 +176,6 @@ func (k *Kernel) Golden(dev arch.Device) kernels.GoldenState {
 }
 
 var _ kernels.Kernel = (*Kernel)(nil)
-var _ kernels.BatchRunner = (*Kernel)(nil)
 
 // Check reports whether (side, steps) is a valid CLAMR configuration
 // without running the golden simulation: the non-panicking face of New's
@@ -593,18 +592,6 @@ type Detail struct {
 	MassCheckFired bool
 }
 
-// RunInjected implements kernels.Kernel.
-func (k *Kernel) RunInjected(dev arch.Device, inj arch.Injection, rng *xrand.RNG) *metrics.Report {
-	rep, _ := k.RunInjectedDetailed(dev, inj, rng)
-	return rep
-}
-
-// RunInjectedOn implements kernels.Kernel.
-func (k *Kernel) RunInjectedOn(gs kernels.GoldenState, inj arch.Injection, rng *xrand.RNG) *metrics.Report {
-	rep, _ := k.RunInjectedDetailedOn(gs, inj, rng)
-	return rep
-}
-
 // RunInjectedPooled implements kernels.Kernel: working states come from
 // the handle's scratch pool and the report from the session pool.
 func (k *Kernel) RunInjectedPooled(gs kernels.GoldenState, inj arch.Injection, rng *xrand.RNG, reports *metrics.ReportPool) *metrics.Report {
@@ -621,15 +608,9 @@ func (k *Kernel) RunInjectedPooled(gs kernels.GoldenState, inj arch.Injection, r
 // paper's ~82% rather than 100%.
 var stateTargetWeights = []float64{0.70, 0.15, 0.15}
 
-// RunInjectedDetailed runs one irradiated execution and also returns the
-// detector evidence.
-func (k *Kernel) RunInjectedDetailed(dev arch.Device, inj arch.Injection, rng *xrand.RNG) (*metrics.Report, Detail) {
-	return k.RunInjectedDetailedOn(k.Golden(dev), inj, rng)
-}
-
-// RunInjectedDetailedOn is RunInjectedDetailed against a prepared
-// golden-state handle.
-func (k *Kernel) RunInjectedDetailedOn(gs kernels.GoldenState, inj arch.Injection, rng *xrand.RNG) (*metrics.Report, Detail) {
+// RunInjectedDetailed runs one irradiated execution against a prepared
+// golden-state handle and also returns the detector evidence.
+func (k *Kernel) RunInjectedDetailed(gs kernels.GoldenState, inj arch.Injection, rng *xrand.RNG) (*metrics.Report, Detail) {
 	return k.runInjectedDetailed(gs, inj, rng, nil)
 }
 
@@ -645,7 +626,7 @@ func (k *Kernel) runInjectedDetailed(gs kernels.GoldenState, inj arch.Injection,
 	return rep, det
 }
 
-// RunInjectedBatch implements kernels.BatchRunner: the whole batch shares
+// RunInjectedBatch implements kernels.Kernel: the whole batch shares
 // one borrowed pair of working states, and the strike-time golden state
 // lookup is hoisted across consecutive strikes landing on the same
 // timestep.
@@ -689,10 +670,10 @@ func (k *Kernel) runInjectedWith(g *goldenTimeline, sc *injectScratch, st *state
 	case arch.ScopeAccumTerm, arch.ScopeInputWord, arch.ScopeOutputWord:
 		k.corruptWords(cur, rng.Intn(n), 1, inj, rng)
 	case arch.ScopeVectorLanes:
-		k.corruptWords(cur, alignedStart(rng, n, inj.Words), inj.Words, inj, rng)
+		k.corruptWords(cur, kernels.AlignedStart(rng, n, inj.Words), inj.Words, inj, rng)
 	case arch.ScopeCacheLine, arch.ScopeSharedTile:
 		for line := 0; line < inj.Lines; line++ {
-			k.corruptWords(cur, alignedStart(rng, n, inj.Words), inj.Words, inj, rng)
+			k.corruptWords(cur, kernels.AlignedStart(rng, n, inj.Words), inj.Words, inj, rng)
 		}
 	case arch.ScopeTaskSet:
 		// Mis-refinement: tiles wrongly marked coarse are not updated
@@ -758,7 +739,7 @@ func (k *Kernel) runInjectedWith(g *goldenTimeline, sc *injectScratch, st *state
 func (k *Kernel) RunDense(dev arch.Device, inj arch.Injection, rng *xrand.RNG) (golden, faulty *grid.Grid) {
 	golden = k.GoldenFinal()
 	faulty = golden.Clone()
-	rep := k.RunInjected(dev, inj, rng)
+	rep := k.RunInjectedPooled(k.Golden(dev), inj, rng, nil)
 	for _, m := range rep.Mismatches {
 		faulty.Set(m.Coord, m.Read)
 	}
@@ -778,17 +759,6 @@ func (k *Kernel) corruptWords(st *state, start, count int, inj arch.Injection, r
 	for w := 0; w < count && start+w < len(arr); w++ {
 		sanitizeCell(st, start+w)
 	}
-}
-
-func alignedStart(rng *xrand.RNG, n, words int) int {
-	if words <= 0 {
-		words = 1
-	}
-	slots := n / words
-	if slots < 1 {
-		return 0
-	}
-	return rng.Intn(slots) * words
 }
 
 func sum(xs []float64) float64 {

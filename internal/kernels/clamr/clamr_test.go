@@ -114,9 +114,9 @@ func TestCorruptionSpreadsAsWave(t *testing.T) {
 	// incorrect elements increases as the execution continues.
 	k := New(48, 120)
 	in := mkInj(arch.ScopeOutputWord, 0.25)
-	early := k.RunInjected(phi.New(), in, xrand.New(5))
+	early := k.RunInjectedPooled(k.Golden(phi.New()), in, xrand.New(5), nil)
 	in.When = 0.9
-	late := k.RunInjected(phi.New(), in, xrand.New(5))
+	late := k.RunInjectedPooled(k.Golden(phi.New()), in, xrand.New(5), nil)
 	if early.Count() == 0 || late.Count() == 0 {
 		t.Skip("masked runs for this seed")
 	}
@@ -133,7 +133,7 @@ func TestLocalityMostlySquare(t *testing.T) {
 	for seed := uint64(0); seed < 25; seed++ {
 		rng := xrand.New(seed)
 		in := mkInj(arch.ScopeCacheLine, 0.3+0.4*rng.Float64())
-		rep := k.RunInjected(phi.New(), in, rng)
+		rep := k.RunInjectedPooled(k.Golden(phi.New()), in, rng, nil)
 		if rep.Count() < 2 {
 			continue
 		}
@@ -159,7 +159,7 @@ func TestMassCheckFiresOnHeightCorruption(t *testing.T) {
 		in := mkInj(arch.ScopeCacheLine, 0.5)
 		in.Flip = fault.FlipSpec{Field: floatbits.AnyField, Bits: 1}
 		in.Lines = 1
-		rep, det := k.RunInjectedDetailed(phi.New(), in, rng)
+		rep, det := k.RunInjectedDetailed(k.Golden(phi.New()), in, rng)
 		if rep.Filter(2).Count() == 0 {
 			continue // not a critical SDC
 		}
@@ -184,7 +184,7 @@ func TestTaskSetMisRefinementDetectable(t *testing.T) {
 	// fires.
 	k := small()
 	in := mkInj(arch.ScopeTaskSet, 0.4)
-	rep, det := k.RunInjectedDetailed(phi.New(), in, xrand.New(3))
+	rep, det := k.RunInjectedDetailed(k.Golden(phi.New()), in, xrand.New(3))
 	if rep.Count() == 0 {
 		t.Skip("masked")
 	}
@@ -201,7 +201,7 @@ func TestMomentumCorruptionEvadesMassCheck(t *testing.T) {
 	for seed := uint64(0); seed < 60 && !evaded; seed++ {
 		rng := xrand.New(seed)
 		in := mkInj(arch.ScopeOutputWord, 0.5)
-		rep, det := k.RunInjectedDetailed(phi.New(), in, rng)
+		rep, det := k.RunInjectedDetailed(k.Golden(phi.New()), in, rng)
 		if rep.Count() > 0 && !det.MassCheckFired {
 			evaded = true
 		}
@@ -248,7 +248,7 @@ func TestRunDenseAgreesWithReport(t *testing.T) {
 	k := small()
 	in := mkInj(arch.ScopeVectorLanes, 0.7)
 	golden, faulty := k.RunDense(phi.New(), in, xrand.New(11))
-	rep := k.RunInjected(phi.New(), in, xrand.New(11))
+	rep := k.RunInjectedPooled(k.Golden(phi.New()), in, xrand.New(11), nil)
 	diff := metrics.Evaluate(golden, faulty)
 	if diff.Count() != rep.Count() {
 		t.Fatalf("dense diff %d != report %d", diff.Count(), rep.Count())

@@ -40,7 +40,6 @@ type Kernel struct {
 }
 
 var _ kernels.Kernel = (*Kernel)(nil)
-var _ kernels.BatchRunner = (*Kernel)(nil)
 
 // Check reports whether n is a valid DGEMM input size without building
 // anything: the non-panicking face of New's precondition, used by plan
@@ -272,16 +271,6 @@ func (r *run) finish() *metrics.Report {
 	return r.rep
 }
 
-// RunInjected implements kernels.Kernel.
-func (k *Kernel) RunInjected(dev arch.Device, inj arch.Injection, rng *xrand.RNG) *metrics.Report {
-	return k.RunInjectedOn(k.Golden(dev), inj, rng)
-}
-
-// RunInjectedOn implements kernels.Kernel.
-func (k *Kernel) RunInjectedOn(g kernels.GoldenState, inj arch.Injection, rng *xrand.RNG) *metrics.Report {
-	return k.RunInjectedPooled(g, inj, rng, nil)
-}
-
 // RunInjectedPooled implements kernels.Kernel: the corrupted-cell map and
 // delta buffers come from the handle's scratch pool, the report from the
 // session pool.
@@ -293,7 +282,7 @@ func (k *Kernel) RunInjectedPooled(g kernels.GoldenState, inj arch.Injection, rn
 	return rep
 }
 
-// RunInjectedBatch implements kernels.BatchRunner: the whole batch shares
+// RunInjectedBatch implements kernels.Kernel: the whole batch shares
 // one borrowed scratch working set, keeping the corrupted-cell map and the
 // golden rows it touches cache-hot across strikes.
 func (k *Kernel) RunInjectedBatch(gs kernels.GoldenState, batch []kernels.BatchStrike, reports *metrics.ReportPool) {
@@ -328,7 +317,7 @@ func (k *Kernel) runInjectedWith(gp *goldenProduct, sc *runScratch, inj arch.Inj
 		// One SIMD register of already-computed C values is corrupted on
 		// its way to memory: adjacent elements of one row.
 		i := rng.Intn(n)
-		j0 := alignedStart(rng, n, inj.Words)
+		j0 := kernels.AlignedStart(rng, n, inj.Words)
 		row := r.goldenRow(i)
 		for w := 0; w < inj.Words && j0+w < n; w++ {
 			r.record(i, j0+w, inj.Flip.Apply(row[j0+w], rng))
@@ -347,18 +336,6 @@ func (k *Kernel) runInjectedWith(gp *goldenProduct, sc *runScratch, inj arch.Inj
 	return r.finish()
 }
 
-// alignedStart picks a line-aligned start index within [0, n).
-func alignedStart(rng *xrand.RNG, n, words int) int {
-	if words <= 0 {
-		words = 1
-	}
-	slots := n / words
-	if slots < 1 {
-		return 0
-	}
-	return rng.Intn(slots) * words
-}
-
 // injectCacheLines corrupts inj.Lines distinct cache lines. A line holds
 // either output data (a run of already-computed C elements, undiluted
 // flips) or input data (a run of A or B, whose corruption propagates
@@ -369,7 +346,7 @@ func (k *Kernel) injectCacheLines(r *run, inj arch.Injection, rng *xrand.RNG) {
 		if rng.Bool(inj.OutputBias) {
 			// Output-side: flip computed C words directly.
 			i := rng.Intn(n)
-			j0 := alignedStart(rng, n, inj.Words)
+			j0 := kernels.AlignedStart(rng, n, inj.Words)
 			row := r.goldenRow(i)
 			for w := 0; w < inj.Words && j0+w < n; w++ {
 				r.record(i, j0+w, inj.Flip.Apply(row[j0+w], rng))
@@ -384,7 +361,7 @@ func (k *Kernel) injectCacheLines(r *run, inj arch.Injection, rng *xrand.RNG) {
 		if rng.Bool(0.5) {
 			// A row fragment: poisons row i of C.
 			i := rng.Intn(n)
-			k0 := alignedStart(rng, n, inj.Words)
+			k0 := kernels.AlignedStart(rng, n, inj.Words)
 			row := r.goldenRow(i)
 			deltas := r.sc.deltas[:0]
 			ks := r.sc.ks[:0]
@@ -406,7 +383,7 @@ func (k *Kernel) injectCacheLines(r *run, inj arch.Injection, rng *xrand.RNG) {
 		} else {
 			// B row fragment: poisons columns j0..j0+w of C.
 			kk := rng.Intn(n)
-			j0 := alignedStart(rng, n, inj.Words)
+			j0 := kernels.AlignedStart(rng, n, inj.Words)
 			for w := 0; w < inj.Words && j0+w < n; w++ {
 				j := j0 + w
 				b := k.B(kk, j)
@@ -431,7 +408,7 @@ func (k *Kernel) injectSharedTile(r *run, inj arch.Injection, rng *xrand.RNG) {
 	blocksPerSide := n / TileSize
 	bi, bj := rng.Intn(blocksPerSide), rng.Intn(blocksPerSide)
 	i := bi*TileSize + rng.Intn(TileSize)
-	k0 := alignedStart(rng, n, inj.Words)
+	k0 := kernels.AlignedStart(rng, n, inj.Words)
 	row := r.goldenRow(i)
 	// Accumulate the combined delta of all corrupted words per output in
 	// the scratch tile buffer (zeroed here, not at release: only this

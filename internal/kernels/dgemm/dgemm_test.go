@@ -177,7 +177,7 @@ func inj(scope arch.Scope, field floatbits.Field) arch.Injection {
 func TestOutputWordInjection(t *testing.T) {
 	k := New(128)
 	rng := xrand.New(1)
-	rep := k.RunInjected(k40.New(), inj(arch.ScopeOutputWord, floatbits.Exponent), rng)
+	rep := k.RunInjectedPooled(k.Golden(k40.New()), inj(arch.ScopeOutputWord, floatbits.Exponent), rng, nil)
 	if rep.Count() != 1 {
 		t.Fatalf("output-word corruption should yield 1 mismatch, got %d", rep.Count())
 	}
@@ -200,7 +200,7 @@ func TestInputWordLineError(t *testing.T) {
 	// mismatches form a line (A rows give lines; B rows give squares).
 	sawLine := false
 	for seed := uint64(0); seed < 20 && !sawLine; seed++ {
-		rep := k.RunInjected(k40.New(), in, xrand.New(seed))
+		rep := k.RunInjectedPooled(k.Golden(k40.New()), in, xrand.New(seed), nil)
 		if rep.Count() == 0 {
 			continue
 		}
@@ -220,7 +220,7 @@ func TestCacheLineOutputSide(t *testing.T) {
 	in := inj(arch.ScopeCacheLine, floatbits.Exponent)
 	in.OutputBias = 1 // force output-side
 	in.Lines = 1
-	rep := k.RunInjected(k40.New(), in, xrand.New(3))
+	rep := k.RunInjectedPooled(k.Golden(k40.New()), in, xrand.New(3), nil)
 	if rep.Count() == 0 || rep.Count() > 8 {
 		t.Fatalf("output line corruption should corrupt up to Words elements, got %d", rep.Count())
 	}
@@ -234,7 +234,7 @@ func TestTaskSetSquare(t *testing.T) {
 	k := New(128)
 	in := inj(arch.ScopeTaskSet, floatbits.AnyField)
 	in.Tasks = 1
-	rep := k.RunInjected(k40.New(), in, xrand.New(4))
+	rep := k.RunInjectedPooled(k.Golden(k40.New()), in, xrand.New(4), nil)
 	if rep.Count() == 0 {
 		t.Fatal("task-set corruption produced no mismatches")
 	}
@@ -250,7 +250,7 @@ func TestTaskSetSquare(t *testing.T) {
 func TestSharedTileInjectionBounded(t *testing.T) {
 	k := New(128)
 	in := inj(arch.ScopeSharedTile, floatbits.Exponent)
-	rep := k.RunInjected(k40.New(), in, xrand.New(5))
+	rep := k.RunInjectedPooled(k.Golden(k40.New()), in, xrand.New(5), nil)
 	if rep.Count() > TileSize {
 		t.Fatalf("shared-tile corruption escaped the consuming block: %d mismatches", rep.Count())
 	}
@@ -259,7 +259,7 @@ func TestSharedTileInjectionBounded(t *testing.T) {
 func TestVectorLanesRowFragment(t *testing.T) {
 	k := New(128)
 	in := inj(arch.ScopeVectorLanes, floatbits.Exponent)
-	rep := k.RunInjected(phi.New(), in, xrand.New(6))
+	rep := k.RunInjectedPooled(k.Golden(phi.New()), in, xrand.New(6), nil)
 	if rep.Count() == 0 || rep.Count() > in.Words {
 		t.Fatalf("vector-lane corruption count = %d", rep.Count())
 	}
@@ -281,7 +281,7 @@ func TestAccumTermDiluted(t *testing.T) {
 		Flip:  fault.FlipSpec{Field: floatbits.LowMantissa, Bits: 1},
 	}
 	for seed := uint64(0); seed < 10; seed++ {
-		rep := k.RunInjected(k40.New(), in, xrand.New(seed))
+		rep := k.RunInjectedPooled(k.Golden(k40.New()), in, xrand.New(seed), nil)
 		if rep.Count() == 0 {
 			continue // delta below one ulp: logically masked
 		}
@@ -298,7 +298,7 @@ func TestWhenMasksConsumedInputs(t *testing.T) {
 	in.When = 0.999999 // effectively always already consumed
 	masked := 0
 	for seed := uint64(0); seed < 30; seed++ {
-		if k.RunInjected(k40.New(), in, xrand.New(seed)).Count() == 0 {
+		if k.RunInjectedPooled(k.Golden(k40.New()), in, xrand.New(seed), nil).Count() == 0 {
 			masked++
 		}
 	}
@@ -317,7 +317,7 @@ func TestInjectionNeverPanicsProperty(t *testing.T) {
 		rng := xrand.New(seed)
 		in.When = rng.Float64()
 		dev := devs[rng.Intn(len(devs))]
-		rep := k.RunInjected(dev, in, rng)
+		rep := k.RunInjectedPooled(k.Golden(dev), in, rng, nil)
 		return rep.TotalElements == 128*128
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -331,7 +331,7 @@ func TestMismatchesWithinBounds(t *testing.T) {
 		rng := xrand.New(seed)
 		scope := arch.Scope(rng.Intn(7))
 		in := inj(scope, floatbits.AnyField)
-		rep := k.RunInjected(k40.New(), in, rng)
+		rep := k.RunInjectedPooled(k.Golden(k40.New()), in, rng, nil)
 		for _, m := range rep.Mismatches {
 			if m.Coord.X < 0 || m.Coord.X >= 128 || m.Coord.Y < 0 || m.Coord.Y >= 128 {
 				t.Fatalf("mismatch out of bounds: %+v", m.Coord)

@@ -110,7 +110,6 @@ func (k *Kernel) Golden(dev arch.Device) kernels.GoldenState {
 }
 
 var _ kernels.Kernel = (*Kernel)(nil)
-var _ kernels.BatchRunner = (*Kernel)(nil)
 
 // Check reports whether (side, iters) is a valid HotSpot configuration
 // without running the golden simulation: the non-panicking face of New's
@@ -292,16 +291,6 @@ type diffSeed struct {
 	d    float64
 }
 
-// RunInjected implements kernels.Kernel.
-func (k *Kernel) RunInjected(dev arch.Device, inj arch.Injection, rng *xrand.RNG) *metrics.Report {
-	return k.RunInjectedOn(k.Golden(dev), inj, rng)
-}
-
-// RunInjectedOn implements kernels.Kernel.
-func (k *Kernel) RunInjectedOn(gs kernels.GoldenState, inj arch.Injection, rng *xrand.RNG) *metrics.Report {
-	return k.RunInjectedPooled(gs, inj, rng, nil)
-}
-
 // RunInjectedPooled implements kernels.Kernel: the evolve grids and seed
 // list are borrowed from the handle's scratch pool, and only the strike's
 // final diff bounding box is scanned for the report and re-zeroed before
@@ -315,7 +304,7 @@ func (k *Kernel) RunInjectedPooled(gs kernels.GoldenState, inj arch.Injection, r
 	return rep
 }
 
-// RunInjectedBatch implements kernels.BatchRunner: the whole batch shares
+// RunInjectedBatch implements kernels.Kernel: the whole batch shares
 // one borrowed evolve scratch, and the strike-time golden state lookup is
 // hoisted across consecutive strikes landing on the same timestep — the
 // memoised reconstruction behind stateAt is shared either way, but the
@@ -584,7 +573,7 @@ func (k *Kernel) reportFromDiff(pool *metrics.ReportPool, diff []float64, bx dif
 func (k *Kernel) RunDense(dev arch.Device, inj arch.Injection, rng *xrand.RNG) (golden, faulty *grid.Grid) {
 	golden = k.GoldenFinal()
 	faulty = golden.Clone()
-	rep := k.RunInjected(dev, inj, rng)
+	rep := k.RunInjectedPooled(k.Golden(dev), inj, rng, nil)
 	for _, m := range rep.Mismatches {
 		faulty.Set(m.Coord, m.Read)
 	}

@@ -132,9 +132,9 @@ func TestErrorsDissipate(t *testing.T) {
 	// early ones.
 	k := New(64, 200)
 	in := mkInj(arch.ScopeOutputWord, 0)
-	early := k.RunInjected(k40.New(), in, xrand.New(7))
+	early := k.RunInjectedPooled(k.Golden(k40.New()), in, xrand.New(7), nil)
 	in.When = 0.95
-	late := k.RunInjected(k40.New(), in, xrand.New(7))
+	late := k.RunInjectedPooled(k.Golden(k40.New()), in, xrand.New(7), nil)
 	if early.Count() > 0 && late.Count() > 0 {
 		if early.MaxRelErrPct() > late.MaxRelErrPct() {
 			t.Fatalf("early error (%v%%) should have dissipated below late (%v%%)",
@@ -152,7 +152,7 @@ func TestMeanRelativeErrorIsLow(t *testing.T) {
 	for seed := uint64(0); seed < 60; seed++ {
 		rng := xrand.New(seed)
 		in := mkInj(arch.ScopeCacheLine, rng.Float64())
-		rep := k.RunInjected(k40.New(), in, rng)
+		rep := k.RunInjectedPooled(k.Golden(k40.New()), in, rng, nil)
 		if rep.Count() == 0 {
 			continue
 		}
@@ -172,7 +172,7 @@ func TestLocalityLineOrSquare(t *testing.T) {
 	for seed := uint64(0); seed < 30; seed++ {
 		rng := xrand.New(seed)
 		in := mkInj(arch.ScopeCacheLine, 0.9)
-		rep := k.RunInjected(phi.New(), in, rng)
+		rep := k.RunInjectedPooled(k.Golden(phi.New()), in, rng, nil)
 		if rep.Count() < 2 {
 			continue
 		}
@@ -186,7 +186,7 @@ func TestLocalityLineOrSquare(t *testing.T) {
 func TestTaskSetStallProducesSmallErrors(t *testing.T) {
 	k := small()
 	in := mkInj(arch.ScopeTaskSet, 0.5)
-	rep := k.RunInjected(k40.New(), in, xrand.New(3))
+	rep := k.RunInjectedPooled(k.Golden(k40.New()), in, xrand.New(3), nil)
 	if rep.Count() > 0 {
 		if rep.MeanRelErrPct(math.Inf(1)) > 10 {
 			t.Fatalf("a 1-3 iteration stall should cause small errors, got %v%%",
@@ -201,7 +201,7 @@ func TestRunDenseAgreesWithReport(t *testing.T) {
 	rng1 := xrand.New(9)
 	rng2 := xrand.New(9)
 	golden, faulty := k.RunDense(phi.New(), in, rng1)
-	rep := k.RunInjected(phi.New(), in, rng2)
+	rep := k.RunInjectedPooled(k.Golden(phi.New()), in, rng2, nil)
 	diff := metrics.Evaluate(golden, faulty)
 	if diff.Count() != rep.Count() {
 		t.Fatalf("dense diff count %d != report %d", diff.Count(), rep.Count())

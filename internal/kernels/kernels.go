@@ -3,10 +3,12 @@
 // helpers they share.
 //
 // A kernel knows how to (a) describe its occupancy of a device (Profile,
-// Table II of the paper), (b) classify itself (Table I), and (c) run one
-// irradiated execution: apply an arch.Injection to its own live state and
+// Table II of the paper), (b) classify itself (Table I), and (c) run
+// irradiated executions: apply an arch.Injection to its own live state and
 // report the resulting output mismatches against the fault-free golden
-// output. Error propagation is performed by the kernel's real mathematics
+// output. It has exactly two run methods, both against a golden-state
+// handle from Golden: RunInjectedPooled for one strike, and
+// RunInjectedBatch for the slice of strikes the campaign engine hands it. Error propagation is performed by the kernel's real mathematics
 // — a corrupted matrix element re-enters the actual dot products, a
 // corrupted temperature cell is smoothed by the actual stencil — so the
 // paper's observed behaviours are emergent rather than scripted.
@@ -66,26 +68,28 @@ type Kernel interface {
 	// Handles are memoised: repeated calls return the same handle, so the
 	// underlying clean state is derived at most once per device.
 	Golden(dev arch.Device) GoldenState
-	// RunInjected executes the kernel under the given injection and
-	// returns the output mismatch report against the golden output.
-	// An empty report means the corruption was logically masked.
-	// It is shorthand for RunInjectedOn(Golden(dev), inj, rng).
-	RunInjected(dev arch.Device, inj arch.Injection, rng *xrand.RNG) *metrics.Report
-	// RunInjectedOn is RunInjected against a prepared golden-state handle
-	// (from Golden on the desired device). It is shorthand for
-	// RunInjectedPooled(g, inj, rng, nil): the report is freshly
-	// allocated and belongs to the caller outright.
-	RunInjectedOn(g GoldenState, inj arch.Injection, rng *xrand.RNG) *metrics.Report
-	// RunInjectedPooled is the zero-allocation hot path of campaign
-	// engines: internal working state (difference grids, corrupted-cell
-	// maps) is borrowed from pools owned by the golden-state handle, and
-	// the returned report is borrowed from reports when it is non-nil.
+	// RunInjectedPooled executes the kernel once under the given injection
+	// against a prepared golden-state handle (from Golden on the desired
+	// device) and returns the output mismatch report against the golden
+	// output; an empty report means the corruption was logically masked.
+	// Internal working state (difference grids, corrupted-cell maps) is
+	// borrowed from pools owned by the golden-state handle, and the
+	// returned report is borrowed from reports when it is non-nil.
 	// The caller owns the returned report and may hand it back to the
 	// pool (injector.Session.ReleaseReport) once no reference to it can
 	// be used again; a nil reports pool degrades to plain allocation.
 	// Pooled and unpooled runs are bit-identical for the same (handle,
 	// injection, RNG state) — pinned by TestPooledKernelPathsBitIdentical.
 	RunInjectedPooled(g GoldenState, inj arch.Injection, rng *xrand.RNG, reports *metrics.ReportPool) *metrics.Report
+	// RunInjectedBatch is the cross-strike batching seam (DESIGN.md §13)
+	// the campaign engine runs every strike through: it executes a whole
+	// slice of strikes against one golden handle, keeping handle-local
+	// scratch, golden-sum tables, and memoised timeline states cache-hot
+	// across the batch. Each strike must produce a report bit-identical to
+	// a standalone RunInjectedPooled call with the same (handle,
+	// injection, RNG state) — batching is a locality optimisation, never a
+	// semantic one.
+	RunInjectedBatch(g GoldenState, batch []BatchStrike, reports *metrics.ReportPool)
 }
 
 // BatchStrike is one strike of a RunInjectedBatch call: the resolved
@@ -103,42 +107,10 @@ type BatchStrike struct {
 	Report *metrics.Report
 }
 
-// BatchRunner is the optional cross-strike batching seam (DESIGN.md §13):
-// kernels that implement it execute a whole slice of strikes against one
-// golden handle, keeping handle-local scratch, golden-sum tables, and
-// memoised timeline states cache-hot across the batch. Each strike must
-// produce a report bit-identical to a standalone RunInjectedPooled call
-// with the same (handle, injection, RNG state) — batching is a locality
-// optimisation, never a semantic one.
-type BatchRunner interface {
-	RunInjectedBatch(g GoldenState, batch []BatchStrike, reports *metrics.ReportPool)
-}
-
-// RunBatch executes a batch of strikes through k's BatchRunner seam when
-// it has one, and otherwise through RunBatchFallback.
+// RunBatch is k.RunInjectedBatch(g, batch, reports). It remains only
+// because the benchmark module (cmd/radbench) calls it.
 func RunBatch(k Kernel, g GoldenState, batch []BatchStrike, reports *metrics.ReportPool) {
-	if br, ok := k.(BatchRunner); ok {
-		br.RunInjectedBatch(g, batch, reports)
-		return
-	}
-	RunBatchFallback(k, g, batch, reports)
-}
-
-// RunBatchFallback is the default BatchRunner: a plain loop over
-// RunInjectedPooled. Kernel batch implementations are pinned bit-identical
-// to it by the campaign engine's pooled property suites.
-func RunBatchFallback(k Kernel, g GoldenState, batch []BatchStrike, reports *metrics.ReportPool) {
-	for i := range batch {
-		batch[i].Report = k.RunInjectedPooled(g, batch[i].Inj, batch[i].RNG, reports)
-	}
-}
-
-// DenseRunner is implemented by kernels that can materialise full golden
-// and faulty output grids (used by examples and the Fig. 9 locality map).
-type DenseRunner interface {
-	Kernel
-	// RunDense returns the golden and faulty outputs as dense grids.
-	RunDense(dev arch.Device, inj arch.Injection, rng *xrand.RNG) (golden, faulty interface{ Data() []float64 })
+	k.RunInjectedBatch(g, batch, reports)
 }
 
 // TimelineMemo is a bounded, concurrency-safe memo of reconstructed
@@ -211,6 +183,19 @@ func ProgressConsumed(idx, total int, when float64) bool {
 		return false
 	}
 	return float64(idx)/float64(total) >= when
+}
+
+// AlignedStart picks a line-aligned start index within [0, n): the first
+// of words adjacent words hit by one vector-register or cache-line strike.
+func AlignedStart(rng *xrand.RNG, n, words int) int {
+	if words <= 0 {
+		words = 1
+	}
+	slots := n / words
+	if slots < 1 {
+		return 0
+	}
+	return rng.Intn(slots) * words
 }
 
 // VectorWords returns the SIMD lane count in output words for a device

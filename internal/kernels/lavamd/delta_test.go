@@ -175,9 +175,9 @@ func TestGoldenSumTableRebuildMatchesIncremental(t *testing.T) {
 	}
 }
 
-// TestLavaMDBatchMatchesSingle pins the kernel's BatchRunner seam: a batch
-// run must fill, strike for strike, the exact reports that standalone
-// pooled calls produce from the same RNG states.
+// TestLavaMDBatchMatchesSingle pins the kernel's RunInjectedBatch seam: a
+// batch run must fill, strike for strike, the exact reports that
+// standalone pooled calls produce from the same RNG states.
 func TestLavaMDBatchMatchesSingle(t *testing.T) {
 	k := New(3)
 	const p = 24

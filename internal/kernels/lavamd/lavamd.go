@@ -128,7 +128,6 @@ func (k *Kernel) handleFor(p int) *goldenHandle {
 }
 
 var _ kernels.Kernel = (*Kernel)(nil)
-var _ kernels.BatchRunner = (*Kernel)(nil)
 
 // Check reports whether g is a valid box-grid size without building
 // anything: the non-panicking face of New's precondition, used by plan
@@ -447,16 +446,6 @@ func (r *run) finish() *metrics.Report {
 	return r.rep
 }
 
-// RunInjected implements kernels.Kernel.
-func (k *Kernel) RunInjected(dev arch.Device, inj arch.Injection, rng *xrand.RNG) *metrics.Report {
-	return k.RunInjectedOn(k.Golden(dev), inj, rng)
-}
-
-// RunInjectedOn implements kernels.Kernel.
-func (k *Kernel) RunInjectedOn(gs kernels.GoldenState, inj arch.Injection, rng *xrand.RNG) *metrics.Report {
-	return k.RunInjectedPooled(gs, inj, rng, nil)
-}
-
 // RunInjectedPooled implements kernels.Kernel: the faulty-potential map
 // comes from the handle's scratch pool, the report from the session pool.
 func (k *Kernel) RunInjectedPooled(gs kernels.GoldenState, inj arch.Injection, rng *xrand.RNG, reports *metrics.ReportPool) *metrics.Report {
@@ -467,7 +456,7 @@ func (k *Kernel) RunInjectedPooled(gs kernels.GoldenState, inj arch.Injection, r
 	return rep
 }
 
-// RunInjectedBatch implements kernels.BatchRunner: the whole batch shares
+// RunInjectedBatch implements kernels.Kernel: the whole batch shares
 // one borrowed scratch working set, so the faulty map's backing array and
 // the golden-sum tables it touches stay cache-hot across strikes.
 func (k *Kernel) RunInjectedBatch(gs kernels.GoldenState, batch []kernels.BatchStrike, reports *metrics.ReportPool) {
@@ -569,7 +558,7 @@ func (k *Kernel) injectCacheLines(r *run, inj arch.Injection, rng *xrand.RNG) {
 	g := k.g
 	totalWords := g * g * g * p * ParticleWords
 	for line := 0; line < inj.Lines; line++ {
-		w0 := alignedStart(rng, totalWords, inj.Words)
+		w0 := kernels.AlignedStart(rng, totalWords, inj.Words)
 		// Collect the corrupted particle words into recycled scratch.
 		cs := r.sc.cs[:0]
 		for w := 0; w < inj.Words && w0+w < totalWords; w++ {
@@ -656,7 +645,7 @@ func (k *Kernel) injectSharedTile(r *run, inj arch.Injection, rng *xrand.RNG) {
 	cs := tab.state(cb)
 	ns := tab.state(nbi)
 
-	w0 := alignedStart(rng, p*ParticleWords, inj.Words)
+	w0 := kernels.AlignedStart(rng, p*ParticleWords, inj.Words)
 	for w := 0; w < inj.Words && w0+w < p*ParticleWords; w++ {
 		word := w0 + w
 		j := word / ParticleWords
@@ -718,16 +707,4 @@ func (k *Kernel) injectTaskSet(r *run, inj arch.Injection, rng *xrand.RNG) {
 			r.set(bi, i, v)
 		}
 	}
-}
-
-// alignedStart picks a line-aligned start index within [0, n).
-func alignedStart(rng *xrand.RNG, n, words int) int {
-	if words <= 0 {
-		words = 1
-	}
-	slots := n / words
-	if slots < 1 {
-		return 0
-	}
-	return rng.Intn(slots) * words
 }

@@ -112,7 +112,7 @@ func mkInj(scope arch.Scope) arch.Injection {
 
 func TestOutputWordSingle(t *testing.T) {
 	k := New(3)
-	rep := k.RunInjected(phi.New(), mkInj(arch.ScopeOutputWord), xrand.New(1))
+	rep := k.RunInjectedPooled(k.Golden(phi.New()), mkInj(arch.ScopeOutputWord), xrand.New(1), nil)
 	if rep.Count() != 1 {
 		t.Fatalf("count = %d", rep.Count())
 	}
@@ -128,7 +128,7 @@ func TestSFUOperandAmplification(t *testing.T) {
 	in := mkInj(arch.ScopeInputWord)
 	sawHuge := false
 	for seed := uint64(0); seed < 40; seed++ {
-		rep := k.RunInjected(k40.New(), in, xrand.New(seed))
+		rep := k.RunInjectedPooled(k.Golden(k40.New()), in, xrand.New(seed), nil)
 		if rep.Count() > 0 && rep.MaxRelErrPct() > 1000 {
 			sawHuge = true
 			break
@@ -141,7 +141,7 @@ func TestSFUOperandAmplification(t *testing.T) {
 
 func TestVectorLanesWithinBox(t *testing.T) {
 	k := New(3)
-	rep := k.RunInjected(phi.New(), mkInj(arch.ScopeVectorLanes), xrand.New(2))
+	rep := k.RunInjectedPooled(k.Golden(phi.New()), mkInj(arch.ScopeVectorLanes), xrand.New(2), nil)
 	if rep.Count() == 0 || rep.Count() > 8 {
 		t.Fatalf("count = %d", rep.Count())
 	}
@@ -161,7 +161,7 @@ func TestCacheLineSpreadsAcrossBoxes(t *testing.T) {
 	in.When = 0
 	spread := false
 	for seed := uint64(0); seed < 20 && !spread; seed++ {
-		rep := k.RunInjected(phi.New(), in, xrand.New(seed))
+		rep := k.RunInjectedPooled(k.Golden(phi.New()), in, xrand.New(seed), nil)
 		if rep.Count() > 100 {
 			loc := rep.Locality()
 			if loc == metrics.Cubic || loc == metrics.Square {
@@ -177,7 +177,7 @@ func TestCacheLineSpreadsAcrossBoxes(t *testing.T) {
 func TestSharedTileSingleConsumer(t *testing.T) {
 	k := New(3)
 	in := mkInj(arch.ScopeSharedTile)
-	rep := k.RunInjected(k40.New(), in, xrand.New(3))
+	rep := k.RunInjectedPooled(k.Golden(k40.New()), in, xrand.New(3), nil)
 	if rep.Count() == 0 {
 		t.Skip("masked run")
 	}
@@ -196,7 +196,7 @@ func TestTaskSetSkippedBox(t *testing.T) {
 	p := k.ParticlesPerBox(k40.New())
 	found := false
 	for seed := uint64(0); seed < 10 && !found; seed++ {
-		rep := k.RunInjected(k40.New(), in, xrand.New(seed))
+		rep := k.RunInjectedPooled(k.Golden(k40.New()), in, xrand.New(seed), nil)
 		if rep.Count() != p {
 			continue
 		}
@@ -228,7 +228,7 @@ func TestWhenLateMostlyMasked(t *testing.T) {
 	in.When = 0.999999
 	masked := 0
 	for seed := uint64(0); seed < 20; seed++ {
-		if k.RunInjected(phi.New(), in, xrand.New(seed)).Count() == 0 {
+		if k.RunInjectedPooled(k.Golden(phi.New()), in, xrand.New(seed), nil).Count() == 0 {
 			masked++
 		}
 	}
@@ -274,7 +274,7 @@ func TestMismatchCoordsInBounds(t *testing.T) {
 	for seed := uint64(0); seed < 30; seed++ {
 		rng := xrand.New(seed)
 		in := mkInj(arch.Scope(rng.Intn(7)))
-		rep := k.RunInjected(phi.New(), in, rng)
+		rep := k.RunInjectedPooled(k.Golden(phi.New()), in, rng, nil)
 		for _, m := range rep.Mismatches {
 			if m.Coord.X < 0 || m.Coord.X >= dims.X ||
 				m.Coord.Y < 0 || m.Coord.Y >= dims.Y ||

@@ -134,7 +134,7 @@ func (r *naiveRun) naiveInjectCacheLines(inj arch.Injection, rng *xrand.RNG) {
 	p, g := r.p, r.k.g
 	totalWords := g * g * g * p * ParticleWords
 	for line := 0; line < inj.Lines; line++ {
-		w0 := alignedStart(rng, totalWords, inj.Words)
+		w0 := kernels.AlignedStart(rng, totalWords, inj.Words)
 		var cs []corruptedParticle
 		for w := 0; w < inj.Words && w0+w < totalWords; w++ {
 			word := w0 + w
@@ -200,7 +200,7 @@ func (r *naiveRun) naiveInjectSharedTile(inj arch.Injection, rng *xrand.RNG) {
 	nbs := k.appendNeighbors(nil, cx, cy, cz)
 	nb := nbs[rng.Intn(len(nbs))]
 
-	w0 := alignedStart(rng, p*ParticleWords, inj.Words)
+	w0 := kernels.AlignedStart(rng, p*ParticleWords, inj.Words)
 	for w := 0; w < inj.Words && w0+w < p*ParticleWords; w++ {
 		word := w0 + w
 		j := word / ParticleWords

@@ -62,6 +62,7 @@ type Campaign struct {
 func Run(dev arch.Device, kern kernels.Kernel, n int, seed uint64) Campaign {
 	rng := xrand.New(seed).SplitString("swinject").SplitString(dev.ShortName())
 	c := Campaign{Injections: n}
+	golden := kern.Golden(dev)
 	for i := 0; i < n; i++ {
 		sub := rng.Split(uint64(i) + 1)
 		r := AccessibleResources[sub.Intn(len(AccessibleResources))]
@@ -76,7 +77,7 @@ func Run(dev arch.Device, kern kernels.Kernel, n int, seed uint64) Campaign {
 		}
 		// Software injectors cannot emulate multi-line residency
 		// effects; they poke exactly one architecturally visible word.
-		rep := kern.RunInjected(dev, inj, sub)
+		rep := kern.RunInjectedPooled(golden, inj, sub, nil)
 		if rep.Count() == 0 {
 			c.Masked++
 			continue

@@ -37,6 +37,7 @@
 package radcrit
 
 import (
+	"context"
 	"io"
 
 	"radcrit/internal/arch"
@@ -238,14 +239,14 @@ func RunCampaign(dev Device, kern Kernel, cfg Config) *Result {
 // many strikes — or SDCs — the cell produces. The reducers reproduce the
 // batch Result's statistics bit for bit (DESIGN.md §6).
 func RunCampaignStreaming(dev Device, kern Kernel, cfg Config, sinks ...Sink) (StreamInfo, error) {
-	return campaign.RunStreaming(dev, kern, cfg, sinks...)
+	return campaign.RunStreamingCtx(context.Background(), dev, kern, cfg, sinks...)
 }
 
 // ResumeCampaignStreaming re-runs only the strikes from index start
 // onwards; per-index randomness makes the tail bit-identical to the same
 // indices of a full run.
 func ResumeCampaignStreaming(dev Device, kern Kernel, cfg Config, start int, sinks ...Sink) (StreamInfo, error) {
-	return campaign.RunStreamingFrom(dev, kern, cfg, start, sinks...)
+	return campaign.RunStreamingFromCtx(context.Background(), dev, kern, cfg, start, sinks...)
 }
 
 // NewTallyReducer returns a streaming outcome-tally accumulator.

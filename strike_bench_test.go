@@ -97,7 +97,7 @@ func benchInjected(b *testing.B, dev arch.Device, kern kernels.Kernel) {
 }
 
 // benchInjectedBatch measures the same SDC corpus through the session's
-// cross-strike batch path (Session.RunBatch -> kernels.BatchRunner) in
+// cross-strike batch path (Session.RunBatch -> Kernel.RunInjectedBatch) in
 // spans of batchSpan strikes, the shape the streaming engine's chunk
 // loop produces. ns/op stays per strike, directly comparable with
 // BenchmarkInjected<Kernel>.
