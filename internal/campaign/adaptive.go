@@ -18,6 +18,7 @@ package campaign
 // same events.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -32,8 +33,8 @@ import (
 
 // ErrEarlyStop is the cancellation cause an earlyStopSink arms when its
 // stop rule fires: the cell is complete at its chunk-aligned stop point,
-// not aborted. RunPlanCell translates it back into a nil error with the
-// info/summary rescaled to the strikes actually consumed.
+// not aborted. cellRun.advance translates it back into a nil error, and
+// the cell's outcome is rescaled to the strikes actually consumed.
 var ErrEarlyStop = errors.New("campaign: confidence target reached")
 
 // Default adaptive parameters.
@@ -208,17 +209,6 @@ type EpochRecorder interface {
 	RecordEpoch(m logdata.EpochMark) error
 }
 
-// recordEpoch writes m through every EpochRecorder among sinks. Write
-// errors are sticky inside the recorder and surface at its Close, like
-// every other logging error on the consume path.
-func recordEpoch(sinks []Sink, m logdata.EpochMark) {
-	for _, s := range sinks {
-		if r, ok := s.(EpochRecorder); ok {
-			_ = r.RecordEpoch(m)
-		}
-	}
-}
-
 // AdaptiveRunner executes a plan in budget epochs: every cell starts
 // with the plan's strike budget; cells whose confidence interval reaches
 // the target stop early and return their unused strikes to a shared
@@ -250,21 +240,17 @@ var _ Runner = (*AdaptiveRunner)(nil)
 
 // adaptiveCellState is one cell's long-lived state across epochs.
 type adaptiveCellState struct {
-	acc  *SummaryAccumulator
-	chk  *CheckpointSink
+	run  *cellRun
 	logw io.WriteCloser
-	es   earlyStopSink
-	info StreamInfo
 
-	budget   int // current strike allocation
-	consumed int // chunk-aligned strikes executed so far
-	started  bool
-	failed   bool
+	budget  int // current strike allocation
+	started bool
+	failed  bool
 }
 
 // open reports the cell still wants strikes: neither stopped nor failed.
 func (st *adaptiveCellState) open() bool {
-	return !st.failed && !st.es.stopped
+	return !st.failed && !st.run.stopped()
 }
 
 // Run implements Runner.
@@ -282,84 +268,55 @@ func (r *AdaptiveRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) 
 	maxEpochs := baseCfg.Adaptive.MaxEpochs
 
 	states := make([]*adaptiveCellState, len(cells))
-	for i := range cells {
+	for i, cell := range cells {
+		var extra []Sink
+		if r.Progress.OnChunk != nil {
+			extra = append(extra, FlushFunc(func(next int) { r.Progress.OnChunk(i, next) }))
+		}
 		st := &adaptiveCellState{
-			acc:    NewSummaryAccumulator(res.Thresholds),
+			run:    newCellRun(cell, baseCfg, res.Thresholds, extra),
 			budget: baseCfg.Strikes,
 		}
-		st.es.rule = rule
 		states[i] = st
 		if r.Logs == nil {
 			continue
 		}
-		info, err := CellInfo(cells[i].Dev, cells[i].Kern, baseCfg)
-		if err != nil {
-			st.failed = true
-			res.Cells[i].Err = err
-			continue
-		}
 		w, err := r.Logs(i, p.Cells[i])
+		if err == nil {
+			st.logw = w
+			_, err = st.run.salvage(bytes.NewReader(nil), w)
+		}
 		if err != nil {
 			st.failed = true
-			res.Cells[i].Err = cellError(cells[i].Dev, cells[i].Kern, err)
-			continue
-		}
-		st.logw = w
-		if st.chk, err = NewCheckpointSink(w, info, baseCfg.Seed); err != nil {
-			st.failed = true
-			res.Cells[i].Err = cellError(cells[i].Dev, cells[i].Kern, err)
+			res.Cells[i].Err = cellError(cell.Dev, cell.Kern, err)
 		}
 	}
 
 	pool := 0
 	for epoch := 1; epoch <= maxEpochs; epoch++ {
-		for i, cell := range cells {
-			st := states[i]
-			if st.failed || !st.open() || st.consumed >= st.budget {
+		for i, st := range states {
+			if !st.open() || st.run.next >= st.budget {
 				continue
 			}
 			if cerr := ctx.Err(); cerr != nil {
 				return r.finishCancelled(res, states, cerr)
 			}
-			cfg := baseCfg
-			cfg.Strikes = st.budget
 			alloc := st.budget
-
-			runCtx, cancel := context.WithCancelCause(ctx)
-			st.es.cancel = cancel
-			sinks := make([]Sink, 0, 4)
-			// The order runCell uses: accumulator, #CHK log, extra sinks,
-			// stop rule — so OnChunk never hears of strikes the log lacks.
-			sinks = append(sinks, st.acc)
-			if st.chk != nil {
-				sinks = append(sinks, st.chk)
-			}
-			if r.Progress.OnChunk != nil {
-				sinks = append(sinks, &chunkRelay{cell: i, fn: r.Progress.OnChunk})
-			}
-			sinks = append(sinks, &st.es)
-			info, err := RunStreamingFromCtx(runCtx, cell.Dev, cell.Kern, cfg, st.consumed, sinks...)
-			cancel(nil)
-			st.es.cancel = nil
-			if err != nil && !(st.es.stopped && ctx.Err() == nil) {
-				if isCancellation(err) {
-					st.info, st.started = info, true
-					st.consumed = st.acc.Consumed()
-					return r.finishCancelled(res, states, ctx.Err())
-				}
+			err := st.run.advance(ctx, alloc)
+			if err != nil && !isCancellation(err) {
 				st.failed = true
 				res.Cells[i].Err = err
 				continue
 			}
-			st.info, st.started = info, true
-			st.consumed = st.acc.Consumed()
-			if st.es.stopped {
-				pool += st.budget - st.consumed
-				st.budget = st.consumed
+			st.started = true
+			if err != nil {
+				return r.finishCancelled(res, states, ctx.Err())
 			}
-			if st.chk != nil {
-				_ = st.chk.RecordEpoch(st.es.mark(epoch, alloc, st.consumed))
+			if st.run.stopped() {
+				pool += st.budget - st.run.next
+				st.budget = st.run.next
 			}
+			st.run.recordEpoch(epoch, alloc)
 		}
 
 		var open []int
@@ -377,9 +334,9 @@ func (r *AdaptiveRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) 
 		// share; the remainder is dealt a chunk at a time down the
 		// ranking.
 		sort.SliceStable(open, func(a, b int) bool {
-			sa, sb := states[open[a]], states[open[b]]
-			ha := rule.HalfWidthAt(sa.es.sdc, sa.consumed)
-			hb := rule.HalfWidthAt(sb.es.sdc, sb.consumed)
+			sa, sb := states[open[a]].run, states[open[b]].run
+			ha := rule.HalfWidthAt(sa.es.sdc, sa.next)
+			hb := rule.HalfWidthAt(sb.es.sdc, sb.next)
 			if ha != hb {
 				return ha > hb
 			}
@@ -401,19 +358,13 @@ func (r *AdaptiveRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) 
 
 	for i, st := range states {
 		out := res.Cells[i]
-		if st.failed || !st.started {
-			if out.Err == nil && !st.started {
-				out.Err = fmt.Errorf("campaign: cell %d never ran", i)
-			}
-			r.closeCell(st, out)
-			if r.Progress.OnCell != nil {
-				r.Progress.OnCell(i, out)
-			}
-			continue
+		switch {
+		case st.failed:
+		case st.started:
+			out.Info, out.Summary = st.run.outcome()
+		default:
+			out.Err = fmt.Errorf("campaign: cell %d never ran", i)
 		}
-		info := prefixInfo(st.info, st.consumed)
-		out.Info = info
-		out.Summary = st.acc.Summary(info)
 		r.closeCell(st, out)
 		if r.Progress.OnCell != nil {
 			r.Progress.OnCell(i, out)
@@ -424,17 +375,15 @@ func (r *AdaptiveRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) 
 
 // closeCell seals a cell's checkpoint log (trailer + file handle).
 func (r *AdaptiveRunner) closeCell(st *adaptiveCellState, out *CellOutcome) {
-	if st.chk != nil {
-		if err := st.chk.Close(); err != nil && out.Err == nil {
+	if st.run.chk != nil {
+		if err := st.run.chk.Close(); err != nil && out.Err == nil {
 			out.Err = err
 		}
-		st.chk = nil
 	}
 	if st.logw != nil {
 		if err := st.logw.Close(); err != nil && out.Err == nil {
 			out.Err = err
 		}
-		st.logw = nil
 	}
 }
 
@@ -447,10 +396,8 @@ func (r *AdaptiveRunner) finishCancelled(res *PlanResult, states []*adaptiveCell
 	for i, st := range states {
 		out := res.Cells[i]
 		if st.started {
-			info := prefixInfo(st.info, st.consumed)
-			out.Info = info
-			out.Summary = st.acc.Summary(info)
-			if !st.es.stopped {
+			out.Info, out.Summary = st.run.outcome()
+			if !st.run.stopped() {
 				out.Err = cerr
 			}
 		} else if out.Err == nil {
@@ -460,7 +407,6 @@ func (r *AdaptiveRunner) finishCancelled(res *PlanResult, states []*adaptiveCell
 		// the log resumes.
 		if st.logw != nil {
 			_ = st.logw.Close()
-			st.logw = nil
 		}
 	}
 	return res, cerr

@@ -41,11 +41,12 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// cellError wraps err with the cell's identity (no-op for nil and for
-// context cancellation, which is the caller's signal, not the cell's
-// fault).
+// cellError wraps err with the cell's identity (no-op for nil, for an
+// error that already carries it, and for context cancellation, which is
+// the caller's signal, not the cell's fault).
 func cellError(dev arch.Device, kern kernels.Kernel, err error) error {
-	if err == nil || isCancellation(err) {
+	var ce *CellError
+	if err == nil || isCancellation(err) || errors.As(err, &ce) {
 		return err
 	}
 	return &CellError{Device: dev.ShortName(), Kernel: kern.Name(), Input: kern.InputLabel(), Err: err}

@@ -81,7 +81,8 @@ type Progress struct {
 	// plan index.
 	OnCell func(i int, out *CellOutcome)
 	// OnChunk fires at every streaming chunk boundary with the number of
-	// strikes consumed so far; only StreamRunner emits it.
+	// strikes consumed so far; a cell's checkpoint log, if any, already
+	// covers that boundary.
 	OnChunk func(cell int, done int)
 }
 
@@ -146,32 +147,6 @@ func markCancelled(outs []*CellOutcome, err error) {
 	}
 }
 
-// streamReducers is the reducer stack a StreamRunner attaches per cell.
-type streamReducers struct {
-	tally  *TallyReducer
-	counts *SDCCountReducer
-	locs   []*LocalityReducer
-	fracs  []*FilteredFractionReducer
-}
-
-func newStreamReducers(ts []float64) *streamReducers {
-	r := &streamReducers{
-		tally:  NewTallyReducer(),
-		counts: NewSDCCountReducer(ts...),
-	}
-	for _, t := range ts {
-		r.locs = append(r.locs, NewLocalityReducer(t))
-		r.fracs = append(r.fracs, NewFilteredFractionReducer(t))
-	}
-	return r
-}
-
-// consumed counts the strikes the reducer stack has actually seen.
-func (r *streamReducers) consumed() int {
-	t := r.tally.Tally
-	return t.Masked + t.SDC + t.Crash + t.Hang
-}
-
 // prefixInfo rescales a cell's exposure to the strikes consumed before a
 // cancellation, so partial FIT values are true rates over the prefix.
 func prefixInfo(info StreamInfo, consumed int) StreamInfo {
@@ -179,43 +154,6 @@ func prefixInfo(info StreamInfo, consumed int) StreamInfo {
 	info.Exposure.BeamHours = info.Exposure.HoursForStrikes(float64(consumed))
 	return info
 }
-
-func (r *streamReducers) sinks() []Sink {
-	sinks := []Sink{r.tally, r.counts}
-	for _, l := range r.locs {
-		sinks = append(sinks, l)
-	}
-	for _, f := range r.fracs {
-		sinks = append(sinks, f)
-	}
-	return sinks
-}
-
-// summary folds the reducer state under the cell's exposure. It is valid
-// on partial (cancelled) state too: every statistic is over the
-// chunk-aligned prefix consumed so far.
-func (r *streamReducers) summary(ts []float64, info StreamInfo) *Summary {
-	s := &Summary{
-		Thresholds: append([]float64(nil), ts...),
-		Tally:      r.tally.Tally,
-		DUEFIT:     fit.FITFromCampaign(r.tally.Tally.Crash+r.tally.Tally.Hang, info.Exposure),
-	}
-	for k := range ts {
-		s.SDCFIT = append(s.SDCFIT, r.counts.FIT(k, info.Exposure))
-		s.Locality = append(s.Locality, r.locs[k].Breakdown(info.Exposure))
-		s.FilteredFraction = append(s.FilteredFraction, r.fracs[k].Fraction())
-	}
-	return s
-}
-
-// chunkRelay forwards chunk boundaries to a Progress hook.
-type chunkRelay struct {
-	cell int
-	fn   func(cell, done int)
-}
-
-func (c *chunkRelay) Consume(int, injector.Outcome) {}
-func (c *chunkRelay) FlushChunk(next int)           { c.fn(c.cell, next) }
 
 // Run implements Runner.
 func (r *StreamRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) {
@@ -234,7 +172,7 @@ func (r *StreamRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) {
 		}
 		var extra []Sink
 		if r.Progress.OnChunk != nil {
-			extra = append(extra, &chunkRelay{cell: i, fn: r.Progress.OnChunk})
+			extra = append(extra, FlushFunc(func(next int) { r.Progress.OnChunk(i, next) }))
 		}
 		// RunPlanCell handles the cancellation bookkeeping: a cancelled
 		// cell comes back with its info rescaled to the strikes actually

@@ -50,6 +50,17 @@ type ChunkFlusher interface {
 	FlushChunk(next int)
 }
 
+// FlushFunc is a Sink that only observes chunk boundaries: FlushChunk
+// calls the function with the flushed strike count, Consume ignores the
+// outcomes. Progress relays and strike trackers are one of these.
+type FlushFunc func(next int)
+
+// Consume implements Sink.
+func (FlushFunc) Consume(int, injector.Outcome) {}
+
+// FlushChunk implements ChunkFlusher.
+func (f FlushFunc) FlushChunk(next int) { f(next) }
+
 // StreamInfo is the cell metadata a streaming run yields in place of a
 // *Result: identity, occupancy profile and the back-computed beam
 // exposure. Reducers combine it with their accumulated state to produce

@@ -293,12 +293,12 @@ func TestFleetLeaseExpiryRequeueFromCheckpoint(t *testing.T) {
 		Poll: 20 * time.Millisecond, SpeculateAfter: time.Hour, MaxAttempts: 10,
 	})
 	ct := &cutTransport{}
-	// The doomed worker paces itself so its lease is mid-cell for long
-	// enough to observe; it heartbeats every 100ms regardless. The pause
-	// must outlast a log-bearing heartbeat's round trip (hundreds of ms
-	// under -race), or the cell can complete before the coordinator has
-	// recorded any flushed strikes.
-	startWorker(t, tf.srv.URL, "doomed", 300*time.Millisecond, &http.Client{Transport: ct})
+	// The doomed worker pauses after every chunk for longer than the test
+	// runs; it heartbeats every 100ms regardless. It therefore cannot
+	// finish the cell before a log-bearing heartbeat lands (hundreds of ms
+	// under -race on a loaded host) and the network is cut. The pause
+	// waits on the cell's context, so teardown's cancel releases it.
+	startWorker(t, tf.srv.URL, "doomed", time.Hour, &http.Client{Transport: ct})
 	waitWorkers(t, tf.coord, 1)
 
 	plan := smokePlan(96, "k40/dgemm:128")

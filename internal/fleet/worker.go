@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"radcrit/internal/campaign"
-	"radcrit/internal/injector"
 	"radcrit/internal/service"
 )
 
@@ -33,9 +32,10 @@ type WorkerOptions struct {
 	// (radcrit_strikes_total, radcrit_chunk_seconds) — the worker half of
 	// the engine telemetry; serve it with -metrics-addr.
 	Metrics *service.EngineMetrics
-	// ThrottleChunk inserts a pause after every flushed chunk. Production
-	// leaves it zero; the chaos harness uses it to hold a cell in flight
-	// long enough to kill the worker mid-cell deterministically.
+	// ThrottleChunk inserts a pause after every flushed chunk; cancelling
+	// the cell (lease lost, worker shutting down) ends the pause early.
+	// Production leaves it zero; the chaos harness uses it to hold a cell
+	// in flight long enough to kill the worker mid-cell deterministically.
 	ThrottleChunk time.Duration
 	// JitterSeed seeds the worker's private backoff-jitter stream. Zero
 	// (the production default) derives a seed from the worker name and
@@ -190,7 +190,12 @@ func (w *Worker) runItem(ctx context.Context, item *WorkItem) {
 	defer cancel()
 
 	buf := &logBuffer{}
-	tracker := &chunkTracker{buf: buf, throttle: w.opts.ThrottleChunk}
+	// The tracker records each flushed strike count for the heartbeat and
+	// applies the chunk throttle, which the cell's cancellation cuts short.
+	tracker := campaign.FlushFunc(func(next int) {
+		buf.setFlushed(next)
+		sleepCtx(cellCtx, w.opts.ThrottleChunk)
+	})
 
 	hb := time.Duration(item.HeartbeatMillis) * time.Millisecond
 	if hb <= 0 {
@@ -270,7 +275,7 @@ func (w *Worker) runItem(ctx context.Context, item *WorkItem) {
 // (damaged beyond salvage, or describing another cell or seed) is
 // discarded and the cell runs from strike 0, as the daemon does locally;
 // the core rejects such a log before writing anything to buf.
-func (w *Worker) executeCell(ctx context.Context, item *WorkItem, buf *logBuffer, tracker *chunkTracker) (campaign.StreamInfo, *campaign.Summary, error) {
+func (w *Worker) executeCell(ctx context.Context, item *WorkItem, buf *logBuffer, tracker campaign.FlushFunc) (campaign.StreamInfo, *campaign.Summary, error) {
 	cfg, err := item.Cfg.EngineConfig()
 	if err != nil {
 		return campaign.StreamInfo{}, nil, err
@@ -408,25 +413,6 @@ func (b *logBuffer) snapshot(after int) (int, []byte) {
 		log = append(log, blk...)
 	}
 	return b.flushed, log
-}
-
-// chunkTracker is a no-op Sink whose FlushChunk records the flushed
-// strike count (and optionally throttles, for the chaos harness).
-type chunkTracker struct {
-	buf      *logBuffer
-	throttle time.Duration
-}
-
-// Consume implements campaign.Sink (the tracker only cares about chunk
-// boundaries).
-func (t *chunkTracker) Consume(int, injector.Outcome) {}
-
-// FlushChunk implements campaign.ChunkFlusher.
-func (t *chunkTracker) FlushChunk(next int) {
-	t.buf.setFlushed(next)
-	if t.throttle > 0 {
-		time.Sleep(t.throttle)
-	}
 }
 
 // jitter spreads a backoff delay over [d/2, d] so synchronised workers

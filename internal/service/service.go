@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"radcrit/internal/campaign"
-	"radcrit/internal/injector"
 	"radcrit/internal/sched"
 	"radcrit/internal/store"
 	"radcrit/internal/telemetry"
@@ -65,9 +64,6 @@ const (
 func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
-
-// terminal is the package-internal spelling of State.Terminal.
-func terminal(s State) bool { return s.Terminal() }
 
 // CellStatus is one plan cell's live progress.
 type CellStatus struct {
@@ -453,21 +449,8 @@ func (m *Manager) markRestoredCells(j *Job) {
 		if json.Unmarshal(data, &cr) != nil {
 			continue
 		}
-		switch {
-		case cr.Error != "":
-			j.cells[i].State = "failed"
-			j.cells[i].Error = cr.Error
-		case cr.Summary != nil:
-			j.cells[i].State = "done"
-			// Info carries the true consumed count (an adaptive stop
-			// consumes fewer strikes than planned); Total covers records
-			// persisted before Info existed.
-			j.cells[i].Strikes = j.cells[i].Total
-			if cr.Info != nil {
-				j.cells[i].Strikes = cr.Info.Strikes
-			}
-			j.cells[i].Cached = cr.Cached
-			j.cells[i].Resumed = cr.Resumed
+		if cr.Summary != nil || cr.Error != "" {
+			j.cells[i] = cellStatusOf(&cr, j.cells[i].Total)
 		}
 	}
 }
@@ -652,7 +635,7 @@ type tenantUsage struct {
 func (m *Manager) tenantUsageLocked(name string) tenantUsage {
 	var u tenantUsage
 	for _, j := range m.jobs {
-		if j.Tenant != name || terminal(j.State) {
+		if j.Tenant != name || j.State.Terminal() {
 			continue
 		}
 		if j.State == StateQueued {
@@ -715,7 +698,7 @@ func (m *Manager) pruneJobsLocked() {
 	}
 	var done []*Job
 	for _, j := range m.jobs {
-		if terminal(j.State) {
+		if j.State.Terminal() {
 			done = append(done, j)
 		}
 	}
@@ -832,7 +815,7 @@ func (m *Manager) Result(id string) (*JobResult, error) {
 	if !ok {
 		return nil, ErrUnknownJob
 	}
-	if !terminal(j.State) {
+	if !j.State.Terminal() {
 		return nil, ErrNotFinished
 	}
 	if j.result == nil {
@@ -880,15 +863,9 @@ func (m *Manager) Cancel(id string) (Snapshot, error) {
 	return m.snapshotLocked(j), nil
 }
 
-// Subscribe attaches an event channel to a job. Events are dropped, not
-// blocked on, when the subscriber lags. The returned function detaches
-// and closes the channel.
-func (m *Manager) Subscribe(id string) (<-chan Event, func(), error) {
-	_, ch, unsub, err := m.SubscribeFrom(id, 0)
-	return ch, unsub, err
-}
-
-// SubscribeFrom is Subscribe with Last-Event-ID resume: events already
+// SubscribeFrom attaches an event channel to a job, with Last-Event-ID
+// resume. Events are dropped, not blocked on, when the subscriber lags;
+// the returned function detaches and closes the channel. Events already
 // published with Seq > afterSeq are returned as a backlog (replayed from
 // the job's bounded ring — a subscriber further behind than the ring
 // reaches simply gets a shorter backlog, and should rely on a fresh
@@ -1050,7 +1027,7 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	m.mu.Lock()
-	if terminal(j.State) {
+	if j.State.Terminal() {
 		// A client cancelled the job in the window between the executor
 		// popping it off the queue and this claim: the cancellation
 		// already wrote its final state and result — do not resurrect it.
@@ -1142,7 +1119,7 @@ func (m *Manager) finishJob(j *Job, outcomes []CellResult, err error) {
 			}
 		}
 	}
-	if terminal(j.State) {
+	if j.State.Terminal() {
 		now := time.Now()
 		j.Finished = &now
 		m.writeResultLocked(j)
@@ -1152,23 +1129,15 @@ func (m *Manager) finishJob(j *Job, outcomes []CellResult, err error) {
 	m.publishLocked(Event{Type: "state", JobID: j.ID, State: j.State, Error: j.Error})
 }
 
-// progressSink relays chunk boundaries into live job status and the
-// event stream. It satisfies campaign.Sink + ChunkFlusher.
-type progressSink struct {
-	m    *Manager
-	j    *Job
-	cell int
-}
-
-func (p *progressSink) Consume(int, injector.Outcome) {}
-
-func (p *progressSink) FlushChunk(next int) {
-	p.m.mu.Lock()
-	defer p.m.mu.Unlock()
-	p.j.cells[p.cell].Strikes = next
-	p.m.publishLocked(Event{
-		Type: "chunk", JobID: p.j.ID, Cell: p.cell,
-		Done: next, Total: p.j.cells[p.cell].Total,
+// chunkProgress relays a cell's chunk boundary into live job status and
+// the event stream.
+func (m *Manager) chunkProgress(j *Job, cell, next int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j.cells[cell].Strikes = next
+	m.publishLocked(Event{
+		Type: "chunk", JobID: j.ID, Cell: cell,
+		Done: next, Total: j.cells[cell].Total,
 	})
 }
 
@@ -1234,10 +1203,10 @@ func (m *Manager) runCell(jctx context.Context, j *Job, i int, localMu *sync.Mut
 	}
 
 	m.setCellState(j, i, CellStatus{State: "running", Total: total}, false)
-	relay := &progressSink{m: m, j: j, cell: i}
+	progress := func(next int) { m.chunkProgress(j, i, next) }
 	// Local sinks: the progress relay plus, when metered, the strike
 	// sink (children resolved once here, flushed at chunk boundaries).
-	sinks := []campaign.Sink{relay}
+	sinks := []campaign.Sink{campaign.FlushFunc(progress)}
 	if ss := m.metrics.sink(spec.Kernel, spec.Device); ss != nil {
 		sinks = append(sinks, ss)
 	}
@@ -1255,7 +1224,7 @@ func (m *Manager) runCell(jctx context.Context, j *Job, i int, localMu *sync.Mut
 			Tenant: j.Tenant, Weight: m.tenants.Weight(j.Tenant),
 			CostNS:   m.cost.CellCost(spec.Kernel, cfg.Strikes),
 			PrevLog:  prev,
-			Progress: relay.FlushChunk,
+			Progress: progress,
 			SaveLog:  func(log []byte) { _ = writeFileAtomic(logPath, log) },
 		})
 		switch {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -82,7 +83,7 @@ func waitState(t *testing.T, m *Manager, id string, want State) Snapshot {
 		if s.State == want {
 			return s
 		}
-		if terminal(s.State) && s.State != want {
+		if s.State.Terminal() && s.State != want {
 			t.Fatalf("job %s reached %s (err %q), want %s", id, s.State, s.Error, want)
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -194,7 +195,7 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Subscribe before starting the executors so no chunk event is missed.
-	events, unsub, err := m1.Subscribe(s.ID)
+	_, events, unsub, err := m1.SubscribeFrom(s.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +232,19 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 	}
 
 	// Second incarnation on the same state dir: the job is re-queued and
-	// resumed to completion.
+	// resumed to completion. Before anything runs, the drained in-flight
+	// cell reads back as pending: it left a log, not an outcome.
 	m2 := newManager(t, dir)
+	restored, err := m2.Job(s.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := restored.Cells[0]; c.State != "pending" {
+		t.Errorf("restored in-flight cell status %+v, want pending", c)
+	}
 	m2.Start()
 	defer drain(t, m2)
-	waitState(t, m2, s.ID, StateDone)
+	final := waitState(t, m2, s.ID, StateDone)
 	jr, err := m2.Result(s.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -251,6 +260,17 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 	}
 	if _, err := os.Stat(logPath); !os.IsNotExist(err) {
 		t.Errorf("checkpoint log not cleaned up after completion")
+	}
+
+	// A third incarnation restores every cell's status from its durable
+	// outcome, resumed flag included, exactly as the live run left it.
+	drain(t, m2)
+	restored, err = newManager(t, dir).Job(s.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(restored.Cells, final.Cells) {
+		t.Errorf("restored cell statuses %+v, want %+v", restored.Cells, final.Cells)
 	}
 }
 
@@ -268,7 +288,7 @@ func TestTornLogRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, unsub, err := m1.Subscribe(s.ID)
+	_, events, unsub, err := m1.SubscribeFrom(s.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +410,7 @@ func TestCancelRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, unsub, err := m.Subscribe(s.ID)
+	_, events, unsub, err := m.SubscribeFrom(s.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +576,7 @@ func TestTerminalEventClosesSlowSubscriber(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, unsub, err := m.Subscribe(s.ID)
+	_, ch, unsub, err := m.SubscribeFrom(s.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
