@@ -9,8 +9,9 @@
 //	beamsim -plan plan.json
 //	beamsim -plan plan.json -adaptive-target 0.05
 //
-// A single-cell run writes its campaign log to stdout (or -o); multi-cell
-// plans print one summary per cell.
+// A single-cell run writes its checkpointed campaign log to stdout (or
+// -o), the same log a radcritd daemon keeps for the cell; every run
+// prints one summary per cell to stderr.
 //
 // -adaptive-target (or an "adaptive" block in the plan file) switches to
 // the early-stopping engine: each cell stops as soon as the anytime-valid
@@ -73,50 +74,18 @@ func main() {
 		cli.Fatal("beamsim", "-o needs a single-cell plan (got %d cells)", len(plan.Cells))
 	}
 
-	if plan.Adaptive != nil {
-		runAdaptive(plan, *out)
-	} else {
-		runBatch(plan, *out)
-	}
+	run(plan, *out)
 	if err := prof.Stop(); err != nil {
 		cli.Fatal("beamsim", "write profile: %v", err)
 	}
 }
 
-// runBatch is the classic fixed-budget path: one report-retaining Result
-// per cell, and the public log rebuilt from the result.
-func runBatch(plan *radcrit.Plan, out string) {
-	cells, err := plan.Build()
-	if err != nil {
-		cli.Fatal("beamsim", "%v", err)
-	}
-	cfg := plan.Config()
-	var res *radcrit.Result
-	for _, cell := range cells {
-		res = radcrit.RunCampaign(cell.Dev, cell.Kern, cfg)
-		summarize(res)
-	}
-	if len(cells) == 1 {
-		w := os.Stdout
-		if out != "" {
-			f, err := os.Create(out)
-			if err != nil {
-				cli.Fatal("beamsim", "create log: %v", err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := radcrit.WriteLog(w, res, plan.Seed); err != nil {
-			cli.Fatal("beamsim", "write log: %v", err)
-		}
-	}
-}
-
-// runAdaptive executes a plan carrying an early-stopping spec through
-// the adaptive engine. The checkpoint log (with its #CHK and #EPOCH
-// records) is streamed during the run, so single-cell runs still honour
-// -o / stdout; summaries report consumed vs planned strikes.
-func runAdaptive(plan *radcrit.Plan, out string) {
+// run executes the plan through the adaptive engine, which runs a plan
+// without an early-stopping spec as one fixed-budget pass. A single-cell
+// run streams its checkpoint log (#CHK and, when adaptive, #EPOCH
+// records) to -o or stdout during the run; summaries report consumed vs
+// planned strikes.
+func run(plan *radcrit.Plan, out string) {
 	r := radcrit.NewAdaptiveRunner()
 	if len(plan.Cells) == 1 {
 		r.Logs = func(int, radcrit.CellSpec) (io.WriteCloser, error) {
@@ -131,7 +100,7 @@ func runAdaptive(plan *radcrit.Plan, out string) {
 		cli.Fatal("beamsim", "%v", err)
 	}
 	for _, cell := range res.Cells {
-		summarizeStream(cell, plan.Strikes)
+		summarize(cell, plan.Strikes)
 	}
 }
 
@@ -139,12 +108,11 @@ type nopCloser struct{ io.Writer }
 
 func (nopCloser) Close() error { return nil }
 
-// summarizeStream renders an adaptive cell from its streaming info and
-// summary (there is no retained Result on this path). Consumed
-// strikes are reported against the plan's per-cell budget: fewer means
-// the confidence target stopped the cell early, more means reallocation
-// granted it strikes other cells freed.
-func summarizeStream(cell *radcrit.CellOutcome, planned int) {
+// summarize renders a cell from its streaming info and summary.
+// Consumed strikes are reported against the plan's per-cell budget:
+// fewer means the confidence target stopped the cell early, more means
+// reallocation granted it strikes other cells freed.
+func summarize(cell *radcrit.CellOutcome, planned int) {
 	if cell.Err != nil {
 		fmt.Fprintf(os.Stderr, "campaign: %s %s: %v\n", cell.Spec.Device, cell.Spec.Kernel, cell.Err)
 		return
@@ -164,17 +132,4 @@ func summarizeStream(cell *radcrit.CellOutcome, planned int) {
 	}
 	fmt.Fprintf(os.Stderr, "  natural-equivalent exposure: %.3g hours\n",
 		info.Exposure.Facility.EquivalentNaturalHours(info.Exposure.BeamHours))
-}
-
-func summarize(res *radcrit.Result) {
-	fmt.Fprintf(os.Stderr, "campaign: %s %s %s\n", res.Device, res.Kernel, res.Input)
-	fmt.Fprintf(os.Stderr, "  strikes:   %d over %.1f simulated beam hours\n",
-		res.Strikes, res.Exposure.BeamHours)
-	fmt.Fprintf(os.Stderr, "  outcomes:  %d masked, %d SDC, %d crash, %d hang\n",
-		res.Tally.Masked, res.Tally.SDC, res.Tally.Crash, res.Tally.Hang)
-	fmt.Fprintf(os.Stderr, "  SDC:DUE:   %.2f\n", res.Tally.SDCToDUERatio())
-	fmt.Fprintf(os.Stderr, "  SDC FIT:   %.3g a.u. (all), %.3g a.u. (>2%%)\n",
-		res.SDCFIT(0), res.SDCFIT(2))
-	fmt.Fprintf(os.Stderr, "  natural-equivalent exposure: %.3g hours\n",
-		res.Exposure.Facility.EquivalentNaturalHours(res.Exposure.BeamHours))
 }

@@ -224,8 +224,9 @@ type EpochRecorder interface {
 // it actually consumed (the early-stop determinism contract), whatever
 // epoch history produced that number.
 //
-// A plan without an Adaptive spec delegates to StreamRunner: outcomes
-// are byte-identical to today's non-adaptive path.
+// A plan without an Adaptive spec runs as one epoch at the plan's budget
+// with no stop rule: its outcomes are StreamRunner's, and its logs are
+// the cells' fresh ResumePlanCell logs.
 type AdaptiveRunner struct {
 	Progress Progress
 	// Logs, when non-nil, supplies a checkpoint-log writer per cell. The
@@ -245,6 +246,7 @@ type adaptiveCellState struct {
 
 	budget  int // current strike allocation
 	started bool
+	done    bool // stopped, or ran its budget in the last epoch
 	failed  bool
 }
 
@@ -255,17 +257,16 @@ func (st *adaptiveCellState) open() bool {
 
 // Run implements Runner.
 func (r *AdaptiveRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) {
-	if p == nil || p.Adaptive == nil {
-		sr := &StreamRunner{Progress: r.Progress}
-		return sr.Run(ctx, p)
-	}
 	res, cells, err := planStart(ctx, p)
 	if err != nil {
 		return res, err
 	}
-	baseCfg, rule, _ := adaptiveConfig(p.Config())
+	baseCfg, rule, adaptive := adaptiveConfig(p.Config())
 	chunk := baseCfg.StreamChunk
-	maxEpochs := baseCfg.Adaptive.MaxEpochs
+	maxEpochs := 1
+	if adaptive {
+		maxEpochs = baseCfg.Adaptive.MaxEpochs
+	}
 
 	states := make([]*adaptiveCellState, len(cells))
 	for i, cell := range cells {
@@ -316,6 +317,7 @@ func (r *AdaptiveRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) 
 				pool += st.budget - st.run.next
 				st.budget = st.run.next
 			}
+			st.done = st.run.stopped() || epoch == maxEpochs
 			st.run.recordEpoch(epoch, alloc)
 		}
 
@@ -389,15 +391,16 @@ func (r *AdaptiveRunner) closeCell(st *adaptiveCellState, out *CellOutcome) {
 
 // finishCancelled fills partial outcomes after an external cancellation:
 // cells with progress keep their prefix-rescaled info and partial
-// summary (like StreamRunner's cancelled cell), checkpoint logs are left
-// WITHOUT their #END trailer so they stay resumable, and untouched cells
-// are marked with ctx's error.
+// summary (like StreamRunner's cancelled cell), and carry ctx's error
+// unless they were done; checkpoint logs are left WITHOUT their #END
+// trailer so they stay resumable, and untouched cells are marked with
+// ctx's error.
 func (r *AdaptiveRunner) finishCancelled(res *PlanResult, states []*adaptiveCellState, cerr error) (*PlanResult, error) {
 	for i, st := range states {
 		out := res.Cells[i]
 		if st.started {
 			out.Info, out.Summary = st.run.outcome()
-			if !st.run.stopped() {
+			if !st.done {
 				out.Err = cerr
 			}
 		} else if out.Err == nil {

@@ -42,14 +42,7 @@ func (bufCloser) Close() error { return nil }
 // round-trips NaN bit patterns, so byte equality is the right test.
 func sameEvents(t *testing.T, a, b *logdata.Log) bool {
 	t.Helper()
-	var wa, wb bytes.Buffer
-	if err := logdata.Write(&wa, &logdata.Log{Events: a.Events}); err != nil {
-		t.Fatal(err)
-	}
-	if err := logdata.Write(&wb, &logdata.Log{Events: b.Events}); err != nil {
-		t.Fatal(err)
-	}
-	return bytes.Equal(wa.Bytes(), wb.Bytes())
+	return canonicalLog(t, &logdata.Log{Events: a.Events}) == canonicalLog(t, &logdata.Log{Events: b.Events})
 }
 
 func TestAdaptiveSpecValidation(t *testing.T) {
@@ -436,22 +429,65 @@ func TestAdaptiveReplayByteIdentity(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRunnerNilSpecDelegates pins today's behaviour for plans
-// without a spec: AdaptiveRunner is StreamRunner, outcome for outcome.
-func TestAdaptiveRunnerNilSpecDelegates(t *testing.T) {
+// TestAdaptiveRunnerNilSpecRunsFixedBudget pins plans without a spec:
+// AdaptiveRunner runs them itself, as one epoch at the plan's budget.
+// Its outcomes are StreamRunner's, outcome for outcome, also when
+// cancelled mid-plan (the finished cell keeps a nil error), and its Logs
+// hook receives the cell's fresh ResumePlanCell log, byte for byte.
+func TestAdaptiveRunnerNilSpecRunsFixedBudget(t *testing.T) {
 	plan := NewPlan(7, 60).
 		WithCell("k40", "dgemm:128").WithCell("k40", "hotspot:64x80").
-		WithThresholds(0, 2)
-	a, err := (&AdaptiveRunner{}).Run(context.Background(), plan)
+		WithThresholds(0, 2).WithStreamChunk(20)
+	// run executes plan under r, cancelled once cell 1 has consumed
+	// cancelAt strikes (never, when cancelAt exceeds the budget).
+	run := func(r Runner, p *Progress, cancelAt int) *PlanResult {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		p.OnChunk = func(cell, done int) {
+			if cell == 1 && done >= cancelAt {
+				cancel()
+			}
+		}
+		res, err := r.Run(ctx, plan)
+		if cancelAt <= plan.Strikes && err != context.Canceled {
+			t.Fatalf("%T: cancelled run returned %v", r, err)
+		} else if cancelAt > plan.Strikes && err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, cancelAt := range []int{plan.Strikes + 1, 40} {
+		ar, sr := &AdaptiveRunner{}, &StreamRunner{}
+		a, s := run(ar, &ar.Progress, cancelAt), run(sr, &sr.Progress, cancelAt)
+		if a.Cells[0].Err != nil {
+			t.Fatalf("cancel at %d: finished cell carries %v", cancelAt, a.Cells[0].Err)
+		}
+		if !reflect.DeepEqual(a.Cells, s.Cells) {
+			t.Fatalf("cancel at %d: nil-spec AdaptiveRunner diverges from StreamRunner:\n%+v\nvs\n%+v",
+				cancelAt, a.Cells, s.Cells)
+		}
+	}
+
+	single := NewPlan(7, 60).WithCell("k40", "dgemm:128").WithThresholds(0, 2)
+	var got bytes.Buffer
+	r := &AdaptiveRunner{Logs: func(int, CellSpec) (io.WriteCloser, error) {
+		return bufCloser{&got}, nil
+	}}
+	if _, err := r.Run(context.Background(), single); err != nil {
+		t.Fatal(err)
+	}
+	cells, err := single.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := (&StreamRunner{}).Run(context.Background(), plan)
-	if err != nil {
+	var want bytes.Buffer
+	if _, _, err := ResumePlanCell(context.Background(), bytes.NewReader(nil), &want,
+		cells[0], single.Config(), single.EffectiveThresholds()); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Cells, s.Cells) {
-		t.Fatalf("nil-spec AdaptiveRunner diverges from StreamRunner:\n%+v\nvs\n%+v", a.Cells, s.Cells)
+	if got.Len() == 0 || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("nil-spec AdaptiveRunner log (%d bytes) differs from ResumePlanCell's fresh log (%d bytes)",
+			got.Len(), want.Len())
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"radcrit/internal/fit"
 	"radcrit/internal/injector"
 	"radcrit/internal/kernels"
-	"radcrit/internal/logdata"
 	"radcrit/internal/metrics"
 )
 
@@ -216,43 +215,4 @@ func (r *Result) FilteredFraction(thresholdPct float64) float64 {
 		}
 	}
 	return float64(cleared) / float64(len(r.Reports))
-}
-
-// ToLog converts the result into the public log format. Masked outcomes
-// carry no per-execution payload and are recorded as the log's Masked
-// count (not as events), so a parsed log reconstructs the full tally.
-func (r *Result) ToLog(seed uint64) *logdata.Log {
-	l := &logdata.Log{
-		Device:     r.Device,
-		Kernel:     r.Kernel,
-		Input:      r.Input,
-		Facility:   r.Exposure.Facility.Name,
-		Seed:       seed,
-		Executions: r.Exposure.Executions(),
-		BeamHours:  r.Exposure.BeamHours,
-		OutputDims: r.Profile.OutputDims,
-		Masked:     r.Tally.Masked,
-	}
-	exec := 0
-	for i, rep := range r.Reports {
-		exec += 13 // arbitrary but deterministic spacing
-		ev := logdata.Event{
-			Class:      fault.SDC,
-			Exec:       exec,
-			Mismatches: rep.Mismatches,
-		}
-		if i < len(r.ReportResource) {
-			ev.Resource = r.ReportResource[i].String()
-		}
-		l.Events = append(l.Events, ev)
-	}
-	for i := 0; i < r.Tally.Crash; i++ {
-		exec += 7
-		l.Events = append(l.Events, logdata.Event{Class: fault.Crash, Exec: exec})
-	}
-	for i := 0; i < r.Tally.Hang; i++ {
-		exec += 11
-		l.Events = append(l.Events, logdata.Event{Class: fault.Hang, Exec: exec})
-	}
-	return l
 }

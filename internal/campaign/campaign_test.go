@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"radcrit/internal/beam"
@@ -10,7 +9,6 @@ import (
 	"radcrit/internal/injector"
 	"radcrit/internal/k40"
 	"radcrit/internal/kernels/dgemm"
-	"radcrit/internal/logdata"
 	"radcrit/internal/phi"
 )
 
@@ -95,38 +93,6 @@ func TestExposureBackComputation(t *testing.T) {
 	mean := res.Exposure.StrikeRatePerExec() * float64(res.Exposure.Executions())
 	if math.Abs(mean-120) > 6 {
 		t.Fatalf("expected strikes %v, want ~120", mean)
-	}
-}
-
-func TestToLogRoundTrip(t *testing.T) {
-	res := Run(phi.New(), dgemm.New(128), cfg(150))
-	l := res.ToLog(7)
-	var sb strings.Builder
-	if err := logdata.Write(&sb, l); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := logdata.Parse(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.SDCCount() != res.Tally.SDC {
-		t.Fatalf("log SDC count %d != %d", parsed.SDCCount(), res.Tally.SDC)
-	}
-	if parsed.CrashHangCount() != res.Tally.Crash+res.Tally.Hang {
-		t.Fatal("log DUE count mismatch")
-	}
-	// Re-derive reports from the log: same mismatch totals.
-	reps := parsed.Reports()
-	total := 0
-	for _, r := range reps {
-		total += r.Count()
-	}
-	want := 0
-	for _, r := range res.Reports {
-		want += r.Count()
-	}
-	if total != want {
-		t.Fatalf("log mismatches %d != campaign %d", total, want)
 	}
 }
 
@@ -291,7 +257,7 @@ func TestResourceAttributionConsistent(t *testing.T) {
 }
 
 func TestOutcomeClassesStable(t *testing.T) {
-	// Guard the fault class values used by ToLog/logdata.
+	// Guard the fault class values logdata events carry.
 	if fault.Masked != 0 || fault.SDC != 1 || fault.Crash != 2 || fault.Hang != 3 {
 		t.Fatal("outcome class values changed; update logdata consumers")
 	}

@@ -168,9 +168,26 @@ func normalisedLog(t *testing.T, cut int, raw string) string {
 	if err != nil {
 		t.Fatalf("cut %d: log unparseable: %v", cut, err)
 	}
+	return canonicalLog(t, l)
+}
+
+// canonicalLog re-serialises l's header, masked count and events through
+// a StreamWriter with no #CHK or #EPOCH records.
+func canonicalLog(t *testing.T, l *logdata.Log) string {
+	t.Helper()
 	var b bytes.Buffer
-	if err := logdata.Write(&b, l); err != nil {
-		t.Fatalf("cut %d: log unwritable: %v", cut, err)
+	sw, err := logdata.NewStreamWriter(&b, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.AddMasked(l.Masked)
+	for _, ev := range l.Events {
+		if err := sw.WriteEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
 	}
 	return b.String()
 }

@@ -36,13 +36,13 @@ func fuzzSampleLog() *Log {
 }
 
 // FuzzLogRoundTrip feeds arbitrary bytes to Parse; whatever it accepts
-// must survive a Write→Parse round trip with identical semantics, and
-// Write must be canonical (a second round trip reproduces the same
-// bytes). This pins the format against parser/serialiser drift — the
+// must survive a StreamWriter→Parse round trip with identical semantics,
+// and the StreamWriter must be canonical (a second round trip reproduces
+// the same bytes). This pins the format against parser/serialiser drift — the
 // public-log re-analysis path depends on it.
 func FuzzLogRoundTrip(f *testing.F) {
 	var sb strings.Builder
-	if err := Write(&sb, fuzzSampleLog()); err != nil {
+	if err := writeLog(&sb, fuzzSampleLog()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add([]byte(sb.String()))
@@ -56,8 +56,8 @@ func FuzzLogRoundTrip(f *testing.F) {
 			return // rejected input: nothing to round-trip
 		}
 		var first strings.Builder
-		if err := Write(&first, l); err != nil {
-			t.Fatalf("Write failed on parsed log: %v", err)
+		if err := writeLog(&first, l); err != nil {
+			t.Fatalf("StreamWriter failed on parsed log: %v", err)
 		}
 		l2, err := Parse(strings.NewReader(first.String()))
 		if err != nil {
@@ -67,11 +67,11 @@ func FuzzLogRoundTrip(f *testing.F) {
 			t.Fatalf("round trip changed the log\nbefore: %+v\nafter:  %+v", l, l2)
 		}
 		var second strings.Builder
-		if err := Write(&second, l2); err != nil {
+		if err := writeLog(&second, l2); err != nil {
 			t.Fatal(err)
 		}
 		if first.String() != second.String() {
-			t.Fatalf("Write is not canonical:\n%s\nvs\n%s", first.String(), second.String())
+			t.Fatalf("StreamWriter is not canonical:\n%s\nvs\n%s", first.String(), second.String())
 		}
 	})
 }
@@ -137,11 +137,100 @@ func FuzzParseResume(f *testing.F) {
 			t.Fatalf("salvaged log masked %d != resume masked %d", res.Log.Masked, res.Masked)
 		}
 		var out strings.Builder
-		if err := Write(&out, res.Log); err != nil {
+		if err := writeLog(&out, res.Log); err != nil {
 			t.Fatalf("salvaged log not serialisable: %v", err)
 		}
 		if _, err := Parse(strings.NewReader(out.String())); err != nil {
 			t.Fatalf("salvaged log not re-parseable: %v", err)
 		}
 	})
+}
+
+// FuzzDecoderMatchesOracle pins Parse and ParseResume, both built on the
+// shared decoder, to the two parsers it replaced (decoder_oracle_test.go):
+// for any input each must fail exactly when its oracle fails and
+// otherwise return an equal Log and Resume, floats compared by bit
+// pattern so NaN reads compare equal.
+func FuzzDecoderMatchesOracle(f *testing.F) {
+	var sb strings.Builder
+	meta := fuzzSampleLog()
+	sw, err := NewStreamWriter(&sb, meta)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sw.AddMasked(3)
+	sw.WriteEvent(meta.Events[0])
+	sw.Checkpoint(10)
+	sw.WriteEpoch(EpochMark{Epoch: 1, Alloc: 20, Consumed: 10, SDC: 1, HalfWidth: 0x1.8p-03})
+	sw.WriteEvent(meta.Events[1])
+	sw.WriteEvent(meta.Events[2])
+	sw.Checkpoint(30)
+	sw.WriteEpoch(EpochMark{Epoch: 2, Alloc: 40, Consumed: 30, SDC: 1, HalfWidth: 0x1p-03, Stopped: true})
+	sw.Close()
+	full := sb.String()
+	for _, cut := range []int{len(full), len(full) - 3, 2 * len(full) / 3, len(full) / 2, len(full) / 4} {
+		f.Add([]byte(full[:cut]))
+	}
+	const head = "#HEADER device:K40 kernel:D input:- facility:- seed:1 dims:2,2,1\n"
+	const sdc = "#SDC exec:1 resource:- scope:- count:1\n"
+	const errLine = "#ERR x:0 y:0 z:0 read:0x1p+0 expected:0x1.8p+0\n"
+	for _, seed := range []string{
+		// A malformed #BEGIN: strict fails, salvage reads past it.
+		head + "#BEGIN executions:x beam_hours:zz\n" + sdc + errLine + "#CHK next:4 masked:3 sdc:1 due:0\n",
+		// #HEADER and #BEGIN between an #SDC and its #ERR.
+		sdc + head + "#BEGIN executions:9 beam_hours:0x1p+0\n" + errLine + "#END sdc:1 due:0 masked:0\n",
+		// #ERR after #END.
+		head + sdc + "#END sdc:1 due:0 masked:2\n" + errLine,
+		// #ERR outside #SDC after a #CHK.
+		head + sdc + "#CHK next:2 masked:1 sdc:1 due:0\n" + errLine,
+		// Count records disagreeing with the body.
+		head + sdc + "#CHK next:2 masked:1 sdc:2 due:0\n",
+		head + sdc + "#EPOCH epoch:1 alloc:4 consumed:2 sdc:0 hw:0x1p-02 stopped:0\n",
+		head + "#CRASH exec:1 resource:bus\n#END sdc:0 due:2 masked:0\n",
+	} {
+		f.Add([]byte(seed))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Parse(bytes.NewReader(data))
+		want, werr := oracleParse(bytes.NewReader(data))
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("Parse error %v, oracle error %v", err, werr)
+		}
+		if err == nil && !sameParsed(got, want) {
+			t.Fatalf("Parse diverges from oracle\ngot:  %+v\nwant: %+v", got, want)
+		}
+
+		res, err := ParseResume(bytes.NewReader(data))
+		wres, werr := oracleParseResume(bytes.NewReader(data))
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("ParseResume error %v, oracle error %v", err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if res.Next != wres.Next || res.Masked != wres.Masked || res.Complete != wres.Complete ||
+			!sameParsed(res.Log, wres.Log) {
+			t.Fatalf("ParseResume diverges from oracle\ngot:  %+v %+v\nwant: %+v %+v", res, res.Log, wres, wres.Log)
+		}
+	})
+}
+
+// sameParsed is sameLog plus the #EPOCH records, half-widths compared by
+// bit pattern.
+func sameParsed(a, b *Log) bool {
+	if !sameLog(a, b) || len(a.Epochs) != len(b.Epochs) {
+		return false
+	}
+	for i, ea := range a.Epochs {
+		eb := b.Epochs[i]
+		if math.Float64bits(ea.HalfWidth) != math.Float64bits(eb.HalfWidth) {
+			return false
+		}
+		ea.HalfWidth, eb.HalfWidth = 0, 0
+		if ea != eb {
+			return false
+		}
+	}
+	return true
 }

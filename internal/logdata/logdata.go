@@ -8,6 +8,7 @@ package logdata
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -73,8 +74,8 @@ type Log struct {
 	Masked int
 	Events []Event
 	// Epochs holds the #EPOCH budget records of an adaptive campaign, in
-	// file order. Write ignores it (epoch records are positional and only
-	// the StreamWriter knows the positions); parsers populate it.
+	// file order. Parsers populate it; a StreamWriter writes each record
+	// at its position through WriteEpoch.
 	Epochs []EpochMark
 }
 
@@ -117,19 +118,6 @@ func (l *Log) Reports() []*metrics.Report {
 	return reps
 }
 
-// Write serialises the log. Float values use Go hex-float formatting for
-// bit-exact round trips.
-func Write(w io.Writer, l *Log) error {
-	bw := bufio.NewWriter(w)
-	writeHeader(bw, l)
-	var line []byte
-	for _, e := range l.Events {
-		line = writeEvent(bw, line, e)
-	}
-	fmt.Fprintf(bw, "#END sdc:%d due:%d masked:%d\n", l.SDCCount(), l.CrashHangCount(), l.Masked)
-	return bw.Flush()
-}
-
 // writeHeader emits the #HEADER and #BEGIN lines of the format.
 func writeHeader(bw *bufio.Writer, l *Log) {
 	fmt.Fprintf(bw, "#HEADER device:%s kernel:%s input:%s facility:%s seed:%d dims:%d,%d,%d\n",
@@ -139,7 +127,7 @@ func writeHeader(bw *bufio.Writer, l *Log) {
 		l.Executions, strconv.FormatFloat(l.BeamHours, 'x', -1, 64))
 }
 
-// writeEvent emits one event's lines (shared by Write and StreamWriter).
+// writeEvent emits one event's lines.
 // Each line is built in line, a scratch buffer the caller keeps across
 // events; the grown buffer is returned for reuse. This runs once per
 // corrupted element of every SDC, so it appends with strconv instead of
@@ -261,12 +249,13 @@ func unfield(s string) string {
 	return s
 }
 
-// Parse reads a log written by Write.
+// Parse reads a complete campaign log strictly: the first malformed or
+// inconsistent line is an error naming its line number. ParseResume is the
+// salvaging reader of the same grammar.
 func Parse(r io.Reader) (*Log, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	l := &Log{}
-	var cur *Event
+	d := decoder{l: &Log{}, strict: true}
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -274,91 +263,131 @@ func Parse(r io.Reader) (*Log, error) {
 		if line == "" {
 			continue
 		}
-		tag, kv, err := splitLine(line)
-		if err != nil {
+		if err := d.decode(line); err != nil {
 			return nil, fmt.Errorf("logdata: line %d: %v", lineNo, err)
-		}
-		switch tag {
-		case "#HEADER":
-			l.Device = unfield(kv["device"])
-			l.Kernel = unfield(kv["kernel"])
-			l.Input = unfield(kv["input"])
-			l.Facility = unfield(kv["facility"])
-			l.Seed, err = strconv.ParseUint(kv["seed"], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("logdata: line %d: bad seed: %v", lineNo, err)
-			}
-			if l.OutputDims, err = parseDims(kv["dims"]); err != nil {
-				return nil, fmt.Errorf("logdata: line %d: %v", lineNo, err)
-			}
-		case "#BEGIN":
-			if l.Executions, err = strconv.Atoi(kv["executions"]); err != nil {
-				return nil, fmt.Errorf("logdata: line %d: bad executions: %v", lineNo, err)
-			}
-			if l.BeamHours, err = strconv.ParseFloat(kv["beam_hours"], 64); err != nil {
-				return nil, fmt.Errorf("logdata: line %d: bad beam_hours: %v", lineNo, err)
-			}
-		case "#SDC":
-			l.Events = append(l.Events, Event{Class: fault.SDC,
-				Exec: atoi(kv["exec"]), Resource: unfield(kv["resource"]), Scope: unfield(kv["scope"])})
-			cur = &l.Events[len(l.Events)-1]
-		case "#ERR":
-			if cur == nil || cur.Class != fault.SDC {
-				return nil, fmt.Errorf("logdata: line %d: #ERR outside #SDC", lineNo)
-			}
-			read, err1 := strconv.ParseFloat(kv["read"], 64)
-			exp, err2 := strconv.ParseFloat(kv["expected"], 64)
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("logdata: line %d: bad float", lineNo)
-			}
-			cur.Mismatches = append(cur.Mismatches, metrics.Mismatch{
-				Coord:     grid.Coord{X: atoi(kv["x"]), Y: atoi(kv["y"]), Z: atoi(kv["z"])},
-				Read:      read,
-				Expected:  exp,
-				RelErrPct: metrics.RelativeErrorPct(read, exp),
-			})
-		case "#CRASH":
-			l.Events = append(l.Events, Event{Class: fault.Crash,
-				Exec: atoi(kv["exec"]), Resource: unfield(kv["resource"])})
-			cur = nil
-		case "#HANG":
-			l.Events = append(l.Events, Event{Class: fault.Hang,
-				Exec: atoi(kv["exec"]), Resource: unfield(kv["resource"])})
-			cur = nil
-		case "#CHK":
-			// Streamed checkpoint record: its cumulative SDC/DUE counts must
-			// agree with the events seen so far (the masked count has no
-			// event trail to check against).
-			if atoi(kv["sdc"]) != l.SDCCount() || atoi(kv["due"]) != l.CrashHangCount() {
-				return nil, fmt.Errorf("logdata: line %d: checkpoint counts disagree with body", lineNo)
-			}
-			cur = nil
-		case "#EPOCH":
-			// Adaptive budget record: like #CHK, its cumulative SDC count
-			// must agree with the events seen so far.
-			m, err := parseEpoch(kv)
-			if err != nil {
-				return nil, fmt.Errorf("logdata: line %d: %v", lineNo, err)
-			}
-			if m.SDC != l.SDCCount() {
-				return nil, fmt.Errorf("logdata: line %d: epoch counts disagree with body", lineNo)
-			}
-			l.Epochs = append(l.Epochs, m)
-			cur = nil
-		case "#END":
-			// Consistency check against the trailer counts.
-			if atoi(kv["sdc"]) != l.SDCCount() || atoi(kv["due"]) != l.CrashHangCount() {
-				return nil, fmt.Errorf("logdata: trailer counts disagree with body")
-			}
-			l.Masked = atoi(kv["masked"])
-		default:
-			return nil, fmt.Errorf("logdata: line %d: unknown tag %q", lineNo, tag)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("logdata: %v", err)
 	}
-	return l, nil
+	return d.l, nil
+}
+
+// decoder is the one reader of the log grammar, shared by Parse and
+// ParseResume. It folds lines into l, checks every #CHK, #EPOCH and #END
+// record's counts against the events before it, and tracks the salvage
+// point: the last count-consistent #CHK or #END. A decode error is either
+// a hardError, which no reader survives, or damage, at which ParseResume
+// stops and keeps the prefix up to the salvage point.
+type decoder struct {
+	l *Log
+	// strict rejects a malformed #BEGIN; salvage reads past it, keeping
+	// whatever the fields parsed to.
+	strict bool
+
+	cur      *Event // the #SDC that #ERR lines extend, if any
+	sdc, due int
+
+	// The salvage point.
+	next, masked int
+	mark         int // events covered
+	complete     bool
+}
+
+// hardError is a decode failure no reader survives: an unreadable header
+// or an #ERR line with no #SDC to attach to.
+type hardError struct{ error }
+
+// decode folds one non-empty, trimmed line into the log.
+func (d *decoder) decode(line string) error {
+	tag, kv, err := splitLine(line)
+	if err != nil {
+		return err
+	}
+	l := d.l
+	switch tag {
+	case "#HEADER":
+		l.Device = unfield(kv["device"])
+		l.Kernel = unfield(kv["kernel"])
+		l.Input = unfield(kv["input"])
+		l.Facility = unfield(kv["facility"])
+		if l.Seed, err = strconv.ParseUint(kv["seed"], 10, 64); err != nil {
+			return hardError{fmt.Errorf("bad seed: %v", err)}
+		}
+		if l.OutputDims, err = parseDims(kv["dims"]); err != nil {
+			return hardError{err}
+		}
+	case "#BEGIN":
+		var errE, errH error
+		l.Executions, errE = strconv.Atoi(kv["executions"])
+		l.BeamHours, errH = strconv.ParseFloat(kv["beam_hours"], 64)
+		if err := errors.Join(errE, errH); err != nil && d.strict {
+			return fmt.Errorf("bad #BEGIN: %v", err)
+		}
+	case "#SDC":
+		l.Events = append(l.Events, Event{Class: fault.SDC,
+			Exec: atoi(kv["exec"]), Resource: unfield(kv["resource"]), Scope: unfield(kv["scope"])})
+		d.cur = &l.Events[len(l.Events)-1]
+		d.sdc++
+	case "#ERR":
+		if d.cur == nil {
+			return hardError{fmt.Errorf("#ERR outside #SDC")}
+		}
+		read, err1 := strconv.ParseFloat(kv["read"], 64)
+		exp, err2 := strconv.ParseFloat(kv["expected"], 64)
+		if err1 != nil || err2 != nil {
+			return fmt.Errorf("bad float")
+		}
+		d.cur.Mismatches = append(d.cur.Mismatches, metrics.Mismatch{
+			Coord:     grid.Coord{X: atoi(kv["x"]), Y: atoi(kv["y"]), Z: atoi(kv["z"])},
+			Read:      read,
+			Expected:  exp,
+			RelErrPct: metrics.RelativeErrorPct(read, exp),
+		})
+	case "#CRASH", "#HANG":
+		class := fault.Crash
+		if tag == "#HANG" {
+			class = fault.Hang
+		}
+		l.Events = append(l.Events, Event{Class: class, Exec: atoi(kv["exec"]), Resource: unfield(kv["resource"])})
+		d.cur = nil
+		d.due++
+	case "#CHK":
+		// The masked count has no event trail to check against.
+		if err := d.checkCounts(kv, "checkpoint"); err != nil {
+			return err
+		}
+		d.next, d.masked, d.mark = atoi(kv["next"]), atoi(kv["masked"]), len(l.Events)
+		d.cur = nil
+	case "#EPOCH":
+		m, err := parseEpoch(kv)
+		if err != nil {
+			return err
+		}
+		if m.SDC != d.sdc {
+			return fmt.Errorf("epoch counts disagree with body")
+		}
+		l.Epochs = append(l.Epochs, m)
+		d.cur = nil
+	case "#END":
+		if err := d.checkCounts(kv, "trailer"); err != nil {
+			return err
+		}
+		l.Masked = atoi(kv["masked"])
+		d.masked, d.mark, d.complete = l.Masked, len(l.Events), true
+	default:
+		return fmt.Errorf("unknown tag %q", tag)
+	}
+	return nil
+}
+
+// checkCounts rejects a #CHK or #END record whose cumulative SDC and DUE
+// counts disagree with the events decoded so far.
+func (d *decoder) checkCounts(kv map[string]string, record string) error {
+	if atoi(kv["sdc"]) != d.sdc || atoi(kv["due"]) != d.due {
+		return fmt.Errorf("%s counts disagree with body", record)
+	}
+	return nil
 }
 
 func splitLine(line string) (tag string, kv map[string]string, err error) {

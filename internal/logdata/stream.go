@@ -5,12 +5,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"radcrit/internal/fault"
-	"radcrit/internal/grid"
-	"radcrit/internal/metrics"
 )
 
 // StreamWriter emits a campaign log incrementally, event by event, so a
@@ -134,12 +131,14 @@ type Resume struct {
 // scanning (a tear can otherwise still parse — "masked:20" truncated to
 // "masked:2" is valid syntax with the wrong value); scanning additionally
 // stops at the first malformed or inconsistent line, and everything after
-// the last complete #CHK record is dropped. The returned Resume pinpoints
-// where the campaign must restart; per-index strike derivation guarantees
-// the re-run tail is bit-identical to what the lost one would have been.
+// the last complete #CHK record is dropped. Only an unreadable #HEADER
+// and an #ERR line outside any #SDC are errors. The returned Resume
+// pinpoints where the campaign must restart; per-index strike derivation
+// guarantees the re-run tail is bit-identical to what the lost one would
+// have been.
 func ParseResume(r io.Reader) (Resume, error) {
-	l := &Log{}
-	res := Resume{Log: l}
+	d := decoder{l: &Log{}}
+	res := Resume{Log: d.l}
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return res, fmt.Errorf("logdata: %v", err)
@@ -155,103 +154,25 @@ func ParseResume(r io.Reader) (Resume, error) {
 	// No line is longer than the data, so a short log — an empty one is a
 	// fresh run's — never needs the full initial buffer.
 	sc.Buffer(make([]byte, 0, min(len(data), 1<<20)), 1<<24)
-	var cur *Event
-	sdc, due := 0, 0
-	mark := 0 // events covered by the last complete checkpoint
-scan:
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
 		}
-		tag, kv, err := splitLine(line)
-		if err != nil {
-			break // corrupt tail: trust only up to the last #CHK
+		err := d.decode(line)
+		if _, hard := err.(hardError); hard {
+			return res, fmt.Errorf("logdata: %v", err)
 		}
-		switch tag {
-		case "#HEADER":
-			l.Device = unfield(kv["device"])
-			l.Kernel = unfield(kv["kernel"])
-			l.Input = unfield(kv["input"])
-			l.Facility = unfield(kv["facility"])
-			if l.Seed, err = strconv.ParseUint(kv["seed"], 10, 64); err != nil {
-				return res, fmt.Errorf("logdata: bad seed: %v", err)
-			}
-			if l.OutputDims, err = parseDims(kv["dims"]); err != nil {
-				return res, fmt.Errorf("logdata: %v", err)
-			}
-		case "#BEGIN":
-			l.Executions = atoi(kv["executions"])
-			l.BeamHours, _ = strconv.ParseFloat(kv["beam_hours"], 64)
-		case "#SDC":
-			l.Events = append(l.Events, Event{Class: fault.SDC,
-				Exec: atoi(kv["exec"]), Resource: unfield(kv["resource"]), Scope: unfield(kv["scope"])})
-			cur = &l.Events[len(l.Events)-1]
-			sdc++
-		case "#ERR":
-			if cur == nil || cur.Class != fault.SDC {
-				return res, fmt.Errorf("logdata: #ERR outside #SDC")
-			}
-			read, err1 := strconv.ParseFloat(kv["read"], 64)
-			exp, err2 := strconv.ParseFloat(kv["expected"], 64)
-			if err1 != nil || err2 != nil {
-				break scan // truncated float: drop the unflushed tail
-			}
-			cur.Mismatches = append(cur.Mismatches, metrics.Mismatch{
-				Coord:     grid.Coord{X: atoi(kv["x"]), Y: atoi(kv["y"]), Z: atoi(kv["z"])},
-				Read:      read,
-				Expected:  exp,
-				RelErrPct: metrics.RelativeErrorPct(read, exp),
-			})
-		case "#CRASH":
-			l.Events = append(l.Events, Event{Class: fault.Crash,
-				Exec: atoi(kv["exec"]), Resource: unfield(kv["resource"])})
-			cur = nil
-			due++
-		case "#HANG":
-			l.Events = append(l.Events, Event{Class: fault.Hang,
-				Exec: atoi(kv["exec"]), Resource: unfield(kv["resource"])})
-			cur = nil
-			due++
-		case "#CHK":
-			// Only trust a checkpoint whose counts agree with the events
-			// actually present: a mismatch means this line (or the body
-			// before it) is damaged, so salvage falls back to the previous
-			// checkpoint rather than failing recovery outright.
-			if atoi(kv["sdc"]) != sdc || atoi(kv["due"]) != due {
-				break scan
-			}
-			res.Next = atoi(kv["next"])
-			res.Masked = atoi(kv["masked"])
-			mark = len(l.Events)
-			cur = nil
-		case "#EPOCH":
-			// Adaptive budget record: trusted only when its cumulative SDC
-			// count matches the events actually present, like #CHK.
-			m, err := parseEpoch(kv)
-			if err != nil || m.SDC != sdc {
-				break scan
-			}
-			l.Epochs = append(l.Epochs, m)
-			cur = nil
-		case "#END":
-			// Same defence for the trailer: only a count-consistent #END
-			// proves the campaign completed.
-			if atoi(kv["sdc"]) != sdc || atoi(kv["due"]) != due {
-				break scan
-			}
-			res.Complete = true
-			res.Masked = atoi(kv["masked"])
-			mark = len(l.Events)
-			break scan
-		default:
-			break scan // unknown tag: treat as a corrupt tail
+		if err != nil || d.complete {
+			break // damage, or the trailer: trust only up to the salvage point
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return res, fmt.Errorf("logdata: %v", err)
 	}
-	l.Events = l.Events[:mark]
+	l := d.l
+	res.Next, res.Masked, res.Complete = d.next, d.masked, d.complete
+	l.Events = l.Events[:d.mark]
 	l.Masked = res.Masked
 	if !res.Complete {
 		// Epoch records past the salvage point annotate work that is

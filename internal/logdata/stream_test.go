@@ -7,34 +7,6 @@ import (
 	"radcrit/internal/fault"
 )
 
-// TestStreamWriterMatchesBatchWrite pins the two serialisation paths to
-// one format: streaming a log's events produces byte-identical output to
-// Write, modulo the checkpoint records only the streamer emits.
-func TestStreamWriterMatchesBatchWrite(t *testing.T) {
-	l := fuzzSampleLog()
-	var batch strings.Builder
-	if err := Write(&batch, l); err != nil {
-		t.Fatal(err)
-	}
-	var streamed strings.Builder
-	sw, err := NewStreamWriter(&streamed, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw.AddMasked(l.Masked)
-	for _, ev := range l.Events {
-		if err := sw.WriteEvent(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if streamed.String() != batch.String() {
-		t.Fatalf("stream and batch serialisations diverge:\n%s\nvs\n%s", streamed.String(), batch.String())
-	}
-}
-
 func TestStreamWriterRejectsMaskedEvents(t *testing.T) {
 	var sb strings.Builder
 	sw, err := NewStreamWriter(&sb, fuzzSampleLog())

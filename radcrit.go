@@ -24,8 +24,11 @@
 //	}
 //
 // When the per-execution reports themselves are wanted (Analyze,
-// AdviseHardening, WriteLog), run each cell of plan.Build() through
-// RunCampaign, which returns a report-retaining Result.
+// AdviseHardening, RenderScatter), run each cell of plan.Build() through
+// RunCampaign, which returns a report-retaining Result. The public
+// campaign log is always the streamed checkpoint log: attach
+// NewCampaignLogWriter to RunCampaignStreaming, or set an
+// AdaptiveRunner's Logs hook.
 //
 // Plans serialise to JSON (LoadPlan/SavePlan), so the same campaign is a
 // shareable artifact, a CLI argument (-plan plan.json on every cmd/
@@ -197,8 +200,9 @@ func NewStreamRunner() *campaign.StreamRunner { return &campaign.StreamRunner{} 
 // Runner: cells of a plan carrying an AdaptiveSpec stop as soon as their
 // confidence target is met, freed strikes are re-dealt to the cells with
 // the widest intervals, and every summary stays byte-identical to a
-// straight run with the same consumed strike count. Plans without a spec
-// delegate to the streaming engine unchanged.
+// straight run with the same consumed strike count. A plan without a spec
+// runs each cell once at the plan's budget, with StreamRunner's outcomes.
+// Either way, its Logs hook receives each cell's checkpoint log.
 func NewAdaptiveRunner() *campaign.AdaptiveRunner { return &campaign.AdaptiveRunner{} }
 
 // RegisterDevice registers a device factory under name, making it
@@ -312,12 +316,9 @@ func AnalyzeLog(l *Log, opts AnalysisOptions) *Criticality {
 // (2% threshold, no display cap).
 func DefaultAnalysisOptions() AnalysisOptions { return core.DefaultOptions() }
 
-// WriteLog serialises a campaign result into the public log format.
-func WriteLog(w io.Writer, res *Result, seed uint64) error {
-	return logdata.Write(w, res.ToLog(seed))
-}
-
-// ParseLog reads a log written by WriteLog.
+// ParseLog strictly reads a complete campaign log, as a CheckpointSink
+// (NewCampaignLogWriter) or a Runner's log hook writes it; the first
+// malformed or inconsistent line is an error.
 func ParseLog(r io.Reader) (*Log, error) { return logdata.Parse(r) }
 
 // RenderScatter renders a Figure-2/4/6/8 style plot of a campaign result.

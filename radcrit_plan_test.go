@@ -13,7 +13,8 @@ import (
 // TestPlanFacadeEndToEnd drives the declarative surface exactly as a
 // third-party consumer would: build a plan fluently, serialise it, load
 // it back, and run it on the streaming runner and on the adaptive runner
-// (which delegates a plan without a spec), with progress hooks.
+// (which runs a plan without a spec as one fixed-budget epoch), with
+// progress hooks.
 func TestPlanFacadeEndToEnd(t *testing.T) {
 	plan := radcrit.NewPlan(42, 120).
 		Named("facade-e2e").

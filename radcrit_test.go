@@ -21,17 +21,24 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatal("no SDCs in 200 strikes")
 	}
 
-	// Log round trip.
+	// Log round trip: the streamed checkpoint log of the same cell.
 	var sb strings.Builder
-	if err := WriteLog(&sb, res, 1); err != nil {
+	logw, err := NewCampaignLogWriter(&sb, dev, kern, CampaignConfig(1, 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunCampaignStreaming(dev, kern, CampaignConfig(1, 200), logw); err != nil {
+		t.Fatal(err)
+	}
+	if err := logw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	l, err := ParseLog(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.SDCCount() != res.Tally.SDC {
-		t.Fatal("log SDC count diverged")
+	if l.SDCCount() != res.Tally.SDC || l.Masked != res.Tally.Masked {
+		t.Fatal("log tally diverged")
 	}
 
 	// Analysis paths agree.
