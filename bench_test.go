@@ -7,6 +7,7 @@
 package radcrit
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -16,7 +17,9 @@ import (
 	"radcrit/internal/fault"
 	"radcrit/internal/floatbits"
 	"radcrit/internal/grid"
+	"radcrit/internal/injector"
 	"radcrit/internal/k40"
+	"radcrit/internal/kernels"
 	"radcrit/internal/kernels/dgemm"
 	"radcrit/internal/metrics"
 	"radcrit/internal/phi"
@@ -258,26 +261,44 @@ func BenchmarkAblationScheduler(b *testing.B) {
 func BenchmarkAblationCacheSharing(b *testing.B) {
 	var with, without float64
 	for i := 0; i < b.N; i++ {
-		shared := phi.New()
-		res := campaign.Run(shared, dgemm.New(256), campaign.DefaultConfig(uint64(3000+i), benchStrikes))
-		with += medianElements(res)
+		var shared elementCounts
+		streamCell(b, phi.New(), dgemm.New(256), campaign.DefaultConfig(uint64(3000+i), benchStrikes), &shared)
+		with += medianElements(shared)
 
 		isolated := phi.New()
 		isolated.L2SharingDegree = 1
-		res2 := campaign.Run(isolated, dgemm.New(256), campaign.DefaultConfig(uint64(4000+i), benchStrikes))
-		without += medianElements(res2)
+		var split elementCounts
+		streamCell(b, isolated, dgemm.New(256), campaign.DefaultConfig(uint64(4000+i), benchStrikes), &split)
+		without += medianElements(split)
 	}
 	b.ReportMetric(with/float64(b.N), "median-elems-shared")
 	b.ReportMetric(without/float64(b.N), "median-elems-isolated")
 }
 
-func medianElements(res *campaign.Result) float64 {
-	if len(res.Reports) == 0 {
-		return 0
+// streamCell runs one campaign cell through the streaming engine, failing
+// the benchmark on error.
+func streamCell(b *testing.B, dev arch.Device, kern kernels.Kernel, cfg campaign.Config, sinks ...campaign.Sink) campaign.StreamInfo {
+	b.Helper()
+	info, err := campaign.RunStreamingCtx(context.Background(), dev, kern, cfg, sinks...)
+	if err != nil {
+		b.Fatal(err)
 	}
-	counts := make([]int, 0, len(res.Reports))
-	for _, r := range res.Reports {
-		counts = append(counts, r.Count())
+	return info
+}
+
+// elementCounts collects the unfiltered incorrect-element count of every
+// SDC, in strike order.
+type elementCounts []int
+
+func (e *elementCounts) Consume(_ int, out injector.Outcome) {
+	if out.Class == fault.SDC {
+		*e = append(*e, out.Report.Count())
+	}
+}
+
+func medianElements(counts elementCounts) float64 {
+	if len(counts) == 0 {
+		return 0
 	}
 	// insertion sort: tiny slices
 	for i := 1; i < len(counts); i++ {
@@ -293,15 +314,16 @@ func medianElements(res *campaign.Result) float64 {
 func BenchmarkAblationECC(b *testing.B) {
 	var with, without float64
 	for i := 0; i < b.N; i++ {
-		on := k40.New()
-		res := campaign.Run(on, dgemm.New(256), campaign.DefaultConfig(uint64(5000+i), benchStrikes))
-		with += float64(res.Tally.SDC)
+		on := campaign.NewTallyReducer()
+		streamCell(b, k40.New(), dgemm.New(256), campaign.DefaultConfig(uint64(5000+i), benchStrikes), on)
+		with += float64(on.Tally.SDC)
 
-		off := k40.New()
-		off.ECCRegisterFile = false
-		off.ECCSharedMemory = false
-		res2 := campaign.Run(off, dgemm.New(256), campaign.DefaultConfig(uint64(6000+i), benchStrikes))
-		without += float64(res2.Tally.SDC)
+		dev := k40.New()
+		dev.ECCRegisterFile = false
+		dev.ECCSharedMemory = false
+		off := campaign.NewTallyReducer()
+		streamCell(b, dev, dgemm.New(256), campaign.DefaultConfig(uint64(6000+i), benchStrikes), off)
+		without += float64(off.Tally.SDC)
 	}
 	b.ReportMetric(with/float64(b.N), "SDCs-ecc-on")
 	b.ReportMetric(without/float64(b.N), "SDCs-ecc-off")
@@ -313,17 +335,18 @@ func BenchmarkAblationECC(b *testing.B) {
 func BenchmarkAblationBitModel(b *testing.B) {
 	var biased, uniform float64
 	for i := 0; i < b.N; i++ {
-		std := k40.New()
-		res := campaign.Run(std, dgemm.New(256), campaign.DefaultConfig(uint64(7000+i), benchStrikes))
-		biased += res.FilteredFraction(2)
+		std := campaign.NewFilteredFractionReducer(2)
+		streamCell(b, k40.New(), dgemm.New(256), campaign.DefaultConfig(uint64(7000+i), benchStrikes), std)
+		biased += std.Fraction()
 
-		alt := k40.New()
-		alt.DatapathFlip = arch.FlipDist{
+		dev := k40.New()
+		dev.DatapathFlip = arch.FlipDist{
 			Specs:   []fault.FlipSpec{{Field: floatbits.Exponent, Bits: 1}, {Field: floatbits.AnyField, Bits: 1}},
 			Weights: []float64{0.5, 0.5},
 		}
-		res2 := campaign.Run(alt, dgemm.New(256), campaign.DefaultConfig(uint64(8000+i), benchStrikes))
-		uniform += res2.FilteredFraction(2)
+		alt := campaign.NewFilteredFractionReducer(2)
+		streamCell(b, dev, dgemm.New(256), campaign.DefaultConfig(uint64(8000+i), benchStrikes), alt)
+		uniform += alt.Fraction()
 	}
 	b.ReportMetric(100*biased/float64(b.N), "filtered-mantissa-biased-%")
 	b.ReportMetric(100*uniform/float64(b.N), "filtered-high-magnitude-%")
@@ -333,13 +356,15 @@ func BenchmarkAblationBitModel(b *testing.B) {
 // reports the K40 DGEMM SDC FIT at each, quantifying how much apparent
 // reliability the imprecision budget buys (§III).
 func BenchmarkAblationThreshold(b *testing.B) {
+	thresholds := []float64{0.5, 1, 2, 5, 10}
 	var out string
 	for i := 0; i < b.N; i++ {
-		res := campaign.Run(k40.New(), dgemm.New(256), campaign.DefaultConfig(uint64(9000+i), 300))
-		base := res.SDCFIT(0)
+		counts := campaign.NewSDCCountReducer(append([]float64{0}, thresholds...)...)
+		info := streamCell(b, k40.New(), dgemm.New(256), campaign.DefaultConfig(uint64(9000+i), 300), counts)
+		base := counts.FIT(0, info.Exposure)
 		out = ""
-		for _, th := range []float64{0.5, 1, 2, 5, 10} {
-			out += fmt.Sprintf("%.0f%%@%v ", 100*res.SDCFIT(th)/base, th)
+		for k, th := range thresholds {
+			out += fmt.Sprintf("%.0f%%@%v ", 100*counts.FIT(k+1, info.Exposure)/base, th)
 		}
 	}
 	if testing.Verbose() {
@@ -350,9 +375,9 @@ func BenchmarkAblationThreshold(b *testing.B) {
 // --- Campaign engine: serial vs parallel (DESIGN.md §5) ---
 
 // benchCampaignEngine measures whole campaign cells at a fixed worker
-// count. Run memoises nothing, so every iteration pays the full strike
-// loop; the kernel is hoisted so iterations beyond the first run against
-// warm golden-state handles (the engine's steady state).
+// count. The engine memoises nothing, so every iteration pays the full
+// strike loop; the kernel is hoisted so iterations beyond the first run
+// against warm golden-state handles (the engine's steady state).
 func benchCampaignEngine(b *testing.B, workers int) {
 	dev := k40.New()
 	kern := dgemm.New(512)
@@ -360,8 +385,9 @@ func benchCampaignEngine(b *testing.B, workers int) {
 	cfg.Workers = workers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := campaign.Run(dev, kern, cfg)
-		if res.Tally.Count() != cfg.Strikes {
+		tally := campaign.NewTallyReducer()
+		streamCell(b, dev, kern, cfg, tally)
+		if tally.Tally.Count() != cfg.Strikes {
 			b.Fatal("strike count wrong")
 		}
 	}

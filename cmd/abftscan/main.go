@@ -46,10 +46,14 @@ func main() {
 		cli.Fatal("abftscan", "%v", err)
 	}
 	for _, cell := range cells {
-		r := radcrit.RunCampaign(cell.Dev, cell.Kern, plan.Config())
-		cov := abft.EvaluateCoverage(r.Reports)
+		red := radcrit.NewABFTReducer()
+		info, err := radcrit.RunCampaignStreaming(cell.Dev, cell.Kern, plan.Config(), red)
+		if err != nil {
+			cli.Fatal("abftscan", "%v", err)
+		}
+		cov := red.Coverage
 		fmt.Printf("ABFT coverage scan: DGEMM %s on %s, %d strikes, %d SDCs\n",
-			r.Input, r.Device, r.Strikes, len(r.Reports))
+			info.Input, info.Device, info.Strikes, cov.Total)
 		fmt.Printf("  correctable (single/line): %d\n", cov.Correctable)
 		fmt.Printf("  detect-only (square/random): %d\n", cov.DetectOnly)
 		fmt.Printf("  correctable fraction: %.0f%%\n", 100*cov.CorrectableFraction())

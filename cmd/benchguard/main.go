@@ -157,7 +157,7 @@ type multicoreCell struct {
 // BenchmarkCampaignMulticore/<cell>/workers=<n> results.
 func emitMulticoreRecord(got map[string]benchResult) {
 	rec := multicoreRecord{
-		Description: "Whole campaign cells (campaign.Run, which memoises nothing) at worker counts {1, 2, NumCPU}. Results are bit-identical across worker counts (DESIGN.md §5); ns/op is the whole story. Regenerate with: go test -bench=BenchmarkCampaignMulticore -benchtime=1x -run='^$' . | go run ./cmd/benchguard -emit-multicore",
+		Description: "Whole campaign cells (campaign.RunStreamingCtx with a TallyReducer, which memoises nothing) at worker counts {1, 2, NumCPU}. Results are bit-identical across worker counts (DESIGN.md §5); ns/op is the whole story. Regenerate with: go test -bench=BenchmarkCampaignMulticore -benchtime=1x -run='^$' . | go run ./cmd/benchguard -emit-multicore",
 		Cells:       map[string]*multicoreCell{},
 	}
 	rec.Host.Cores = runtime.NumCPU()

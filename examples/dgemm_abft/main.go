@@ -38,10 +38,15 @@ func main() {
 	}
 
 	for _, cell := range cells {
-		r := radcrit.RunCampaign(cell.Dev, cell.Kern, plan.Config())
-		cov := abft.EvaluateCoverage(r.Reports)
+		red := radcrit.NewABFTReducer()
+		info, err := radcrit.RunCampaignStreaming(cell.Dev, cell.Kern, plan.Config(), red)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dgemm_abft: %v\n", err)
+			os.Exit(1)
+		}
+		cov := red.Coverage
 		fmt.Printf("%s: %d SDCs -> %d correctable (single/line), %d detect-only (square/random)\n",
-			r.Device, len(r.Reports), cov.Correctable, cov.DetectOnly)
+			info.Device, cov.Total, cov.Correctable, cov.DetectOnly)
 		fmt.Printf("  ABFT would remove %.0f%% of this device's DGEMM errors\n",
 			100*cov.CorrectableFraction())
 	}

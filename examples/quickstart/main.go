@@ -29,8 +29,8 @@ func main() {
 		WithKernelOnDevices("dgemm:256", "k40", "phi").
 		WithThresholds(0, radcrit.DefaultThresholdPct)
 
-	// The analysis below needs every SDC's report, so each cell runs
-	// through RunCampaign, which returns a report-retaining Result.
+	// Every analysis below is a reducer fed by the cell's outcome stream:
+	// each cell runs once, and no SDC report outlives its strike.
 	cells, err := plan.Build()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "quickstart: %v\n", err)
@@ -38,27 +38,39 @@ func main() {
 	}
 
 	profiles := map[string]*radcrit.Criticality{}
-	var results []*radcrit.Result
-	for _, cell := range cells {
-		r := radcrit.RunCampaign(cell.Dev, cell.Kern, plan.Config())
-		results = append(results, r)
-		fmt.Printf("%s: %d strikes -> %d masked, %d SDC, %d crash, %d hang (SDC:DUE %.2f)\n",
-			r.Device, r.Strikes,
-			r.Tally.Masked, r.Tally.SDC, r.Tally.Crash, r.Tally.Hang,
-			r.Tally.SDCToDUERatio())
-
+	var advice radcrit.HardeningAdvice
+	for i, cell := range cells {
 		// The paper's DGEMM figures cap per-element relative errors at
 		// 100% for readability (Fig. 2); do the same here.
 		opts := radcrit.DefaultAnalysisOptions()
 		opts.CapPct = 100
-		crit := radcrit.Analyze(r.Reports, opts)
-		fmt.Print(crit)
+		tally := radcrit.NewTallyReducer()
+		crit := radcrit.NewCriticalityReducer(opts)
+		all := radcrit.NewLocalityReducer(0)
+		filtered := radcrit.NewLocalityReducer(radcrit.DefaultThresholdPct)
+		cleared := radcrit.NewFilteredFractionReducer(radcrit.DefaultThresholdPct)
+		hard := radcrit.NewHardeningReducer(radcrit.DefaultThresholdPct)
+		info, err := radcrit.RunCampaignStreaming(cell.Dev, cell.Kern, plan.Config(),
+			tally, crit, all, filtered, cleared, hard)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "quickstart: %v\n", err)
+			os.Exit(1)
+		}
+		if i == 0 {
+			advice = radcrit.AdviseHardening(info, hard)
+		}
+		t := tally.Tally
+		fmt.Printf("%s: %d strikes -> %d masked, %d SDC, %d crash, %d hang (SDC:DUE %.2f)\n",
+			info.Device, info.Strikes, t.Masked, t.SDC, t.Crash, t.Hang, t.SDCToDUERatio())
+
+		profile := crit.Criticality()
+		fmt.Print(profile)
 		fmt.Println()
 
-		profiles[r.Device] = crit
+		profiles[info.Device] = profile
 
 		// Render the Figure-3-style locality breakdown for this device.
-		radcrit.RenderLocality(os.Stdout, r, radcrit.DefaultThresholdPct)
+		radcrit.RenderLocality(os.Stdout, info, all, filtered, cleared)
 		fmt.Println()
 	}
 
@@ -67,7 +79,6 @@ func main() {
 	fmt.Println()
 
 	// The paper's proposed follow-up (§VI): find the resources behind the
-	// critical errors and harden only those, from the K40 cell's retained
-	// reports.
-	fmt.Print(radcrit.AdviseHardening(results[0], radcrit.DefaultThresholdPct))
+	// critical errors and harden only those, from the K40 cell's stream.
+	fmt.Print(advice)
 }

@@ -179,16 +179,6 @@ func (c *Coverage) Add(r *metrics.Report) {
 	}
 }
 
-// EvaluateCoverage classifies each report's locality against ABFT's
-// correction capability.
-func EvaluateCoverage(reports []*metrics.Report) Coverage {
-	var cov Coverage
-	for _, r := range reports {
-		cov.Add(r)
-	}
-	return cov
-}
-
 // CorrectableFraction returns the fraction of error-bearing reports ABFT
 // repairs.
 func (c Coverage) CorrectableFraction() float64 {

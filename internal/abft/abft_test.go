@@ -151,7 +151,10 @@ func TestEvaluateCoverage(t *testing.T) {
 		makeReport([]grid.Coord{{X: 1, Y: 1}, {X: 2, Y: 1}, {X: 1, Y: 2}, {X: 2, Y: 2}}), // square
 		makeReport(nil), // clean
 	}
-	cov := EvaluateCoverage(reports)
+	var cov Coverage
+	for _, r := range reports {
+		cov.Add(r)
+	}
 	if cov.Total != 4 || cov.Correctable != 2 || cov.DetectOnly != 1 || cov.CleanOrNoSDC != 1 {
 		t.Fatalf("coverage wrong: %+v", cov)
 	}

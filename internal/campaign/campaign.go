@@ -12,11 +12,7 @@ import (
 
 	"radcrit/internal/arch"
 	"radcrit/internal/beam"
-	"radcrit/internal/fault"
-	"radcrit/internal/fit"
-	"radcrit/internal/injector"
 	"radcrit/internal/kernels"
-	"radcrit/internal/metrics"
 )
 
 // CellError is the typed failure of one experiment cell: it carries the
@@ -67,7 +63,7 @@ type Config struct {
 	// Workers sizes the strike worker pool (0 = GOMAXPROCS). Every strike
 	// derives its randomness from an independent per-index RNG split and
 	// outcomes are merged in index order, so Workers affects wall time
-	// only — Results are bit-identical for any value. It is therefore
+	// only — the outcome stream is bit-identical for any value. It is therefore
 	// deliberately excluded from CellKey.
 	Workers int
 	// StreamChunk sizes the streaming engine's execution window
@@ -84,8 +80,9 @@ type Config struct {
 	// Adaptive, when non-nil, enables sequential early stopping: the
 	// streaming engine evaluates Adaptive's stop rule at every chunk
 	// boundary and ends the cell once its SDC-proportion confidence
-	// interval is tight enough (DESIGN.md §11). Run ignores it entirely:
-	// a retained Result always covers the full budget.
+	// interval is tight enough (DESIGN.md §11). Only the Runners act on
+	// it: RunStreamingCtx and RunStreamingFromCtx always run the full
+	// budget.
 	Adaptive *AdaptiveSpec
 }
 
@@ -99,120 +96,8 @@ func DefaultConfig(seed uint64, strikes int) Config {
 	}
 }
 
-// Result is one experiment cell's aggregated outcome.
-type Result struct {
-	Device  string
-	Kernel  string
-	Input   string
-	Profile arch.Profile
-
-	Strikes int
-	Tally   injector.Tally
-	Reports []*metrics.Report // one per SDC execution
-	// ReportResource[i] is the struck resource behind Reports[i],
-	// enabling the selective-hardening analysis the paper proposes as
-	// future work (§VI).
-	ReportResource []fault.Resource
-	// ResourceTally is the per-resource outcome accounting.
-	ResourceTally map[fault.Resource]injector.Tally
-	Exposure      beam.Exposure
-}
-
-// Run simulates cfg.Strikes strikes of kern on dev and returns the cell's
-// Result with every SDC report retained. It is one RunStreamingCtx pass
-// with the resultSink stack, so the Result is bit-identical to a serial
-// execution for a given seed whatever the Workers and StreamChunk
-// settings (pinned by parallel_test.go and the golden/property suites).
-// Nothing is memoised: every call pays the full strike loop.
-//
-// Run cannot be cancelled and panics on an invalid cell. Plan-driven
-// callers use a Runner (or RunPlanCell), which returns a typed *CellError
-// instead.
-func Run(dev arch.Device, kern kernels.Kernel, cfg Config) *Result {
-	sink := newResultSink()
-	info, err := RunStreamingCtx(context.Background(), dev, kern, cfg, sink)
-	if err != nil {
-		panic(err.Error())
-	}
-	return sink.result(info)
-}
-
-// SDCFIT returns the SDC failure rate in FIT, optionally applying the
-// relative-error filter first (executions whose mismatches are all below
-// the threshold are no longer errors, §III).
-func (r *Result) SDCFIT(thresholdPct float64) float64 {
-	count := 0
-	for _, rep := range r.Reports {
-		if thresholdPct <= 0 || rep.Filter(thresholdPct).IsSDC() {
-			count++
-		}
-	}
-	return fit.FITFromCampaign(count, r.Exposure)
-}
-
-// DUEFIT returns the crash+hang (detectable-unrecoverable) rate in FIT.
-func (r *Result) DUEFIT() float64 {
-	return fit.FITFromCampaign(r.Tally.Crash+r.Tally.Hang, r.Exposure)
-}
-
-// LocalityBreakdown splits the SDC FIT by spatial pattern after applying
-// the relative-error filter (thresholdPct <= 0 keeps all mismatches):
-// the data behind Figures 3, 5 and 7.
-func (r *Result) LocalityBreakdown(thresholdPct float64) fit.Breakdown {
-	counts := make(map[metrics.Pattern]int)
-	for _, rep := range r.Reports {
-		eff := rep
-		if thresholdPct > 0 {
-			eff = rep.Filter(thresholdPct)
-		}
-		if !eff.IsSDC() {
-			continue
-		}
-		counts[eff.Locality()]++
-	}
-	bd := fit.Breakdown{}
-	for _, p := range metrics.Patterns {
-		bd.Labels = append(bd.Labels, p.String())
-		bd.Values = append(bd.Values, fit.FITFromCampaign(counts[p], r.Exposure))
-	}
-	return bd
-}
-
 // ScatterPoint is one SDC execution in a Figure-2/4/6/8 style scatter.
 type ScatterPoint struct {
 	IncorrectElements int
 	MeanRelErrPct     float64
-}
-
-// Scatter extracts the (incorrect elements, mean relative error) points,
-// capping the per-element relative error at capPct as the paper's figures
-// do for readability (capPct <= 0 disables capping).
-func (r *Result) Scatter(capPct float64) []ScatterPoint {
-	limit := capPct
-	if limit <= 0 {
-		limit = 1e308
-	}
-	pts := make([]ScatterPoint, 0, len(r.Reports))
-	for _, rep := range r.Reports {
-		pts = append(pts, ScatterPoint{
-			IncorrectElements: rep.Count(),
-			MeanRelErrPct:     rep.MeanRelErrPct(limit),
-		})
-	}
-	return pts
-}
-
-// FilteredFraction is the fraction of SDC executions fully cleared by the
-// relative-error filter (§V: 50-75% for DGEMM on K40, ~95% for HotSpot).
-func (r *Result) FilteredFraction(thresholdPct float64) float64 {
-	if len(r.Reports) == 0 {
-		return 0
-	}
-	cleared := 0
-	for _, rep := range r.Reports {
-		if !rep.Filter(thresholdPct).IsSDC() {
-			cleared++
-		}
-	}
-	return float64(cleared) / float64(len(r.Reports))
 }

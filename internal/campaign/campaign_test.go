@@ -19,8 +19,8 @@ func cfg(strikes int) Config { return DefaultConfig(7, strikes) }
 func TestRunDeterministicAndCached(t *testing.T) {
 	dev := k40.New()
 	kern := dgemm.New(128)
-	a := Run(dev, kern, cfg(60))
-	b := Run(dev, kern, cfg(60))
+	a := runOracle(dev, kern, cfg(60))
+	b := runOracle(dev, kern, cfg(60))
 	requireIdentical(t, "repeated Run", a, b)
 	if a.Tally.Count() != 60 {
 		t.Fatalf("tally covers %d strikes, want 60", a.Tally.Count())
@@ -31,14 +31,14 @@ func TestRunDeterministicAndCached(t *testing.T) {
 }
 
 func TestRunProducesAllOutcomeKinds(t *testing.T) {
-	res := Run(k40.New(), dgemm.New(128), cfg(300))
+	res := runOracle(k40.New(), dgemm.New(128), cfg(300))
 	if res.Tally.SDC == 0 || res.Tally.Masked == 0 || res.Tally.Crash+res.Tally.Hang == 0 {
 		t.Fatalf("outcome mix degenerate: %+v", res.Tally)
 	}
 }
 
 func TestSDCFITFilterMonotonic(t *testing.T) {
-	res := Run(k40.New(), dgemm.New(128), cfg(300))
+	res := runOracle(k40.New(), dgemm.New(128), cfg(300))
 	all := res.SDCFIT(0)
 	filtered := res.SDCFIT(2)
 	if all <= 0 {
@@ -54,7 +54,7 @@ func TestSDCFITFilterMonotonic(t *testing.T) {
 }
 
 func TestLocalityBreakdownSumsToSDCFIT(t *testing.T) {
-	res := Run(k40.New(), dgemm.New(128), cfg(300))
+	res := runOracle(k40.New(), dgemm.New(128), cfg(300))
 	bd := res.LocalityBreakdown(0)
 	if math.Abs(bd.Total()-res.SDCFIT(0)) > 1e-9*bd.Total() {
 		t.Fatalf("breakdown total %v != SDC FIT %v", bd.Total(), res.SDCFIT(0))
@@ -65,7 +65,7 @@ func TestLocalityBreakdownSumsToSDCFIT(t *testing.T) {
 }
 
 func TestScatterMatchesReports(t *testing.T) {
-	res := Run(phi.New(), dgemm.New(128), cfg(200))
+	res := runOracle(phi.New(), dgemm.New(128), cfg(200))
 	pts := res.Scatter(100)
 	if len(pts) != len(res.Reports) {
 		t.Fatal("one point per SDC expected")
@@ -81,7 +81,7 @@ func TestScatterMatchesReports(t *testing.T) {
 }
 
 func TestExposureBackComputation(t *testing.T) {
-	res := Run(k40.New(), dgemm.New(128), cfg(120))
+	res := runOracle(k40.New(), dgemm.New(128), cfg(120))
 	if err := res.Exposure.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +224,8 @@ func TestFITIsFacilityInvariant(t *testing.T) {
 	lansce.Facility = beam.LANSCE
 	isis := base
 	isis.Facility = beam.ISIS
-	a := Run(k40.New(), dgemm.New(128), lansce)
-	b := Run(k40.New(), dgemm.New(128), isis)
+	a := runOracle(k40.New(), dgemm.New(128), lansce)
+	b := runOracle(k40.New(), dgemm.New(128), isis)
 	fa, fb := a.SDCFIT(0), b.SDCFIT(0)
 	if fa <= 0 {
 		t.Fatal("zero FIT")
@@ -240,7 +240,7 @@ func TestFITIsFacilityInvariant(t *testing.T) {
 }
 
 func TestResourceAttributionConsistent(t *testing.T) {
-	res := Run(k40.New(), dgemm.New(128), cfg(300))
+	res := runOracle(k40.New(), dgemm.New(128), cfg(300))
 	if len(res.ReportResource) != len(res.Reports) {
 		t.Fatal("one resource per SDC report expected")
 	}

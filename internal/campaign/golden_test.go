@@ -118,8 +118,8 @@ func requireGoldenFloat(t *testing.T, label string, got float64, want string) {
 }
 
 // TestGoldenValues pins the exact campaign outcomes of seed 42 / 300
-// strikes across all four kernels on both devices, through both engines:
-// the batch Result methods and the streaming reducer stack must each
+// strikes across all four kernels on both devices, two ways: the frozen
+// oracle's Result methods and the streaming reducer stack must each
 // reproduce the frozen table bit for bit.
 func TestGoldenValues(t *testing.T) {
 	cfg := DefaultConfig(goldenSeed, goldenStrikes)
@@ -130,7 +130,7 @@ func TestGoldenValues(t *testing.T) {
 			i++
 			label := want.device + "/" + want.kernel + "/" + want.input
 
-			res := Run(dev, kern, cfg)
+			res := runOracle(dev, kern, cfg)
 			if res.Device != want.device || res.Kernel != want.kernel || res.Input != want.input {
 				t.Fatalf("%s: cell resolved to %s/%s/%s — table and sweep presets diverged",
 					label, res.Device, res.Kernel, res.Input)

@@ -89,8 +89,8 @@ func TestParallelEngineBitIdentical(t *testing.T) {
 		serial.Workers = 1
 		parallel := serial
 		parallel.Workers = 8
-		a := Run(cell.Dev, cell.Kern, serial)
-		b := Run(cell.Dev, cell.Kern, parallel)
+		a := runOracle(cell.Dev, cell.Kern, serial)
+		b := runOracle(cell.Dev, cell.Kern, parallel)
 		requireIdentical(t, cell.Kern.Name(), a, b)
 	}
 }
@@ -103,9 +103,9 @@ func TestParallelEngineGOMAXPROCSInvariant(t *testing.T) {
 	cfg := DefaultConfig(23, 160) // Workers = 0: sized by GOMAXPROCS
 
 	prev := runtime.GOMAXPROCS(1)
-	a := Run(dev, kern, cfg)
+	a := runOracle(dev, kern, cfg)
 	runtime.GOMAXPROCS(8)
-	b := Run(dev, kern, cfg)
+	b := runOracle(dev, kern, cfg)
 	runtime.GOMAXPROCS(prev)
 
 	requireIdentical(t, "GOMAXPROCS 1 vs 8", a, b)
@@ -119,8 +119,8 @@ func TestParallelEngineRepeatedRunsIdentical(t *testing.T) {
 	kern := dgemm.New(128)
 	cfg := DefaultConfig(31, 160)
 	cfg.Workers = 8
-	a := Run(dev, kern, cfg)
-	b := Run(dev, kern, cfg)
+	a := runOracle(dev, kern, cfg)
+	b := runOracle(dev, kern, cfg)
 	requireIdentical(t, "repeated parallel runs", a, b)
 }
 
@@ -153,9 +153,9 @@ type invalidKernel struct{ kernels.Kernel }
 
 func (invalidKernel) Profile(dev arch.Device) arch.Profile { return arch.Profile{} }
 
-// TestRunPoisonedEntryPanicsAgain pins Run's failure contract: an
-// invalid cell (here a degenerate profile) panics loudly, and a retry
-// panics again instead of returning a nil *Result.
+// TestRunPoisonedEntryPanicsAgain drives the engine's failure path through
+// runOracle: an invalid cell (here a degenerate profile) panics loudly,
+// and a retry panics again instead of returning a nil *Result.
 func TestRunPoisonedEntryPanicsAgain(t *testing.T) {
 	dev := k40.New()
 	kern := invalidKernel{dgemm.New(128)}
@@ -166,22 +166,22 @@ func TestRunPoisonedEntryPanicsAgain(t *testing.T) {
 				t.Fatalf("%s: expected panic", label)
 			}
 		}()
-		Run(dev, kern, cfg)
+		runOracle(dev, kern, cfg)
 	}
 	mustPanic("first run (invalid profile)")
 	mustPanic("retry")
 }
 
-// TestRunWorkerInvariant cross-checks Run (the engine entry benchmarks
-// use) across worker counts for every kernel family.
+// TestRunWorkerInvariant cross-checks the report-retaining oracle's view
+// of the outcome stream across worker counts for every kernel family.
 func TestRunWorkerInvariant(t *testing.T) {
 	for _, cell := range determinismCells() {
 		cfgA := DefaultConfig(71, 80)
 		cfgA.Workers = 1
 		cfgB := cfgA
 		cfgB.Workers = 4
-		a := Run(cell.Dev, cell.Kern, cfgA)
-		b := Run(cell.Dev, cell.Kern, cfgB)
+		a := runOracle(cell.Dev, cell.Kern, cfgA)
+		b := runOracle(cell.Dev, cell.Kern, cfgB)
 		requireIdentical(t, cell.Kern.Name()+" workers 1 vs 4", a, b)
 	}
 }

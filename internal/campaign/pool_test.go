@@ -79,8 +79,8 @@ func TestPooledEngineBitIdenticalAcrossWorkers(t *testing.T) {
 		cfgA.Workers = 1 + int(seedRng.Uint64()%4)
 		cfgB := cfgA
 		cfgB.Workers = 8
-		a := Run(cell.Dev, cell.Kern, cfgA)
-		b := Run(cell.Dev, cell.Kern, cfgB)
+		a := runOracle(cell.Dev, cell.Kern, cfgA)
+		b := runOracle(cell.Dev, cell.Kern, cfgB)
 		requireIdentical(t, cell.Kern.Name(), a, b)
 		_ = trial
 	}

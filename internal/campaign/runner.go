@@ -10,8 +10,8 @@ import (
 
 // Summary is one cell's aggregated statistics under the plan's
 // thresholds, folded by online reducers. Every statistic is bit-identical
-// to the matching Result method over the same cell (pinned by the golden
-// suite), so a summary and a retained Result never disagree.
+// to the frozen report-retaining oracle over the same cell (pinned by the
+// golden suite).
 type Summary struct {
 	// Thresholds are the relative-error filters (percent) the per-index
 	// slices below are computed under.

@@ -36,8 +36,8 @@ const DefaultStreamChunk = 512
 // duration of the Consume call. Once every sink has consumed a strike the
 // engine releases the report back to the session pool for reuse by a
 // later strike, so a sink must extract what it needs before returning and
-// must Clone the report to retain it (as the batch engine's result sink
-// does). The online reducers all satisfy this by construction.
+// must Clone the report to retain it. The online reducers all satisfy
+// this by construction: none keeps a report past its Consume call.
 type Sink interface {
 	Consume(i int, out injector.Outcome)
 }
@@ -61,11 +61,10 @@ func (FlushFunc) Consume(int, injector.Outcome) {}
 // FlushChunk implements ChunkFlusher.
 func (f FlushFunc) FlushChunk(next int) { f(next) }
 
-// StreamInfo is the cell metadata a streaming run yields in place of a
-// *Result: identity, occupancy profile and the back-computed beam
-// exposure. Reducers combine it with their accumulated state to produce
-// the same statistics the batch Result methods compute from retained
-// reports.
+// StreamInfo is the cell metadata a streaming run yields: identity,
+// occupancy profile and the back-computed beam exposure. Reducers combine
+// it with their accumulated state to produce the cell's statistics (FIT
+// needs the exposure).
 type StreamInfo struct {
 	Device  string
 	Kernel  string
@@ -88,8 +87,8 @@ func CellInfo(dev arch.Device, kern kernels.Kernel, cfg Config) (StreamInfo, err
 }
 
 // cellInfo assembles the metadata for a validated session. The exposure
-// back-computation matches the batch engine's exactly: strikes derated
-// into the single-strike regime, beam hours solved from the strike count.
+// back-computation: strikes derated into the single-strike regime, beam
+// hours solved from the strike count.
 func cellInfo(ses *injector.Session, dev arch.Device, kern kernels.Kernel, cfg Config) StreamInfo {
 	prof := ses.Profile()
 	execSeconds := prof.RelRuntime * cfg.BaseExecSeconds
@@ -225,11 +224,13 @@ func StreamMatrix(cells []Cell, cfg Config, sinks func(i int, c Cell) []Sink) ([
 
 // --- Online reducers ---
 //
-// Each reducer mirrors one batch Result method bit for bit: the golden and
-// property suites in golden_test.go / stream_test.go pin the equivalence.
+// Each reducer computes one statistic of the paper's analyses from the
+// outcome stream alone. The golden and property suites (golden_test.go,
+// stream_test.go) pin each one bit for bit against the retired
+// report-retaining engine, frozen as a test oracle in
+// result_oracle_test.go.
 
-// TallyReducer accumulates the outcome tally and its per-resource split —
-// the streaming counterpart of Result.Tally and Result.ResourceTally.
+// TallyReducer accumulates the outcome tally and its per-resource split.
 type TallyReducer struct {
 	Tally      injector.Tally
 	ByResource map[fault.Resource]injector.Tally
@@ -261,8 +262,8 @@ func (t *TallyReducer) Consume(_ int, out injector.Outcome) {
 }
 
 // SDCCountReducer counts SDC executions that survive each of a set of
-// relative-error thresholds — the streaming counterpart of Result.SDCFIT
-// (a threshold <= 0 counts every SDC, as in the batch method).
+// relative-error thresholds, the numerators of the SDC FIT (a threshold
+// <= 0 counts every SDC).
 type SDCCountReducer struct {
 	Thresholds []float64
 	Counts     []int
@@ -286,13 +287,12 @@ func (r *SDCCountReducer) Consume(_ int, out injector.Outcome) {
 }
 
 // FIT converts the k-th threshold's count to a failure rate under the
-// cell's exposure, exactly as Result.SDCFIT does.
+// cell's exposure.
 func (r *SDCCountReducer) FIT(k int, exp beam.Exposure) float64 {
 	return fit.FITFromCampaign(r.Counts[k], exp)
 }
 
-// LocalityReducer accumulates the spatial-pattern counts of critical SDCs
-// — the streaming counterpart of Result.LocalityBreakdown.
+// LocalityReducer accumulates the spatial-pattern counts of critical SDCs.
 type LocalityReducer struct {
 	ThresholdPct float64
 	Counts       map[metrics.Pattern]int
@@ -320,7 +320,7 @@ func (r *LocalityReducer) Consume(_ int, out injector.Outcome) {
 }
 
 // Breakdown renders the accumulated counts as the FIT breakdown of
-// Figures 3, 5 and 7, identical to Result.LocalityBreakdown.
+// Figures 3, 5 and 7.
 func (r *LocalityReducer) Breakdown(exp beam.Exposure) fit.Breakdown {
 	bd := fit.Breakdown{}
 	for _, p := range metrics.Patterns {
@@ -331,8 +331,8 @@ func (r *LocalityReducer) Breakdown(exp beam.Exposure) fit.Breakdown {
 }
 
 // FilteredFractionReducer tracks the share of SDC executions fully cleared
-// by the relative-error filter — the streaming counterpart of
-// Result.FilteredFraction.
+// by the relative-error filter (§V: 50-75% for DGEMM on K40, ~95% for
+// HotSpot).
 type FilteredFractionReducer struct {
 	ThresholdPct float64
 	SDCs         int
@@ -355,8 +355,7 @@ func (r *FilteredFractionReducer) Consume(_ int, out injector.Outcome) {
 	}
 }
 
-// Fraction returns the cleared share (0 when no SDCs were seen), identical
-// to Result.FilteredFraction.
+// Fraction returns the cleared share (0 when no SDCs were seen).
 func (r *FilteredFractionReducer) Fraction() float64 {
 	if r.SDCs == 0 {
 		return 0
@@ -365,11 +364,12 @@ func (r *FilteredFractionReducer) Fraction() float64 {
 }
 
 // ScatterReducer keeps a bounded uniform sample of the scatter points of
-// Figures 2/4/6/8 via reservoir sampling (Vitter's Algorithm R) — the
-// streaming counterpart of Result.Scatter. With MaxPoints <= 0 or larger
-// than the SDC count it degenerates to the exact point list in strike
-// order; otherwise each SDC has equal probability of being retained while
-// memory stays O(MaxPoints).
+// Figures 2/4/6/8 via reservoir sampling (Vitter's Algorithm R). Each
+// point is an SDC's incorrect-element count and its mean relative error,
+// capped per element at CapPct as the paper's figures do for readability.
+// With MaxPoints <= 0 or larger than the SDC count it degenerates to the
+// exact point list in strike order; otherwise each SDC has equal
+// probability of being retained while memory stays O(MaxPoints).
 type ScatterReducer struct {
 	CapPct    float64
 	MaxPoints int
@@ -415,14 +415,15 @@ func (r *ScatterReducer) Consume(_ int, out injector.Outcome) {
 }
 
 // Points returns the sampled points. When no eviction occurred (Seen() <=
-// MaxPoints, or MaxPoints <= 0) this is exactly Result.Scatter's output.
+// MaxPoints, or MaxPoints <= 0) these are every SDC's points in strike
+// order.
 func (r *ScatterReducer) Points() []ScatterPoint { return r.pts }
 
 // Seen returns the total number of SDC points offered to the reservoir.
 func (r *ScatterReducer) Seen() int { return r.seen }
 
-// ABFTReducer accumulates ABFT coverage classification online — the
-// streaming counterpart of abft.EvaluateCoverage over Result.Reports.
+// ABFTReducer accumulates the ABFT coverage classification of every SDC
+// (§V-A): which errors ABFT corrects and which it only detects.
 type ABFTReducer struct {
 	Coverage abft.Coverage
 }
@@ -436,44 +437,6 @@ func (r *ABFTReducer) Consume(_ int, out injector.Outcome) {
 		return
 	}
 	r.Coverage.Add(out.Report)
-}
-
-// resultSink rebuilds the report-retaining *Result from the outcome
-// stream: the stack that makes Run one RunStreamingCtx pass.
-// The tally/per-resource accounting is delegated to a TallyReducer (one
-// merge loop, not two to drift apart); this sink only adds the report
-// retention that makes a Result a Result. Because the engine recycles
-// reports after the chunk's sinks consume them, retention means cloning:
-// the Result owns deep copies with lifetimes independent of the pool.
-type resultSink struct {
-	tally *TallyReducer
-	res   *Result
-}
-
-func newResultSink() *resultSink {
-	return &resultSink{tally: NewTallyReducer(), res: &Result{}}
-}
-
-// Consume implements Sink.
-func (s *resultSink) Consume(i int, out injector.Outcome) {
-	s.tally.Consume(i, out)
-	if out.Class == fault.SDC {
-		s.res.Reports = append(s.res.Reports, out.Report.Clone())
-		s.res.ReportResource = append(s.res.ReportResource, out.Resource)
-	}
-}
-
-// result stamps the cell identity onto the accumulated outcome.
-func (s *resultSink) result(info StreamInfo) *Result {
-	s.res.Tally = s.tally.Tally
-	s.res.ResourceTally = s.tally.ByResource
-	s.res.Device = info.Device
-	s.res.Kernel = info.Kernel
-	s.res.Input = info.Input
-	s.res.Profile = info.Profile
-	s.res.Strikes = info.Strikes
-	s.res.Exposure = info.Exposure
-	return s.res
 }
 
 // --- Checkpointed event streaming ---

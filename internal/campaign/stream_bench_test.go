@@ -74,29 +74,3 @@ func benchStreamingPeak(b *testing.B, strikes int) {
 
 func BenchmarkStreamingPeak12k(b *testing.B) { benchStreamingPeak(b, 12500) }
 func BenchmarkStreamingPeak50k(b *testing.B) { benchStreamingPeak(b, 50000) }
-
-// benchBatchRetained measures what Run holds live once a cell of the same
-// size completes: the SDC reports a Result retains for its lifetime. This
-// is the O(SDC) cost the streaming reducers avoid.
-func benchBatchRetained(b *testing.B, strikes int) {
-	dev := k40.New()
-	kern := dgemm.New(128)
-	cfg := DefaultConfig(42, strikes)
-	if _, err := RunStreamingCtx(context.Background(), dev, kern, DefaultConfig(42, 2)); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		before := liveHeap()
-		res := Run(dev, kern, cfg)
-		after := liveHeap()
-		if after > before {
-			b.ReportMetric(float64(after-before), "retained-bytes")
-		}
-		b.ReportMetric(float64(res.Tally.SDC), "SDCs")
-		runtime.KeepAlive(res)
-	}
-}
-
-func BenchmarkBatchRetained12k(b *testing.B) { benchBatchRetained(b, 12500) }
-func BenchmarkBatchRetained50k(b *testing.B) { benchBatchRetained(b, 50000) }

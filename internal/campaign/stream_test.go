@@ -10,11 +10,14 @@ import (
 
 	"radcrit/internal/abft"
 	"radcrit/internal/arch"
+	"radcrit/internal/core"
+	"radcrit/internal/harden"
 	"radcrit/internal/k40"
 	"radcrit/internal/kernels"
 	"radcrit/internal/kernels/dgemm"
 	"radcrit/internal/kernels/lavamd"
 	"radcrit/internal/logdata"
+	"radcrit/internal/metrics"
 	"radcrit/internal/phi"
 	"radcrit/internal/xrand"
 )
@@ -49,6 +52,8 @@ type streamSinks struct {
 	fraction *FilteredFractionReducer
 	scatter  *ScatterReducer
 	abftRed  *ABFTReducer
+	analyzer *core.Analyzer
+	harden   *harden.Reducer
 }
 
 func newStreamSinks(threshold, capPct float64, maxPoints int) (streamSinks, []Sink) {
@@ -60,12 +65,46 @@ func newStreamSinks(threshold, capPct float64, maxPoints int) (streamSinks, []Si
 		fraction: NewFilteredFractionReducer(threshold),
 		scatter:  NewScatterReducer(capPct, maxPoints, xrand.New(99)),
 		abftRed:  NewABFTReducer(),
+		analyzer: core.NewAnalyzer(core.Options{ThresholdPct: threshold, CapPct: capPct}),
+		harden:   harden.NewReducer(threshold),
 	}
-	return s, []Sink{s.tally, s.counts, s.locAll, s.locFilt, s.fraction, s.scatter, s.abftRed}
+	return s, []Sink{s.tally, s.counts, s.locAll, s.locFilt, s.fraction, s.scatter, s.abftRed, s.analyzer, s.harden}
+}
+
+// coverageOf classifies retained reports one by one, the reference for
+// ABFTReducer.
+func coverageOf(reports []*metrics.Report) abft.Coverage {
+	var cov abft.Coverage
+	for _, r := range reports {
+		cov.Add(r)
+	}
+	return cov
+}
+
+// requireSameCriticality asserts two criticality profiles agree bit for
+// bit, floats compared by their bits so NaN matches NaN.
+func requireSameCriticality(t *testing.T, label string, a, b *core.Criticality) {
+	t.Helper()
+	if a.Options != b.Options || a.TotalExecutions != b.TotalExecutions || a.CriticalSDCs != b.CriticalSDCs {
+		t.Fatalf("%s: criticality counts %+v vs %+v", label, a, b)
+	}
+	if !reflect.DeepEqual(a.Locality, b.Locality) {
+		t.Fatalf("%s: locality %v vs %v", label, a.Locality, b.Locality)
+	}
+	requireSameFloat(t, label+": FilteredFraction", a.FilteredFraction, b.FilteredFraction)
+	requireSameFloat(t, label+": correlation", a.CountVsMRECorrelation, b.CountVsMRECorrelation)
+	for _, m := range []struct {
+		name string
+		a, b core.Summary
+	}{{"elements", a.IncorrectElements, b.IncorrectElements}, {"MRE", a.MeanRelErrPct, b.MeanRelErrPct}} {
+		requireSameBreakdown(t, label+": "+m.name+" summary",
+			[]float64{m.a.Mean, m.a.Median, m.a.P90, m.a.Max},
+			[]float64{m.b.Mean, m.b.Median, m.b.P90, m.b.Max})
+	}
 }
 
 // requireStreamMatchesBatch asserts every reducer output is bit-identical
-// to the corresponding batch Result method.
+// to the corresponding frozen batch Result method (result_oracle_test.go).
 func requireStreamMatchesBatch(t *testing.T, label string, s streamSinks, info StreamInfo, res *Result, threshold float64) {
 	t.Helper()
 	if s.tally.Tally != res.Tally {
@@ -94,15 +133,25 @@ func requireStreamMatchesBatch(t *testing.T, label string, s streamSinks, info S
 		}
 		requireSameFloat(t, label+": scatter MRE", p.MeanRelErrPct, batchPts[i].MeanRelErrPct)
 	}
-	if cov := abft.EvaluateCoverage(res.Reports); s.abftRed.Coverage != cov {
+	if cov := coverageOf(res.Reports); s.abftRed.Coverage != cov {
 		t.Fatalf("%s: ABFT coverage %+v != batch %+v", label, s.abftRed.Coverage, cov)
+	}
+	requireSameCriticality(t, label+": criticality", s.analyzer.Criticality(),
+		core.Analyze(res.Reports, core.Options{ThresholdPct: threshold, CapPct: s.scatter.CapPct}))
+	got := s.harden.Advise(info.Device, info.Kernel, info.Input)
+	if want := adviseOracle(res, threshold); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: hardening advice %+v != batch %+v", label, got, want)
 	}
 }
 
 // TestStreamingEquivalenceProperty is the property-based pin of the
 // acceptance criterion: for random (seed, strikes, kernel, device,
-// threshold, chunk) draws, the streaming reducers must be bit-identical to
-// the batch Result methods, under 1 worker and 8 workers alike.
+// threshold, cap, chunk) draws, the streaming reducers must be
+// bit-identical to the frozen batch Result methods, under 1 worker and 8
+// workers alike. The cap bounds both the scatter points and the
+// criticality analysis (core.Analyzer against core.Analyze over the
+// retained reports); the selective-hardening reducer is pinned against
+// adviseOracle.
 func TestStreamingEquivalenceProperty(t *testing.T) {
 	rng := xrand.New(20260729)
 	devices := []arch.Device{k40.New(), phi.New()}
@@ -126,7 +175,7 @@ func TestStreamingEquivalenceProperty(t *testing.T) {
 
 		batchCfg := cfg
 		batchCfg.Workers = 1
-		res := Run(dev, kern, batchCfg)
+		res := runOracle(dev, kern, batchCfg)
 
 		for _, workers := range []int{1, 8} {
 			streamCfg := cfg
@@ -149,7 +198,7 @@ func TestScatterReservoirBounded(t *testing.T) {
 	dev := k40.New()
 	kern := dgemm.New(128)
 	cfg := DefaultConfig(7, 300)
-	res := Run(dev, kern, cfg)
+	res := runOracle(dev, kern, cfg)
 	if res.Tally.SDC < 20 {
 		t.Fatalf("need a report-rich cell, got %d SDCs", res.Tally.SDC)
 	}
@@ -184,9 +233,9 @@ func TestScatterReservoirBounded(t *testing.T) {
 }
 
 // TestFigurePassMatchesReference pins every artifact of the shared figure
-// pass against its reference: the uncached Run of each cell plus the
-// Result methods (abft.EvaluateCoverage over the retained reports for
-// ABFT, Result.ResourceTally for the X1 comparison).
+// pass against its reference: the uncached runOracle of each cell plus the
+// Result methods (an abft.Coverage over the retained reports for ABFT,
+// Result.ResourceTally for the X1 comparison).
 func TestFigurePassMatchesReference(t *testing.T) {
 	c := DefaultConfig(301, 120)
 	dgemmCells := DGEMMCells(k40.New(), TestScale)
@@ -220,7 +269,7 @@ func requireDeepEqual(t *testing.T, label string, got, want any) {
 func runAll(cells []Cell, c Config) []*Result {
 	out := make([]*Result, len(cells))
 	for i, cell := range cells {
-		out[i] = Run(cell.Dev, cell.Kern, c)
+		out[i] = runOracle(cell.Dev, cell.Kern, c)
 	}
 	return out
 }
@@ -264,7 +313,7 @@ func refScaling(rs []*Result, thresholdPct float64) []ScalingRow {
 func refABFT(rs []*Result) []ABFTRow {
 	var rows []ABFTRow
 	for _, r := range rs {
-		frac := abft.EvaluateCoverage(r.Reports).CorrectableFraction()
+		frac := coverageOf(r.Reports).CorrectableFraction()
 		rows = append(rows, ABFTRow{Device: r.Device, Input: r.Input, CorrectableFraction: frac, ResidualFraction: 1 - frac})
 	}
 	return rows
@@ -306,7 +355,7 @@ func TestCheckpointLogMatchesResult(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res := Run(dev, kern, cfg)
+	res := runOracle(dev, kern, cfg)
 	l, err := logdata.Parse(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
@@ -450,7 +499,7 @@ func TestStreamChunkInvariant(t *testing.T) {
 	for _, chunk := range []int{1, 7, 64, 1000} {
 		cfg := base
 		cfg.StreamChunk = chunk
-		res := Run(dev, kern, cfg)
+		res := runOracle(dev, kern, cfg)
 		if first == nil {
 			first = res
 			continue

@@ -9,9 +9,12 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
+	"radcrit/internal/fault"
+	"radcrit/internal/injector"
 	"radcrit/internal/logdata"
 	"radcrit/internal/metrics"
 	"radcrit/internal/stats"
@@ -80,38 +83,75 @@ func summarize(xs []float64) Summary {
 // keeping aggregates finite without disturbing any realistic magnitude.
 const MaxRelErrPct = 1e15
 
-// Analyze applies the methodology to a set of per-execution reports.
-func Analyze(reports []*metrics.Report, opts Options) *Criticality {
+// Analyzer accumulates the criticality profile one SDC at a time, so a
+// live campaign and a parsed log share one code path. It keeps only the
+// (incorrect elements, mean relative error) pair of each critical SDC, in
+// arrival order, and never retains a report. Its Consume method makes it
+// a campaign sink.
+type Analyzer struct {
+	opts         Options
+	cap          float64
+	total        int
+	counts, mres []float64
+	locality     map[metrics.Pattern]int
+}
+
+// NewAnalyzer returns an empty analysis under opts.
+func NewAnalyzer(opts Options) *Analyzer {
 	cap := opts.CapPct
 	if cap <= 0 || cap > MaxRelErrPct {
 		cap = MaxRelErrPct
 	}
-	c := &Criticality{
-		Options:         opts,
-		TotalExecutions: len(reports),
-		Locality:        make(map[metrics.Pattern]int),
+	return &Analyzer{opts: opts, cap: cap, locality: make(map[metrics.Pattern]int)}
+}
+
+// Add examines one SDC execution's report.
+func (a *Analyzer) Add(rep *metrics.Report) {
+	a.total++
+	eff := rep
+	if a.opts.ThresholdPct > 0 {
+		eff = rep.Filter(a.opts.ThresholdPct)
 	}
-	var counts, mres []float64
-	for _, rep := range reports {
-		eff := rep
-		if opts.ThresholdPct > 0 {
-			eff = rep.Filter(opts.ThresholdPct)
-		}
-		if !eff.IsSDC() {
-			continue
-		}
-		c.CriticalSDCs++
-		counts = append(counts, float64(eff.Count()))
-		mres = append(mres, eff.MeanRelErrPct(cap))
-		c.Locality[eff.Locality()]++
+	if !eff.IsSDC() {
+		return
+	}
+	a.counts = append(a.counts, float64(eff.Count()))
+	a.mres = append(a.mres, eff.MeanRelErrPct(a.cap))
+	a.locality[eff.Locality()]++
+}
+
+// Consume adds the report of every SDC outcome; other outcomes carry no
+// mismatches and are skipped.
+func (a *Analyzer) Consume(_ int, out injector.Outcome) {
+	if out.Class == fault.SDC {
+		a.Add(out.Report)
+	}
+}
+
+// Criticality summarises the SDCs added so far.
+func (a *Analyzer) Criticality() *Criticality {
+	c := &Criticality{
+		Options:         a.opts,
+		TotalExecutions: a.total,
+		CriticalSDCs:    len(a.counts),
+		Locality:        maps.Clone(a.locality),
 	}
 	if c.TotalExecutions > 0 {
 		c.FilteredFraction = 1 - float64(c.CriticalSDCs)/float64(c.TotalExecutions)
 	}
-	c.IncorrectElements = summarize(counts)
-	c.MeanRelErrPct = summarize(mres)
-	c.CountVsMRECorrelation = stats.Pearson(counts, mres)
+	c.IncorrectElements = summarize(a.counts)
+	c.MeanRelErrPct = summarize(a.mres)
+	c.CountVsMRECorrelation = stats.Pearson(a.counts, a.mres)
 	return c
+}
+
+// Analyze applies the methodology to a set of per-execution reports.
+func Analyze(reports []*metrics.Report, opts Options) *Criticality {
+	a := NewAnalyzer(opts)
+	for _, rep := range reports {
+		a.Add(rep)
+	}
+	return a.Criticality()
 }
 
 // AnalyzeLog applies the methodology to a parsed campaign log — the

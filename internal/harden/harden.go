@@ -3,11 +3,11 @@
 // resources whose corruption is likely to produce the observed critical
 // errors."
 //
-// Given a campaign result with per-resource attribution, Advise ranks the
-// struck resources by their contribution to critical (above-threshold)
-// SDCs and projects the FIT reduction of hardening each cumulatively —
-// the information a designer needs to decide where duplication, ECC or
-// checking effort pays off.
+// Fed a campaign's outcome stream, a Reducer attributes every critical
+// (above-threshold) SDC to its struck resource; Advise then ranks the
+// resources by their contribution and projects the FIT reduction of
+// hardening each cumulatively — the information a designer needs to
+// decide where duplication, ECC or checking effort pays off.
 package harden
 
 import (
@@ -15,8 +15,8 @@ import (
 	"sort"
 	"strings"
 
-	"radcrit/internal/campaign"
 	"radcrit/internal/fault"
+	"radcrit/internal/injector"
 )
 
 // ResourceImpact is one resource's contribution to critical SDCs.
@@ -44,31 +44,49 @@ type Advice struct {
 	Rankings []ResourceImpact
 }
 
-// Advise analyses a campaign result under the given imprecision threshold.
-func Advise(res *campaign.Result, thresholdPct float64) Advice {
+// Reducer counts a campaign's critical SDCs per struck resource as the
+// outcomes stream past; its Consume method makes it a campaign sink.
+type Reducer struct {
+	thresholdPct float64
+	total        int
+	counts       map[fault.Resource]int
+}
+
+// NewReducer returns an empty reducer under the given imprecision
+// threshold (thresholdPct <= 0 counts every SDC as critical).
+func NewReducer(thresholdPct float64) *Reducer {
+	return &Reducer{thresholdPct: thresholdPct, counts: make(map[fault.Resource]int)}
+}
+
+// Consume counts an SDC outcome against its resource when it survives
+// the threshold filter.
+func (r *Reducer) Consume(_ int, out injector.Outcome) {
+	if out.Class != fault.SDC {
+		return
+	}
+	eff := out.Report
+	if r.thresholdPct > 0 {
+		eff = eff.Filter(r.thresholdPct)
+	}
+	if !eff.IsSDC() {
+		return
+	}
+	r.counts[out.Resource]++
+	r.total++
+}
+
+// Advise ranks the counted resources into a hardening plan for the named
+// campaign cell.
+func (r *Reducer) Advise(device, kernel, input string) Advice {
 	adv := Advice{
-		Device:       res.Device,
-		Kernel:       res.Kernel,
-		Input:        res.Input,
-		ThresholdPct: thresholdPct,
+		Device:            device,
+		Kernel:            kernel,
+		Input:             input,
+		ThresholdPct:      r.thresholdPct,
+		TotalCriticalSDCs: r.total,
 	}
-	counts := make(map[fault.Resource]int)
-	for i, rep := range res.Reports {
-		if i >= len(res.ReportResource) {
-			break
-		}
-		eff := rep
-		if thresholdPct > 0 {
-			eff = rep.Filter(thresholdPct)
-		}
-		if !eff.IsSDC() {
-			continue
-		}
-		counts[res.ReportResource[i]]++
-		adv.TotalCriticalSDCs++
-	}
-	for r, c := range counts {
-		adv.Rankings = append(adv.Rankings, ResourceImpact{Resource: r, CriticalSDCs: c})
+	for res, c := range r.counts {
+		adv.Rankings = append(adv.Rankings, ResourceImpact{Resource: res, CriticalSDCs: c})
 	}
 	sort.Slice(adv.Rankings, func(i, j int) bool {
 		if adv.Rankings[i].CriticalSDCs != adv.Rankings[j].CriticalSDCs {

@@ -1,47 +1,48 @@
 package harden
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"radcrit/internal/campaign"
 	"radcrit/internal/fault"
 	"radcrit/internal/grid"
+	"radcrit/internal/injector"
 	"radcrit/internal/k40"
 	"radcrit/internal/kernels/dgemm"
 	"radcrit/internal/metrics"
 )
 
-func syntheticResult() *campaign.Result {
+// syntheticAdvice feeds a reducer hand-built SDC outcomes with known
+// resources and magnitudes, preceded by a masked strike it must skip.
+func syntheticAdvice() Advice {
 	dims := grid.Dims{X: 16, Y: 16, Z: 1}
-	mk := func(rel float64) *metrics.Report {
-		return &metrics.Report{
+	sdc := func(res fault.Resource, rel float64) injector.Outcome {
+		return injector.Outcome{Class: fault.SDC, Resource: res, Report: &metrics.Report{
 			Dims: dims, TotalElements: dims.Len(),
 			Mismatches: []metrics.Mismatch{{
 				Coord: grid.Coord{X: 1, Y: 1}, Read: 100 + rel, Expected: 100,
 				RelErrPct: rel,
 			}},
-		}
+		}}
 	}
-	return &campaign.Result{
-		Device: "K40", Kernel: "DGEMM", Input: "16x16",
-		Reports: []*metrics.Report{
-			mk(50), mk(50), mk(50), // scheduler: 3 critical
-			mk(50), mk(50), // l2: 2 critical
-			mk(0.5), // l2: sub-threshold
-			mk(50),  // fpu: 1 critical
-		},
-		ReportResource: []fault.Resource{
-			fault.Scheduler, fault.Scheduler, fault.Scheduler,
-			fault.L2Cache, fault.L2Cache,
-			fault.L2Cache,
-			fault.FPU,
-		},
+	outs := []injector.Outcome{
+		{Class: fault.Masked, Resource: fault.FPU},
+		sdc(fault.Scheduler, 50), sdc(fault.Scheduler, 50), sdc(fault.Scheduler, 50), // scheduler: 3 critical
+		sdc(fault.L2Cache, 50), sdc(fault.L2Cache, 50), // l2: 2 critical
+		sdc(fault.L2Cache, 0.5), // l2: sub-threshold
+		sdc(fault.FPU, 50),      // fpu: 1 critical
 	}
+	r := NewReducer(2)
+	for i, out := range outs {
+		r.Consume(i, out)
+	}
+	return r.Advise("K40", "DGEMM", "16x16")
 }
 
 func TestAdviseRanksByCriticality(t *testing.T) {
-	adv := Advise(syntheticResult(), 2)
+	adv := syntheticAdvice()
 	if adv.TotalCriticalSDCs != 6 {
 		t.Fatalf("critical SDCs = %d, want 6 (sub-threshold run excluded)", adv.TotalCriticalSDCs)
 	}
@@ -61,7 +62,7 @@ func TestAdviseRanksByCriticality(t *testing.T) {
 }
 
 func TestTopResources(t *testing.T) {
-	adv := Advise(syntheticResult(), 2)
+	adv := syntheticAdvice()
 	top := adv.TopResources(0.5)
 	if len(top) != 1 || top[0] != fault.Scheduler {
 		t.Fatalf("50%% target should need only the scheduler: %v", top)
@@ -76,7 +77,7 @@ func TestTopResources(t *testing.T) {
 }
 
 func TestProjectedCriticalSDCs(t *testing.T) {
-	adv := Advise(syntheticResult(), 2)
+	adv := syntheticAdvice()
 	if got := adv.ProjectedCriticalSDCs(fault.Scheduler); got != 3 {
 		t.Fatalf("hardening the scheduler leaves %d, want 3", got)
 	}
@@ -89,7 +90,7 @@ func TestProjectedCriticalSDCs(t *testing.T) {
 }
 
 func TestStringRendering(t *testing.T) {
-	s := Advise(syntheticResult(), 2).String()
+	s := syntheticAdvice().String()
 	for _, want := range []string{"selective hardening plan", "scheduler", "cumulative"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("missing %q in:\n%s", want, s)
@@ -98,8 +99,12 @@ func TestStringRendering(t *testing.T) {
 }
 
 func TestAdviseOnRealCampaign(t *testing.T) {
-	res := campaign.Run(k40.New(), dgemm.New(128), campaign.DefaultConfig(21, 300))
-	adv := Advise(res, 2)
+	r := NewReducer(2)
+	info, err := campaign.RunStreamingCtx(context.Background(), k40.New(), dgemm.New(128), campaign.DefaultConfig(21, 300), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv := r.Advise(info.Device, info.Kernel, info.Input)
 	if adv.TotalCriticalSDCs == 0 {
 		t.Fatal("no critical SDCs in a 300-strike campaign")
 	}

@@ -15,6 +15,7 @@ package dgemm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"radcrit/internal/arch"
@@ -255,7 +256,11 @@ func (r *run) record(i, j int, faulty float64) {
 // batch of strikes can reuse it back to back.
 func (r *run) finish() *metrics.Report {
 	n := r.k.n
-	for _, key := range r.sc.cells.SortedKeys() {
+	keys := r.sc.cells.SortedKeys()
+	// A pooled report may come back with a small capacity: grow it once
+	// to the corrupted-cell count instead of doubling inside the loop.
+	r.rep.Mismatches = slices.Grow(r.rep.Mismatches, len(keys))
+	for _, key := range keys {
 		c, _ := r.sc.cells.Get(key)
 		if c.read == c.expected {
 			continue // last write restored the golden value

@@ -128,7 +128,7 @@ func (b BlindSpot) DUEBlindFraction() float64 {
 }
 
 // Compare computes the injector's blind spot from a beam campaign's
-// per-resource tallies (campaign.Result.ResourceTally).
+// per-resource tallies (campaign.TallyReducer.ByResource).
 func Compare(resourceTally map[fault.Resource]injector.Tally) BlindSpot {
 	var b BlindSpot
 	for r, t := range resourceTally {

@@ -1,6 +1,7 @@
 package swinject
 
 import (
+	"context"
 	"testing"
 
 	"radcrit/internal/campaign"
@@ -49,8 +50,11 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestBlindSpotAgainstBeam(t *testing.T) {
 	// Run a real beam campaign and quantify what the injector misses.
-	res := campaign.Run(k40.New(), dgemm.New(128), campaign.DefaultConfig(31, 400))
-	b := Compare(res.ResourceTally)
+	res := campaign.NewTallyReducer()
+	if _, err := campaign.RunStreamingCtx(context.Background(), k40.New(), dgemm.New(128), campaign.DefaultConfig(31, 400), res); err != nil {
+		t.Fatal(err)
+	}
+	b := Compare(res.ByResource)
 	if b.BeamSDCs != res.Tally.SDC {
 		t.Fatal("SDC accounting mismatch")
 	}

@@ -1,8 +1,8 @@
 // BenchmarkCampaignMulticore is the honest multicore record behind
 // BENCH_campaign.json's "multicore" section: whole campaign cells
-// (campaign.Run, which memoises nothing) at worker counts
-// {1, 2, NumCPU}, for one cheap-strike kernel (DGEMM) and one
-// expensive-strike kernel (LavaMD). Results are bit-identical across
+// (campaign.RunStreamingCtx with a TallyReducer, which memoises nothing)
+// at worker counts {1, 2, NumCPU}, for one cheap-strike kernel (DGEMM)
+// and one expensive-strike kernel (LavaMD). Results are bit-identical across
 // worker counts (DESIGN.md §5); only wall time may differ, so ns/op is
 // the whole story.
 //
@@ -17,6 +17,7 @@
 package radcrit
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -69,10 +70,15 @@ func BenchmarkCampaignMulticore(b *testing.B) {
 				// through the kernel instance, so a partial warm-up would
 				// charge the first sub-benchmark for construction the later
 				// ones inherit.
-				campaign.Run(c.dev, c.kern, cfg)
+				runCell := func() {
+					if _, err := campaign.RunStreamingCtx(context.Background(), c.dev, c.kern, cfg, campaign.NewTallyReducer()); err != nil {
+						b.Fatal(err)
+					}
+				}
+				runCell()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					campaign.Run(c.dev, c.kern, cfg)
+					runCell()
 				}
 			})
 		}

@@ -23,10 +23,12 @@
 //		fmt.Println(cell.Info.Device, cell.Summary.SDCFIT)
 //	}
 //
-// When the per-execution reports themselves are wanted (Analyze,
-// AdviseHardening, RenderScatter), run each cell of plan.Build() through
-// RunCampaign, which returns a report-retaining Result. The public
-// campaign log is always the streamed checkpoint log: attach
+// Every analysis is a reducer over the one outcome stream. For a
+// criticality profile, a hardening plan, ABFT coverage or a rendered
+// figure, run each cell of plan.Build() through RunCampaignStreaming with
+// the matching reducers (NewCriticalityReducer, NewHardeningReducer,
+// NewABFTReducer, NewScatterReducer, ...); no report outlives its strike.
+// The public campaign log is the streamed checkpoint log: attach
 // NewCampaignLogWriter to RunCampaignStreaming, or set an
 // AdaptiveRunner's Logs hook.
 //
@@ -35,8 +37,8 @@
 // tool), and — eventually — a serving-layer request body. Devices and
 // kernels are addressed by registry name ("k40", "dgemm:1024",
 // "hotspot:1024x400"); third-party scenarios join via RegisterDevice /
-// RegisterKernel. The pre-plan constructors (K40, NewDGEMM, RunCampaign,
-// ...) remain as thin wrappers for programmatic use.
+// RegisterKernel. The pre-plan constructors (K40, NewDGEMM,
+// RunCampaignStreaming, ...) remain as thin wrappers for programmatic use.
 package radcrit
 
 import (
@@ -69,8 +71,6 @@ type (
 	Kernel = kernels.Kernel
 	// Config controls a campaign's statistical weight.
 	Config = campaign.Config
-	// Result is one campaign cell's aggregated outcome.
-	Result = campaign.Result
 	// Report is one execution's output-mismatch report.
 	Report = metrics.Report
 	// Criticality is the aggregate criticality profile (the paper's §III
@@ -88,8 +88,8 @@ type (
 	// Consume call — the engine recycles them afterwards (DESIGN.md §8);
 	// Clone a report to retain it.
 	Sink = campaign.Sink
-	// StreamInfo is the cell metadata a streaming campaign yields in
-	// place of a retained Result.
+	// StreamInfo is the cell metadata a streaming campaign yields next to
+	// its reducers' state: identity, profile and beam exposure.
 	StreamInfo = campaign.StreamInfo
 	// TallyReducer accumulates the outcome tally online.
 	TallyReducer = campaign.TallyReducer
@@ -101,6 +101,12 @@ type (
 	FilteredFractionReducer = campaign.FilteredFractionReducer
 	// ScatterReducer keeps a bounded reservoir of scatter points.
 	ScatterReducer = campaign.ScatterReducer
+	// ABFTReducer classifies SDCs against ABFT's correction capability.
+	ABFTReducer = campaign.ABFTReducer
+	// CriticalityReducer applies the §III criticality methodology online.
+	CriticalityReducer = core.Analyzer
+	// HardeningReducer counts critical SDCs per struck resource (§VI).
+	HardeningReducer = harden.Reducer
 	// CheckpointSink streams events into a resumable campaign log.
 	CheckpointSink = campaign.CheckpointSink
 	// LogResume is the recoverable state of a truncated streamed log.
@@ -117,8 +123,8 @@ type (
 	PlanResult = campaign.PlanResult
 	// CellOutcome is one plan cell's execution record.
 	CellOutcome = campaign.CellOutcome
-	// Summary is a cell's statistics under the plan's thresholds,
-	// bit-identical to the matching Result methods.
+	// Summary is a cell's statistics under the plan's thresholds, folded
+	// by the same online reducers the facade exports.
 	Summary = campaign.Summary
 	// Progress carries a Runner's optional OnCell/OnChunk hooks.
 	Progress = campaign.Progress
@@ -229,19 +235,13 @@ func KernelNames() []string { return registry.KernelNames() }
 // SplitKernelSpec splits "name:params" into its parts.
 func SplitKernelSpec(spec string) (name, params string) { return registry.SplitSpec(spec) }
 
-// RunCampaign simulates a beam campaign cell: cfg.Strikes strikes of kern
-// on dev, each resolved by the device architecture and propagated through
-// the kernel's real computation. The Result retains every SDC report; it
-// panics on an invalid cell (plans validate before they build cells).
-func RunCampaign(dev Device, kern Kernel, cfg Config) *Result {
-	return campaign.Run(dev, kern, cfg)
-}
-
-// RunCampaignStreaming simulates the same campaign cell through the
-// streaming engine: every outcome is fed to the sinks in strike-index
-// order and then dropped, so memory stays O(chunk + reducer state) however
-// many strikes — or SDCs — the cell produces. The reducers reproduce the
-// batch Result's statistics bit for bit (DESIGN.md §6).
+// RunCampaignStreaming simulates a beam campaign cell: cfg.Strikes
+// strikes of kern on dev, each resolved by the device architecture and
+// propagated through the kernel's real computation. Every outcome is fed
+// to the sinks in strike-index order and then dropped, so memory stays
+// O(chunk + reducer state) however many strikes — or SDCs — the cell
+// produces. The outcome stream, and so every reducer, is bit-identical
+// for any worker count (DESIGN.md §6).
 func RunCampaignStreaming(dev Device, kern Kernel, cfg Config, sinks ...Sink) (StreamInfo, error) {
 	return campaign.RunStreamingCtx(context.Background(), dev, kern, cfg, sinks...)
 }
@@ -275,6 +275,21 @@ func NewFilteredFractionReducer(thresholdPct float64) *FilteredFractionReducer {
 // nil RNG for the default deterministic eviction stream).
 func NewScatterReducer(capPct float64, maxPoints int) *ScatterReducer {
 	return campaign.NewScatterReducer(capPct, maxPoints, nil)
+}
+
+// NewABFTReducer returns a streaming ABFT coverage classifier.
+func NewABFTReducer() *ABFTReducer { return campaign.NewABFTReducer() }
+
+// NewCriticalityReducer returns a streaming criticality analysis under
+// opts; its Criticality equals Analyze over the same SDC reports.
+func NewCriticalityReducer(opts AnalysisOptions) *CriticalityReducer {
+	return core.NewAnalyzer(opts)
+}
+
+// NewHardeningReducer returns a streaming per-resource critical-SDC
+// counter for AdviseHardening.
+func NewHardeningReducer(thresholdPct float64) *HardeningReducer {
+	return harden.NewReducer(thresholdPct)
 }
 
 // NewCampaignLogWriter starts a checkpointed streaming campaign log for
@@ -321,28 +336,31 @@ func DefaultAnalysisOptions() AnalysisOptions { return core.DefaultOptions() }
 // malformed or inconsistent line is an error.
 func ParseLog(r io.Reader) (*Log, error) { return logdata.Parse(r) }
 
-// RenderScatter renders a Figure-2/4/6/8 style plot of a campaign result.
-func RenderScatter(w io.Writer, res *Result, capPct float64) {
+// RenderScatter renders a Figure-2/4/6/8 style plot of the points a
+// ScatterReducer collected from the campaign cell info describes.
+func RenderScatter(w io.Writer, info StreamInfo, sc *ScatterReducer) {
 	s := campaign.ScatterSeries{
-		Device: res.Device,
-		Kernel: res.Kernel,
-		CapPct: capPct,
-		Series: []campaign.LabeledPoints{{Label: res.Input, Points: res.Scatter(capPct)}},
+		Device: info.Device,
+		Kernel: info.Kernel,
+		CapPct: sc.CapPct,
+		Series: []campaign.LabeledPoints{{Label: info.Input, Points: sc.Points()}},
 	}
 	report.Scatter(w, s, 64, 16)
 }
 
-// RenderLocality renders a Figure-3/5/7 style FIT-by-locality bar pair.
-func RenderLocality(w io.Writer, res *Result, thresholdPct float64) {
+// RenderLocality renders a Figure-3/5/7 style FIT-by-locality bar pair:
+// all is an unfiltered LocalityReducer, filtered one under the threshold,
+// and cleared the FilteredFractionReducer at that threshold.
+func RenderLocality(w io.Writer, info StreamInfo, all, filtered *LocalityReducer, cleared *FilteredFractionReducer) {
 	f := campaign.LocalityFigure{
-		Device:       res.Device,
-		Kernel:       res.Kernel,
-		ThresholdPct: thresholdPct,
+		Device:       info.Device,
+		Kernel:       info.Kernel,
+		ThresholdPct: filtered.ThresholdPct,
 		Bars: []campaign.LocalityBar{{
-			Input:            res.Input,
-			All:              res.LocalityBreakdown(0),
-			Filtered:         res.LocalityBreakdown(thresholdPct),
-			FilterMeaningful: res.FilteredFraction(thresholdPct) > 0,
+			Input:            info.Input,
+			All:              all.Breakdown(info.Exposure),
+			Filtered:         filtered.Breakdown(info.Exposure),
+			FilterMeaningful: cleared.Fraction() > 0,
 		}},
 	}
 	report.LocalityBars(w, f, 60)
@@ -359,8 +377,9 @@ func Verdict(nameA string, a *Criticality, nameB string, b *Criticality) string 
 // whose corruption is likely to produce the observed critical errors").
 type HardeningAdvice = harden.Advice
 
-// AdviseHardening ranks the resources behind a campaign's critical SDCs
-// and projects the benefit of hardening each cumulatively.
-func AdviseHardening(res *Result, thresholdPct float64) HardeningAdvice {
-	return harden.Advise(res, thresholdPct)
+// AdviseHardening ranks the resources behind the critical SDCs a
+// HardeningReducer counted in the campaign cell info describes, and
+// projects the benefit of hardening each cumulatively.
+func AdviseHardening(info StreamInfo, r *HardeningReducer) HardeningAdvice {
+	return r.Advise(info.Device, info.Kernel, info.Input)
 }

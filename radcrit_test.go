@@ -7,51 +7,75 @@ import (
 	"testing"
 )
 
+// stream runs one campaign cell through the facade's streaming engine,
+// failing the test on error.
+func stream(t *testing.T, dev Device, kern Kernel, cfg Config, sinks ...Sink) StreamInfo {
+	t.Helper()
+	info, err := RunCampaignStreaming(dev, kern, cfg, sinks...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info
+}
+
+// analyze runs one cell and returns its criticality profile under opts.
+func analyze(t *testing.T, dev Device, kern Kernel, cfg Config, opts AnalysisOptions) *Criticality {
+	t.Helper()
+	crit := NewCriticalityReducer(opts)
+	stream(t, dev, kern, cfg, crit)
+	return crit.Criticality()
+}
+
 // TestEndToEnd exercises the full public pipeline: device + kernel ->
 // campaign -> log round trip -> criticality analysis -> rendering.
 func TestEndToEnd(t *testing.T) {
 	dev := K40()
 	kern := NewDGEMM(128)
-	res := RunCampaign(dev, kern, CampaignConfig(1, 200))
+	cfg := CampaignConfig(1, 200)
 
-	if res.Tally.Count() != 200 {
-		t.Fatalf("strikes accounted: %d", res.Tally.Count())
-	}
-	if res.Tally.SDC == 0 {
-		t.Fatal("no SDCs in 200 strikes")
-	}
-
-	// Log round trip: the streamed checkpoint log of the same cell.
+	// One pass feeds the streamed checkpoint log and every reducer.
 	var sb strings.Builder
-	logw, err := NewCampaignLogWriter(&sb, dev, kern, CampaignConfig(1, 200))
+	logw, err := NewCampaignLogWriter(&sb, dev, kern, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCampaignStreaming(dev, kern, CampaignConfig(1, 200), logw); err != nil {
-		t.Fatal(err)
-	}
+	tally := NewTallyReducer()
+	crit := NewCriticalityReducer(DefaultAnalysisOptions())
+	scatter := NewScatterReducer(100, 0)
+	all, filtered := NewLocalityReducer(0), NewLocalityReducer(DefaultThresholdPct)
+	cleared := NewFilteredFractionReducer(DefaultThresholdPct)
+	info := stream(t, dev, kern, cfg, logw, tally, crit, scatter, all, filtered, cleared)
 	if err := logw.Close(); err != nil {
 		t.Fatal(err)
 	}
+
+	if tally.Tally.Count() != 200 {
+		t.Fatalf("strikes accounted: %d", tally.Tally.Count())
+	}
+	if tally.Tally.SDC == 0 {
+		t.Fatal("no SDCs in 200 strikes")
+	}
+
+	// Log round trip.
 	l, err := ParseLog(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.SDCCount() != res.Tally.SDC || l.Masked != res.Tally.Masked {
+	if l.SDCCount() != tally.Tally.SDC || l.Masked != tally.Tally.Masked {
 		t.Fatal("log tally diverged")
 	}
 
 	// Analysis paths agree.
-	direct := Analyze(res.Reports, DefaultAnalysisOptions())
+	direct := crit.Criticality()
 	fromLog := AnalyzeLog(l, DefaultAnalysisOptions())
-	if direct.CriticalSDCs != fromLog.CriticalSDCs {
-		t.Fatalf("analysis diverged: %d vs %d", direct.CriticalSDCs, fromLog.CriticalSDCs)
+	if direct.TotalExecutions != tally.Tally.SDC || direct.CriticalSDCs != fromLog.CriticalSDCs {
+		t.Fatalf("analysis diverged: %d of %d vs %d", direct.CriticalSDCs, direct.TotalExecutions, fromLog.CriticalSDCs)
 	}
 
 	// Renderers produce content.
 	var out strings.Builder
-	RenderScatter(&out, res, 100)
-	RenderLocality(&out, res, DefaultThresholdPct)
+	RenderScatter(&out, info, scatter)
+	RenderLocality(&out, info, all, filtered, cleared)
 	if !strings.Contains(out.String(), "K40 DGEMM") {
 		t.Fatal("renderers produced no figure content")
 	}
@@ -76,8 +100,8 @@ func TestCrossArchitectureHeadline(t *testing.T) {
 	opts := DefaultAnalysisOptions()
 	opts.CapPct = 100 // the paper's Fig. 2 display cap
 
-	k40Crit := Analyze(RunCampaign(K40(), kern, cfg).Reports, opts)
-	phiCrit := Analyze(RunCampaign(XeonPhi(), kern, cfg).Reports, opts)
+	k40Crit := analyze(t, K40(), kern, cfg, opts)
+	phiCrit := analyze(t, XeonPhi(), kern, cfg, opts)
 
 	// K40 clears far more runs through the 2% filter (paper: 50-75% vs
 	// essentially none on the Phi).
@@ -105,10 +129,8 @@ func TestLavaMDTradeoff(t *testing.T) {
 	// the paper's figure note.
 	opts := AnalysisOptions{ThresholdPct: 0, CapPct: 20000}
 
-	k40Res := RunCampaign(K40(), NewLavaMD(5), cfg)
-	phiRes := RunCampaign(XeonPhi(), NewLavaMD(5), cfg)
-	k40Crit := Analyze(k40Res.Reports, opts)
-	phiCrit := Analyze(phiRes.Reports, opts)
+	k40Crit := analyze(t, K40(), NewLavaMD(5), cfg, opts)
+	phiCrit := analyze(t, XeonPhi(), NewLavaMD(5), cfg, opts)
 	if k40Crit.CriticalSDCs == 0 || phiCrit.CriticalSDCs == 0 {
 		t.Fatal("no critical SDCs sampled")
 	}
@@ -123,8 +145,6 @@ func TestLavaMDTradeoff(t *testing.T) {
 		t.Fatalf("K40 median LavaMD MRE %.3f should exceed the Phi's %.3f",
 			k40Crit.MeanRelErrPct.Median, phiCrit.MeanRelErrPct.Median)
 	}
-	_ = k40Res
-	_ = phiRes
 }
 
 // TestHotSpotResilience reproduces §V-C: stencils are the most resilient
@@ -132,11 +152,12 @@ func TestLavaMDTradeoff(t *testing.T) {
 func TestHotSpotResilience(t *testing.T) {
 	kern := NewHotSpot(64, 80)
 	for _, dev := range Devices() {
-		res := RunCampaign(dev, kern, CampaignConfig(9, 300))
-		if res.Tally.SDC == 0 {
+		tally, cleared := NewTallyReducer(), NewFilteredFractionReducer(2)
+		stream(t, dev, kern, CampaignConfig(9, 300), tally, cleared)
+		if tally.Tally.SDC == 0 {
 			t.Fatalf("%s: no SDCs", dev.ShortName())
 		}
-		frac := res.FilteredFraction(2)
+		frac := cleared.Fraction()
 		if frac < 0.6 {
 			t.Fatalf("%s: only %.0f%%%% of HotSpot SDCs filtered; paper reports 80-95%%",
 				dev.ShortName(), 100*frac)
@@ -148,14 +169,16 @@ func TestHotSpotResilience(t *testing.T) {
 // mostly square, and essentially none fall under the 2% filter.
 func TestCLAMRCriticality(t *testing.T) {
 	kern := NewCLAMR(48, 60)
-	res := RunCampaign(XeonPhi(), kern, CampaignConfig(11, 300))
-	if res.Tally.SDC == 0 {
+	tally, cleared := NewTallyReducer(), NewFilteredFractionReducer(2)
+	red := NewCriticalityReducer(DefaultAnalysisOptions())
+	stream(t, XeonPhi(), kern, CampaignConfig(11, 300), tally, cleared, red)
+	if tally.Tally.SDC == 0 {
 		t.Fatal("no SDCs")
 	}
-	if frac := res.FilteredFraction(2); frac > 0.35 {
+	if frac := cleared.Fraction(); frac > 0.35 {
 		t.Fatalf("%.0f%% of CLAMR SDCs filtered; the paper found none", 100*frac)
 	}
-	crit := Analyze(res.Reports, DefaultAnalysisOptions())
+	crit := red.Criticality()
 	if crit.LocalityShare(0) != 0 { // metrics.NoPattern guard
 		t.Fatal("critical SDC with no pattern")
 	}
@@ -166,15 +189,18 @@ func TestCLAMRCriticality(t *testing.T) {
 }
 
 // TestStreamingFacade exercises the public streaming pipeline: reducers
-// fed by RunCampaignStreaming reproduce the batch result, a checkpointed
-// log written alongside is parseable, and a truncated copy recovers into
-// the identical log.
+// fed by RunCampaignStreaming in small chunks reproduce a serial run at
+// the default chunk, a checkpointed log written alongside is parseable,
+// and a truncated copy recovers into the identical log.
 func TestStreamingFacade(t *testing.T) {
 	dev := K40()
 	kern := NewDGEMM(128)
 	cfg := CampaignConfig(3, 120)
+	serial := cfg
+	serial.Workers = 1
+	want, wantCounts := NewTallyReducer(), NewSDCCountReducer(0)
+	wantInfo := stream(t, dev, kern, serial, want, wantCounts)
 	cfg.StreamChunk = 32
-	batch := RunCampaign(dev, kern, cfg)
 
 	var logBuf bytes.Buffer
 	ckpt, err := NewCampaignLogWriter(&logBuf, dev, kern, cfg)
@@ -190,18 +216,18 @@ func TestStreamingFacade(t *testing.T) {
 	if err := ckpt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if tally.Tally != batch.Tally {
-		t.Fatalf("streaming tally %+v != batch %+v", tally.Tally, batch.Tally)
+	if tally.Tally != want.Tally {
+		t.Fatalf("chunked tally %+v != serial %+v", tally.Tally, want.Tally)
 	}
-	if got, want := counts.FIT(0, info.Exposure), batch.SDCFIT(0); got != want {
-		t.Fatalf("streaming SDC FIT %v != batch %v", got, want)
+	if got, want := counts.FIT(0, info.Exposure), wantCounts.FIT(0, wantInfo.Exposure); got != want {
+		t.Fatalf("chunked SDC FIT %v != serial %v", got, want)
 	}
 	full, err := ParseLog(bytes.NewReader(logBuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Masked != batch.Tally.Masked || full.SDCCount() != batch.Tally.SDC {
-		t.Fatalf("log counts (masked %d, sdc %d) != tally %+v", full.Masked, full.SDCCount(), batch.Tally)
+	if full.Masked != tally.Tally.Masked || full.SDCCount() != tally.Tally.SDC {
+		t.Fatalf("log counts (masked %d, sdc %d) != tally %+v", full.Masked, full.SDCCount(), tally.Tally)
 	}
 
 	// Crash recovery: drop the tail, recover, compare.
