@@ -149,7 +149,7 @@ func BenchmarkFigure7(b *testing.B) {
 	var filtered float64
 	for i := 0; i < b.N; i++ {
 		d, k, p := figurePass(b, i, hotspotCells)
-		filtered += d.Stats(k[0]).Filtered.Fraction()
+		filtered += d.Stats(k[0]).Summary.FilteredFraction[1]
 		_ = d.Locality(p)
 	}
 	b.ReportMetric(100*filtered/float64(b.N), "K40-filtered-%")
@@ -335,18 +335,18 @@ func BenchmarkAblationECC(b *testing.B) {
 func BenchmarkAblationBitModel(b *testing.B) {
 	var biased, uniform float64
 	for i := 0; i < b.N; i++ {
-		std := campaign.NewFilteredFractionReducer(2)
-		streamCell(b, k40.New(), dgemm.New(256), campaign.DefaultConfig(uint64(7000+i), benchStrikes), std)
-		biased += std.Fraction()
+		std := campaign.NewSummaryAccumulator([]float64{2})
+		info := streamCell(b, k40.New(), dgemm.New(256), campaign.DefaultConfig(uint64(7000+i), benchStrikes), std)
+		biased += std.Summary(info).FilteredFraction[0]
 
 		dev := k40.New()
 		dev.DatapathFlip = arch.FlipDist{
 			Specs:   []fault.FlipSpec{{Field: floatbits.Exponent, Bits: 1}, {Field: floatbits.AnyField, Bits: 1}},
 			Weights: []float64{0.5, 0.5},
 		}
-		alt := campaign.NewFilteredFractionReducer(2)
-		streamCell(b, dev, dgemm.New(256), campaign.DefaultConfig(uint64(8000+i), benchStrikes), alt)
-		uniform += alt.Fraction()
+		alt := campaign.NewSummaryAccumulator([]float64{2})
+		info = streamCell(b, dev, dgemm.New(256), campaign.DefaultConfig(uint64(8000+i), benchStrikes), alt)
+		uniform += alt.Summary(info).FilteredFraction[0]
 	}
 	b.ReportMetric(100*biased/float64(b.N), "filtered-mantissa-biased-%")
 	b.ReportMetric(100*uniform/float64(b.N), "filtered-high-magnitude-%")
@@ -359,12 +359,11 @@ func BenchmarkAblationThreshold(b *testing.B) {
 	thresholds := []float64{0.5, 1, 2, 5, 10}
 	var out string
 	for i := 0; i < b.N; i++ {
-		counts := campaign.NewSDCCountReducer(append([]float64{0}, thresholds...)...)
-		info := streamCell(b, k40.New(), dgemm.New(256), campaign.DefaultConfig(uint64(9000+i), 300), counts)
-		base := counts.FIT(0, info.Exposure)
+		acc := campaign.NewSummaryAccumulator(append([]float64{0}, thresholds...))
+		fits := acc.Summary(streamCell(b, k40.New(), dgemm.New(256), campaign.DefaultConfig(uint64(9000+i), 300), acc)).SDCFIT
 		out = ""
 		for k, th := range thresholds {
-			out += fmt.Sprintf("%.0f%%@%v ", 100*counts.FIT(k+1, info.Exposure)/base, th)
+			out += fmt.Sprintf("%.0f%%@%v ", 100*fits[k+1]/fits[0], th)
 		}
 	}
 	if testing.Verbose() {

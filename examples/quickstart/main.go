@@ -44,14 +44,10 @@ func main() {
 		// 100% for readability (Fig. 2); do the same here.
 		opts := radcrit.DefaultAnalysisOptions()
 		opts.CapPct = 100
-		tally := radcrit.NewTallyReducer()
+		acc := radcrit.NewSummaryAccumulator(plan.EffectiveThresholds())
 		crit := radcrit.NewCriticalityReducer(opts)
-		all := radcrit.NewLocalityReducer(0)
-		filtered := radcrit.NewLocalityReducer(radcrit.DefaultThresholdPct)
-		cleared := radcrit.NewFilteredFractionReducer(radcrit.DefaultThresholdPct)
 		hard := radcrit.NewHardeningReducer(radcrit.DefaultThresholdPct)
-		info, err := radcrit.RunCampaignStreaming(cell.Dev, cell.Kern, plan.Config(),
-			tally, crit, all, filtered, cleared, hard)
+		info, err := radcrit.RunCampaignStreaming(cell.Dev, cell.Kern, plan.Config(), acc, crit, hard)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "quickstart: %v\n", err)
 			os.Exit(1)
@@ -59,7 +55,8 @@ func main() {
 		if i == 0 {
 			advice = radcrit.AdviseHardening(info, hard)
 		}
-		t := tally.Tally
+		sum := acc.Summary(info)
+		t := sum.Tally
 		fmt.Printf("%s: %d strikes -> %d masked, %d SDC, %d crash, %d hang (SDC:DUE %.2f)\n",
 			info.Device, info.Strikes, t.Masked, t.SDC, t.Crash, t.Hang, t.SDCToDUERatio())
 
@@ -70,7 +67,7 @@ func main() {
 		profiles[info.Device] = profile
 
 		// Render the Figure-3-style locality breakdown for this device.
-		radcrit.RenderLocality(os.Stdout, info, all, filtered, cleared)
+		radcrit.RenderLocality(os.Stdout, info, sum)
 		fmt.Println()
 	}
 

@@ -42,33 +42,27 @@ func idOf(c Cell) cellID {
 
 // CellStats is the reducer bundle one engine run of a cell feeds.
 type CellStats struct {
-	Info  StreamInfo
-	Tally *TallyReducer
-	// SDC counts SDCs under the thresholds {0, DefaultThresholdPct}.
-	SDC              *SDCCountReducer
-	LocalityAll      *LocalityReducer
-	LocalityFiltered *LocalityReducer
-	Filtered         *FilteredFractionReducer
+	Info StreamInfo
+	// Summary is the cell's tally and filtered statistics under the
+	// thresholds {0, DefaultThresholdPct}, set once the pass has run.
+	Summary *Summary
 	// Scatter is capped at the kernel family's display cap.
 	Scatter *ScatterReducer
 	ABFT    *ABFTReducer
+
+	acc *SummaryAccumulator
 }
 
 func newCellStats(c Cell, cfg Config, maxPoints int) *CellStats {
-	const thresholdPct = metrics.DefaultThresholdPct
 	return &CellStats{
-		Tally:            NewTallyReducer(),
-		SDC:              NewSDCCountReducer(0, thresholdPct),
-		LocalityAll:      NewLocalityReducer(0),
-		LocalityFiltered: NewLocalityReducer(thresholdPct),
-		Filtered:         NewFilteredFractionReducer(thresholdPct),
-		Scatter:          NewScatterReducer(scatterCapPct(c.Kern.Name()), maxPoints, scatterRNG(cfg, c)),
-		ABFT:             NewABFTReducer(),
+		Scatter: NewScatterReducer(scatterCapPct(c.Kern.Name()), maxPoints, scatterRNG(cfg, c)),
+		ABFT:    NewABFTReducer(),
+		acc:     NewSummaryAccumulator([]float64{0, metrics.DefaultThresholdPct}),
 	}
 }
 
 func (s *CellStats) sinks() []Sink {
-	return []Sink{s.Tally, s.SDC, s.LocalityAll, s.LocalityFiltered, s.Filtered, s.Scatter, s.ABFT}
+	return []Sink{s.acc, s.Scatter, s.ABFT}
 }
 
 // scatterRNG derives the deterministic reservoir-eviction stream of one
@@ -112,6 +106,7 @@ func RunFigurePass(cells []Cell, cfg Config, maxPoints int) (*FigureData, error)
 	}
 	for i, c := range distinct {
 		stats[i].Info = infos[i]
+		stats[i].Summary = stats[i].acc.Summary(infos[i])
 		d.stats[idOf(c)] = stats[i]
 	}
 	return d, nil
@@ -147,12 +142,7 @@ func (d *FigureData) Locality(cells []Cell) LocalityFigure {
 	for _, c := range cells {
 		s := d.Stats(c)
 		out.Device, out.Kernel = s.Info.Device, s.Info.Kernel
-		out.Bars = append(out.Bars, LocalityBar{
-			Input:            s.Info.Input,
-			All:              s.LocalityAll.Breakdown(s.Info.Exposure),
-			Filtered:         s.LocalityFiltered.Breakdown(s.Info.Exposure),
-			FilterMeaningful: s.Filtered.Fraction() > 0,
-		})
+		out.Bars = append(out.Bars, s.Summary.LocalityBar(s.Info.Input))
 	}
 	return out
 }
@@ -162,7 +152,7 @@ func (d *FigureData) Ratios(cells []Cell) []RatioRow {
 	rows := make([]RatioRow, len(cells))
 	for i, c := range cells {
 		s := d.Stats(c)
-		t := s.Tally.Tally
+		t := s.Summary.Tally
 		rows[i] = RatioRow{
 			Device: s.Info.Device,
 			Kernel: s.Info.Kernel,
@@ -182,8 +172,7 @@ func (d *FigureData) Scaling(cells []Cell) []ScalingRow {
 	var baseAll, baseF float64
 	for i, c := range cells {
 		s := d.Stats(c)
-		all := s.SDC.FIT(0, s.Info.Exposure)
-		fl := s.SDC.FIT(1, s.Info.Exposure)
+		all, fl := s.Summary.SDCFIT[0], s.Summary.SDCFIT[1]
 		if i == 0 {
 			baseAll, baseF = all, fl
 		}
@@ -219,5 +208,5 @@ func (d *FigureData) ABFTCoverage(cells []Cell) []ABFTRow {
 // ResourceTally returns c's per-resource outcome accounting, the beam
 // side of the §IV-D software-injector comparison.
 func (d *FigureData) ResourceTally(c Cell) map[fault.Resource]injector.Tally {
-	return d.Stats(c).Tally.ByResource
+	return d.Stats(c).acc.tally.ByResource
 }

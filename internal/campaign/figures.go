@@ -108,7 +108,7 @@ func BuildMassCheckCoverage(dev arch.Device, s Scale, cfg Config, thresholdPct f
 			return
 		}
 		rep, det := k.RunInjectedDetailed(golden, syn.Injection, sub)
-		if !rep.Filter(thresholdPct).IsSDC() {
+		if rep.CountAbove(thresholdPct) == 0 {
 			return
 		}
 		verdicts[i] = verdict{critical: true, fired: det.MassCheckFired}

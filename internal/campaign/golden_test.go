@@ -147,19 +147,18 @@ func TestGoldenValues(t *testing.T) {
 			}
 
 			// The streaming engine must land on the same frozen values.
-			tally := NewTallyReducer()
-			counts := NewSDCCountReducer(0, 1)
-			loc := NewLocalityReducer(0)
-			info, err := RunStreamingCtx(context.Background(), dev, kern, cfg, tally, counts, loc)
+			acc := NewSummaryAccumulator([]float64{0, 1})
+			info, err := RunStreamingCtx(context.Background(), dev, kern, cfg, acc)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if tally.Tally != wantTally {
-				t.Errorf("%s: streaming tally %+v, table pins %+v", label, tally.Tally, wantTally)
+			sum := acc.Summary(info)
+			if sum.Tally != wantTally {
+				t.Errorf("%s: streaming tally %+v, table pins %+v", label, sum.Tally, wantTally)
 			}
-			requireGoldenFloat(t, label+": streaming SDCFIT(0)", counts.FIT(0, info.Exposure), want.sdcFIT0)
-			requireGoldenFloat(t, label+": streaming SDCFIT(1)", counts.FIT(1, info.Exposure), want.sdcFIT1)
-			sbd := loc.Breakdown(info.Exposure)
+			requireGoldenFloat(t, label+": streaming SDCFIT(0)", sum.SDCFIT[0], want.sdcFIT0)
+			requireGoldenFloat(t, label+": streaming SDCFIT(1)", sum.SDCFIT[1], want.sdcFIT1)
+			sbd := sum.Locality[0]
 			for k, hex := range want.locality {
 				requireGoldenFloat(t, label+": streaming locality["+sbd.Labels[k]+"]", sbd.Values[k], hex)
 			}

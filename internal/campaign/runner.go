@@ -31,6 +31,18 @@ type Summary struct {
 	DUEFIT float64
 }
 
+// LocalityBar renders the Figure-3/5/7 bar pair of the cell labelled
+// input from a summary whose thresholds are {0, t}: the unfiltered
+// breakdown, the breakdown above t, and whether t cleared any SDC.
+func (s *Summary) LocalityBar(input string) LocalityBar {
+	return LocalityBar{
+		Input:            input,
+		All:              s.Locality[0],
+		Filtered:         s.Locality[1],
+		FilterMeaningful: s.FilteredFraction[1] > 0,
+	}
+}
+
 // CellOutcome is one plan cell's execution record.
 type CellOutcome struct {
 	// Spec is the cell as the plan named it.

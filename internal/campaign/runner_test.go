@@ -132,19 +132,19 @@ func TestStreamRunnerCancellation(t *testing.T) {
 	// exactly cancelAt strikes (determinism is chunk-prefix-closed), and
 	// the partial FITs must be true rates over that prefix exposure, not
 	// diluted by the cancelled tail.
-	full := NewTallyReducer()
-	counts := NewSDCCountReducer(out.Summary.Thresholds...)
+	acc := NewSummaryAccumulator(out.Summary.Thresholds)
 	refInfo, err := RunStreamingFromCtx(context.Background(), mustDev(t, "k40"), mustKern(t, "dgemm:128"),
 		Config{Seed: 7, Strikes: cancelAt, BaseExecSeconds: 1.0, Facility: plan.Config().Facility, StreamChunk: 100},
-		0, full, counts)
+		0, acc)
 	if err != nil {
 		t.Fatalf("reference prefix: %v", err)
 	}
+	full := acc.Summary(refInfo)
 	if full.Tally != out.Summary.Tally {
 		t.Errorf("partial tally %+v differs from reference prefix %+v", out.Summary.Tally, full.Tally)
 	}
 	for k := range out.Summary.Thresholds {
-		if want := counts.FIT(k, refInfo.Exposure); out.Summary.SDCFIT[k] != want {
+		if want := full.SDCFIT[k]; out.Summary.SDCFIT[k] != want {
 			t.Errorf("partial SDCFIT[%d] = %v, want the prefix rate %v", k, out.Summary.SDCFIT[k], want)
 		}
 	}

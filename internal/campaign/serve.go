@@ -31,42 +31,85 @@ import (
 // exact hex-float record, the tail from the deterministic per-index RNG
 // splits.
 //
+// It is the one reducer of the §III filtered statistics (SDC FIT,
+// locality breakdown, filter-cleared share). Each SDC is read once per
+// threshold without copying it, and each distinct survivor set is
+// classified for locality once.
+//
 // Not safe for concurrent use; the engine's in-order consume loop is a
 // single goroutine (Sink contract).
 type SummaryAccumulator struct {
 	ts     []float64
 	tally  *TallyReducer
-	counts *SDCCountReducer
-	locs   []*LocalityReducer
-	fracs  []*FilteredFractionReducer
+	per    []thresholdCounts // one per threshold
+	coords []grid.Coord      // survivors' coordinates, reused across SDCs
+}
+
+// thresholdCounts is a SummaryAccumulator's state under one threshold.
+type thresholdCounts struct {
+	sdcs     int                     // SDCs that survive it (every SDC when t <= 0)
+	cleared  int                     // SDCs with no mismatch above it
+	locality [metrics.Random + 1]int // spatial-pattern counts of the survivors
+	// size and pattern describe the current SDC's locality set.
+	size    int
+	pattern metrics.Pattern
 }
 
 // NewSummaryAccumulator returns an empty accumulator summarising under
 // the given thresholds (a plan's EffectiveThresholds).
 func NewSummaryAccumulator(thresholds []float64) *SummaryAccumulator {
-	ts := append([]float64(nil), thresholds...)
-	a := &SummaryAccumulator{
-		ts:     ts,
-		tally:  NewTallyReducer(),
-		counts: NewSDCCountReducer(ts...),
+	return &SummaryAccumulator{
+		ts:    append([]float64(nil), thresholds...),
+		tally: NewTallyReducer(),
+		per:   make([]thresholdCounts, len(thresholds)),
 	}
-	for _, t := range ts {
-		a.locs = append(a.locs, NewLocalityReducer(t))
-		a.fracs = append(a.fracs, NewFilteredFractionReducer(t))
-	}
-	return a
 }
 
-// Consume implements Sink.
+// Consume implements Sink. A threshold t <= 0 turns the filter off for
+// the SDC count and the locality breakdown (every SDC counts, locality is
+// over the unfiltered report), while the cleared share still applies the
+// strict > t test.
 func (a *SummaryAccumulator) Consume(i int, out injector.Outcome) {
 	a.tally.Consume(i, out)
-	a.counts.Consume(i, out)
-	for _, l := range a.locs {
-		l.Consume(i, out)
+	if out.Class != fault.SDC {
+		return
 	}
-	for _, f := range a.fracs {
-		f.Consume(i, out)
+	rep := out.Report
+	for k, t := range a.ts {
+		c := &a.per[k]
+		n := rep.CountAbove(t)
+		if n == 0 {
+			c.cleared++
+		}
+		if t <= 0 {
+			n = rep.Count()
+			c.sdcs++
+		} else if n > 0 {
+			c.sdcs++
+		}
+		c.size = n
+		if n > 0 {
+			c.pattern = a.pattern(rep, k, t, n)
+			c.locality[c.pattern]++
+		}
 	}
+}
+
+// pattern classifies threshold k's locality set of n mismatches. Survivor
+// sets are nested, so an earlier threshold whose set has the same size
+// has the same set, and its pattern is reused.
+func (a *SummaryAccumulator) pattern(rep *metrics.Report, k int, t float64, n int) metrics.Pattern {
+	for _, prev := range a.per[:k] {
+		if prev.size == n {
+			return prev.pattern
+		}
+	}
+	if n == rep.Count() {
+		return rep.Locality()
+	}
+	var p metrics.Pattern
+	p, a.coords = rep.LocalityAbove(t, a.coords)
+	return p
 }
 
 // AddMasked records n masked executions without per-strike payloads — the
@@ -115,10 +158,19 @@ func (a *SummaryAccumulator) Summary(info StreamInfo) *Summary {
 		Tally:      a.tally.Tally,
 		DUEFIT:     fit.FITFromCampaign(a.tally.Tally.Crash+a.tally.Tally.Hang, info.Exposure),
 	}
-	for k := range a.ts {
-		s.SDCFIT = append(s.SDCFIT, a.counts.FIT(k, info.Exposure))
-		s.Locality = append(s.Locality, a.locs[k].Breakdown(info.Exposure))
-		s.FilteredFraction = append(s.FilteredFraction, a.fracs[k].Fraction())
+	for _, c := range a.per {
+		bd := fit.Breakdown{}
+		for _, p := range metrics.Patterns {
+			bd.Labels = append(bd.Labels, p.String())
+			bd.Values = append(bd.Values, fit.FITFromCampaign(c.locality[p], info.Exposure))
+		}
+		frac := 0.0
+		if sdcs := a.tally.Tally.SDC; sdcs > 0 {
+			frac = float64(c.cleared) / float64(sdcs)
+		}
+		s.SDCFIT = append(s.SDCFIT, fit.FITFromCampaign(c.sdcs, info.Exposure))
+		s.Locality = append(s.Locality, bd)
+		s.FilteredFraction = append(s.FilteredFraction, frac)
 	}
 	return s
 }

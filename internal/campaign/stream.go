@@ -11,11 +11,9 @@ import (
 	"radcrit/internal/arch"
 	"radcrit/internal/beam"
 	"radcrit/internal/fault"
-	"radcrit/internal/fit"
 	"radcrit/internal/injector"
 	"radcrit/internal/kernels"
 	"radcrit/internal/logdata"
-	"radcrit/internal/metrics"
 	"radcrit/internal/par"
 	"radcrit/internal/xrand"
 )
@@ -224,11 +222,12 @@ func StreamMatrix(cells []Cell, cfg Config, sinks func(i int, c Cell) []Sink) ([
 
 // --- Online reducers ---
 //
-// Each reducer computes one statistic of the paper's analyses from the
-// outcome stream alone. The golden and property suites (golden_test.go,
-// stream_test.go) pin each one bit for bit against the retired
-// report-retaining engine, frozen as a test oracle in
-// result_oracle_test.go.
+// Each reducer computes statistics of the paper's analyses from the
+// outcome stream alone; the §III filtered statistics (SDC FIT, locality,
+// filter-cleared share) all come from SummaryAccumulator (serve.go). The
+// golden and property suites (golden_test.go, stream_test.go) pin each
+// one bit for bit against the retired report-retaining engine, frozen as
+// a test oracle in result_oracle_test.go.
 
 // TallyReducer accumulates the outcome tally and its per-resource split.
 type TallyReducer struct {
@@ -259,108 +258,6 @@ func (t *TallyReducer) Consume(_ int, out injector.Outcome) {
 		rt.Hang++
 	}
 	t.ByResource[out.Resource] = rt
-}
-
-// SDCCountReducer counts SDC executions that survive each of a set of
-// relative-error thresholds, the numerators of the SDC FIT (a threshold
-// <= 0 counts every SDC).
-type SDCCountReducer struct {
-	Thresholds []float64
-	Counts     []int
-}
-
-// NewSDCCountReducer returns a reducer counting under each threshold.
-func NewSDCCountReducer(thresholds ...float64) *SDCCountReducer {
-	return &SDCCountReducer{Thresholds: thresholds, Counts: make([]int, len(thresholds))}
-}
-
-// Consume implements Sink.
-func (r *SDCCountReducer) Consume(_ int, out injector.Outcome) {
-	if out.Class != fault.SDC {
-		return
-	}
-	for k, t := range r.Thresholds {
-		if t <= 0 || out.Report.Filter(t).IsSDC() {
-			r.Counts[k]++
-		}
-	}
-}
-
-// FIT converts the k-th threshold's count to a failure rate under the
-// cell's exposure.
-func (r *SDCCountReducer) FIT(k int, exp beam.Exposure) float64 {
-	return fit.FITFromCampaign(r.Counts[k], exp)
-}
-
-// LocalityReducer accumulates the spatial-pattern counts of critical SDCs.
-type LocalityReducer struct {
-	ThresholdPct float64
-	Counts       map[metrics.Pattern]int
-}
-
-// NewLocalityReducer returns a reducer under the given filter
-// (thresholdPct <= 0 keeps all mismatches).
-func NewLocalityReducer(thresholdPct float64) *LocalityReducer {
-	return &LocalityReducer{ThresholdPct: thresholdPct, Counts: make(map[metrics.Pattern]int)}
-}
-
-// Consume implements Sink.
-func (r *LocalityReducer) Consume(_ int, out injector.Outcome) {
-	if out.Class != fault.SDC {
-		return
-	}
-	eff := out.Report
-	if r.ThresholdPct > 0 {
-		eff = eff.Filter(r.ThresholdPct)
-	}
-	if !eff.IsSDC() {
-		return
-	}
-	r.Counts[eff.Locality()]++
-}
-
-// Breakdown renders the accumulated counts as the FIT breakdown of
-// Figures 3, 5 and 7.
-func (r *LocalityReducer) Breakdown(exp beam.Exposure) fit.Breakdown {
-	bd := fit.Breakdown{}
-	for _, p := range metrics.Patterns {
-		bd.Labels = append(bd.Labels, p.String())
-		bd.Values = append(bd.Values, fit.FITFromCampaign(r.Counts[p], exp))
-	}
-	return bd
-}
-
-// FilteredFractionReducer tracks the share of SDC executions fully cleared
-// by the relative-error filter (§V: 50-75% for DGEMM on K40, ~95% for
-// HotSpot).
-type FilteredFractionReducer struct {
-	ThresholdPct float64
-	SDCs         int
-	Cleared      int
-}
-
-// NewFilteredFractionReducer returns a reducer for one threshold.
-func NewFilteredFractionReducer(thresholdPct float64) *FilteredFractionReducer {
-	return &FilteredFractionReducer{ThresholdPct: thresholdPct}
-}
-
-// Consume implements Sink.
-func (r *FilteredFractionReducer) Consume(_ int, out injector.Outcome) {
-	if out.Class != fault.SDC {
-		return
-	}
-	r.SDCs++
-	if !out.Report.Filter(r.ThresholdPct).IsSDC() {
-		r.Cleared++
-	}
-}
-
-// Fraction returns the cleared share (0 when no SDCs were seen).
-func (r *FilteredFractionReducer) Fraction() float64 {
-	if r.SDCs == 0 {
-		return 0
-	}
-	return float64(r.Cleared) / float64(r.SDCs)
 }
 
 // ScatterReducer keeps a bounded uniform sample of the scatter points of

@@ -56,11 +56,10 @@ func benchStreamingPeak(b *testing.B, strikes int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sink := &peakSink{interval: 8}
-		tally := NewTallyReducer()
-		counts := NewSDCCountReducer(0, 2)
-		loc := NewLocalityReducer(2)
+		acc := NewSummaryAccumulator([]float64{0, 2})
 		scatter := NewScatterReducer(100, 1024, nil)
-		if _, err := RunStreamingCtx(context.Background(), dev, kern, cfg, tally, counts, loc, scatter, sink); err != nil {
+		info, err := RunStreamingCtx(context.Background(), dev, kern, cfg, acc, scatter, sink)
+		if err != nil {
 			b.Fatal(err)
 		}
 		if sink.peak > base {
@@ -68,9 +67,50 @@ func benchStreamingPeak(b *testing.B, strikes int) {
 		} else {
 			b.ReportMetric(0, "peak-live-bytes")
 		}
-		b.ReportMetric(float64(tally.Tally.SDC), "SDCs")
+		b.ReportMetric(float64(acc.Summary(info).Tally.SDC), "SDCs")
 	}
 }
 
 func BenchmarkStreamingPeak12k(b *testing.B) { benchStreamingPeak(b, 12500) }
 func BenchmarkStreamingPeak50k(b *testing.B) { benchStreamingPeak(b, 50000) }
+
+// captureSink keeps a copy of every outcome, cloning SDC reports past the
+// engine's release.
+type captureSink struct{ outs []injector.Outcome }
+
+func (c *captureSink) Consume(_ int, out injector.Outcome) {
+	if out.Report != nil {
+		out.Report = out.Report.Clone()
+	}
+	c.outs = append(c.outs, out)
+}
+
+// BenchmarkSummaryAccumulator times the serial consumer's summary
+// reduction alone: one captured K40 DGEMM-128 outcome stream replayed into
+// a SummaryAccumulator at the thresholds {0, 2}. Each iteration replays
+// fresh report copies (made with the timer stopped), so no report reaches
+// the accumulator with caches an earlier iteration built, as on the live
+// path. B/op is per replay of the whole stream.
+func BenchmarkSummaryAccumulator(b *testing.B) {
+	capture := &captureSink{}
+	if _, err := RunStreamingCtx(context.Background(), k40.New(), dgemm.New(128), DefaultConfig(42, 1000), capture); err != nil {
+		b.Fatal(err)
+	}
+	outs := make([]injector.Outcome, len(capture.outs))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j, out := range capture.outs {
+			if out.Report != nil {
+				out.Report = out.Report.Clone()
+			}
+			outs[j] = out
+		}
+		acc := NewSummaryAccumulator([]float64{0, 2})
+		b.StartTimer()
+		for j, out := range outs {
+			acc.Consume(j, out)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(outs)), "ns/strike")
+}

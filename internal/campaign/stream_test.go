@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -11,7 +12,10 @@ import (
 	"radcrit/internal/abft"
 	"radcrit/internal/arch"
 	"radcrit/internal/core"
+	"radcrit/internal/fault"
+	"radcrit/internal/grid"
 	"radcrit/internal/harden"
+	"radcrit/internal/injector"
 	"radcrit/internal/k40"
 	"radcrit/internal/kernels"
 	"radcrit/internal/kernels/dgemm"
@@ -46,10 +50,7 @@ func requireSameBreakdown(t *testing.T, label string, a, b []float64) {
 // reproduce.
 type streamSinks struct {
 	tally    *TallyReducer
-	counts   *SDCCountReducer
-	locAll   *LocalityReducer
-	locFilt  *LocalityReducer
-	fraction *FilteredFractionReducer
+	summary  *SummaryAccumulator
 	scatter  *ScatterReducer
 	abftRed  *ABFTReducer
 	analyzer *core.Analyzer
@@ -59,16 +60,13 @@ type streamSinks struct {
 func newStreamSinks(threshold, capPct float64, maxPoints int) (streamSinks, []Sink) {
 	s := streamSinks{
 		tally:    NewTallyReducer(),
-		counts:   NewSDCCountReducer(0, threshold),
-		locAll:   NewLocalityReducer(0),
-		locFilt:  NewLocalityReducer(threshold),
-		fraction: NewFilteredFractionReducer(threshold),
+		summary:  NewSummaryAccumulator([]float64{0, threshold}),
 		scatter:  NewScatterReducer(capPct, maxPoints, xrand.New(99)),
 		abftRed:  NewABFTReducer(),
 		analyzer: core.NewAnalyzer(core.Options{ThresholdPct: threshold, CapPct: capPct}),
 		harden:   harden.NewReducer(threshold),
 	}
-	return s, []Sink{s.tally, s.counts, s.locAll, s.locFilt, s.fraction, s.scatter, s.abftRed, s.analyzer, s.harden}
+	return s, []Sink{s.tally, s.summary, s.scatter, s.abftRed, s.analyzer, s.harden}
 }
 
 // coverageOf classifies retained reports one by one, the reference for
@@ -116,13 +114,16 @@ func requireStreamMatchesBatch(t *testing.T, label string, s streamSinks, info S
 	if info.Exposure != res.Exposure {
 		t.Fatalf("%s: exposures differ: %+v vs %+v", label, info.Exposure, res.Exposure)
 	}
-	requireSameFloat(t, label+": SDCFIT(0)", s.counts.FIT(0, info.Exposure), res.SDCFIT(0))
-	requireSameFloat(t, label+": SDCFIT(t)", s.counts.FIT(1, info.Exposure), res.SDCFIT(threshold))
-	requireSameBreakdown(t, label+": LocalityBreakdown(0)",
-		s.locAll.Breakdown(info.Exposure).Values, res.LocalityBreakdown(0).Values)
-	requireSameBreakdown(t, label+": LocalityBreakdown(t)",
-		s.locFilt.Breakdown(info.Exposure).Values, res.LocalityBreakdown(threshold).Values)
-	requireSameFloat(t, label+": FilteredFraction", s.fraction.Fraction(), res.FilteredFraction(threshold))
+	sum := s.summary.Summary(info)
+	if sum.Tally != res.Tally {
+		t.Fatalf("%s: summary tally %+v != batch %+v", label, sum.Tally, res.Tally)
+	}
+	requireSameFloat(t, label+": SDCFIT(0)", sum.SDCFIT[0], res.SDCFIT(0))
+	requireSameFloat(t, label+": SDCFIT(t)", sum.SDCFIT[1], res.SDCFIT(threshold))
+	requireSameBreakdown(t, label+": LocalityBreakdown(0)", sum.Locality[0].Values, res.LocalityBreakdown(0).Values)
+	requireSameBreakdown(t, label+": LocalityBreakdown(t)", sum.Locality[1].Values, res.LocalityBreakdown(threshold).Values)
+	requireSameFloat(t, label+": FilteredFraction(0)", sum.FilteredFraction[0], res.FilteredFraction(0))
+	requireSameFloat(t, label+": FilteredFraction(t)", sum.FilteredFraction[1], res.FilteredFraction(threshold))
 	batchPts := res.Scatter(s.scatter.CapPct)
 	if len(s.scatter.Points()) != len(batchPts) {
 		t.Fatalf("%s: scatter sizes %d vs %d", label, len(s.scatter.Points()), len(batchPts))
@@ -144,6 +145,66 @@ func requireStreamMatchesBatch(t *testing.T, label string, s streamSinks, info S
 	}
 }
 
+// edgeOutcomes are hand-built SDC outcomes on the filter's edges, which
+// random campaigns rarely draw: a mismatch whose relative error equals
+// the threshold exactly (t = 2 keeps only what lies strictly above it), a
+// zero-error mismatch (cleared even at t = 0, yet counted and classified
+// there), and a NaN error, which no threshold keeps.
+func edgeOutcomes() []injector.Outcome {
+	dims := grid.Dims{X: 4, Y: 4, Z: 1}
+	sdc := func(errs map[grid.Coord]float64) injector.Outcome {
+		rep := &metrics.Report{Dims: dims, TotalElements: dims.Len()}
+		for _, c := range []grid.Coord{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 2, Y: 1}, {X: 3, Y: 3}} {
+			if e, ok := errs[c]; ok {
+				rep.Mismatches = append(rep.Mismatches, metrics.Mismatch{Coord: c, Read: 1, Expected: 2, RelErrPct: e})
+			}
+		}
+		return injector.Outcome{Class: fault.SDC, Resource: fault.RegisterFile, Report: rep}
+	}
+	return []injector.Outcome{
+		sdc(map[grid.Coord]float64{{X: 0, Y: 0}: 2}),
+		sdc(map[grid.Coord]float64{{X: 0, Y: 0}: 2, {X: 1, Y: 0}: 50, {X: 2, Y: 1}: 3}),
+		sdc(map[grid.Coord]float64{{X: 0, Y: 0}: 0}),
+		sdc(map[grid.Coord]float64{{X: 0, Y: 0}: 0, {X: 1, Y: 0}: 5}),
+		sdc(map[grid.Coord]float64{{X: 2, Y: 1}: math.NaN(), {X: 3, Y: 3}: 2}),
+		{Class: fault.Masked},
+	}
+}
+
+// requireEdgeOutcomesMatchBatch feeds edgeOutcomes, plus a replayed #SDC
+// event that carries no mismatches, to the reducer stack and to the
+// frozen oracle's resultSink, and compares them as the random trials do.
+func requireEdgeOutcomesMatchBatch(t *testing.T, threshold float64) {
+	t.Helper()
+	dev, kern := k40.New(), dgemm.New(128)
+	info, err := CellInfo(dev, kern, DefaultConfig(1, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, sinks := newStreamSinks(threshold, 100, 0)
+	ref := newResultSink()
+	outs := edgeOutcomes()
+	for i, out := range outs {
+		for _, sink := range append(sinks, ref) {
+			sink.Consume(i, out)
+		}
+	}
+	// The replayed event reaches the accumulator through ReplayEvent and
+	// every other sink as the outcome ReplayEvent reconstructs.
+	ev := logdata.Event{Class: fault.SDC, Exec: len(outs), Resource: fault.SharedMemory.String()}
+	s.summary.ReplayEvent(ev, info.Profile.OutputDims)
+	empty := injector.Outcome{Class: fault.SDC, Resource: fault.SharedMemory, Report: &metrics.Report{
+		Dims: info.Profile.OutputDims, TotalElements: info.Profile.OutputDims.Len(),
+	}}
+	for _, sink := range append(sinks, ref) {
+		if sink != Sink(s.summary) {
+			sink.Consume(ev.Exec, empty)
+		}
+	}
+	label := fmt.Sprintf("edge outcomes at t=%v", threshold)
+	requireStreamMatchesBatch(t, label, s, info, ref.result(info), threshold)
+}
+
 // TestStreamingEquivalenceProperty is the property-based pin of the
 // acceptance criterion: for random (seed, strikes, kernel, device,
 // threshold, cap, chunk) draws, the streaming reducers must be
@@ -151,8 +212,13 @@ func requireStreamMatchesBatch(t *testing.T, label string, s streamSinks, info S
 // workers alike. The cap bounds both the scatter points and the
 // criticality analysis (core.Analyzer against core.Analyze over the
 // retained reports); the selective-hardening reducer is pinned against
-// adviseOracle.
+// adviseOracle. The hand-built edge outcomes run through the same
+// comparison at t = 0 and t = 2.
 func TestStreamingEquivalenceProperty(t *testing.T) {
+	for _, threshold := range []float64{0, 2} {
+		requireEdgeOutcomesMatchBatch(t, threshold)
+	}
+
 	rng := xrand.New(20260729)
 	devices := []arch.Device{k40.New(), phi.New()}
 	kerns := []kernels.Kernel{

@@ -64,11 +64,11 @@ func (r *Reducer) Consume(_ int, out injector.Outcome) {
 	if out.Class != fault.SDC {
 		return
 	}
-	eff := out.Report
+	n := out.Report.Count()
 	if r.thresholdPct > 0 {
-		eff = eff.Filter(r.thresholdPct)
+		n = out.Report.CountAbove(r.thresholdPct)
 	}
-	if !eff.IsSDC() {
+	if n == 0 {
 		return
 	}
 	r.counts[out.Resource]++

@@ -15,7 +15,6 @@ package dgemm
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"radcrit/internal/arch"
@@ -257,9 +256,9 @@ func (r *run) record(i, j int, faulty float64) {
 func (r *run) finish() *metrics.Report {
 	n := r.k.n
 	keys := r.sc.cells.SortedKeys()
-	// A pooled report may come back with a small capacity: grow it once
-	// to the corrupted-cell count instead of doubling inside the loop.
-	r.rep.Mismatches = slices.Grow(r.rep.Mismatches, len(keys))
+	// Size the pooled report once for the corrupted-cell count instead of
+	// doubling inside the loop.
+	r.rep.Reserve(len(keys))
 	for _, key := range keys {
 		c, _ := r.sc.cells.Get(key)
 		if c.read == c.expected {

@@ -427,7 +427,11 @@ func (r *run) set(bi, idx int, v float64) {
 // a deterministic function of the corrupted set, exactly as the
 // pre-pooling sort emitted them.
 func (r *run) finish() *metrics.Report {
-	for _, key := range r.sc.faulty.SortedKeys() {
+	keys := r.sc.faulty.SortedKeys()
+	// Size the pooled report once for the faulty-potential count instead
+	// of doubling inside the loop.
+	r.rep.Reserve(len(keys))
+	for _, key := range keys {
 		v, _ := r.sc.faulty.Get(key)
 		idx := key & 0xFFF
 		box := key >> 12

@@ -12,13 +12,15 @@ import (
 // checks its algebraic contract: filtering only removes, kept mismatches
 // all exceed the threshold, the receiver is untouched, filtering is
 // idempotent at one threshold and monotonic across thresholds, and IsSDC
-// agrees with MaxRelErrPct — the identity the streaming SDC counters rely
-// on.
+// agrees with MaxRelErrPct. CountAbove and LocalityAbove, which the
+// streaming summary reads instead of a filtered copy, must agree with
+// Filter at both thresholds.
 func FuzzReportFilter(f *testing.F) {
 	f.Add(1.5, 1.0, 0.0, 2.0, 2.0, 5.0)
 	f.Add(math.NaN(), 1.0, 3.0, 0.0, 0.0, 1.0)
 	f.Add(1.0, 1.0, -4.5, -4.5, -1.0, math.NaN())
 	f.Add(math.Inf(1), 2.0, 2.0, math.Inf(-1), 100.0, 1e307)
+	f.Add(1.5, 1.0, 3.0, 2.0, 50.0, 0.0) // both errors exactly 50%: on the threshold
 
 	f.Fuzz(func(t *testing.T, read1, exp1, read2, exp2, t1, t2 float64) {
 		rep := &Report{
@@ -55,6 +57,19 @@ func FuzzReportFilter(f *testing.F) {
 		if fl.IsSDC() != (rep.MaxRelErrPct() > t1) {
 			t.Fatalf("IsSDC %v disagrees with MaxRelErrPct %v vs threshold %v",
 				fl.IsSDC(), rep.MaxRelErrPct(), t1)
+		}
+		// The copy-free helpers the streaming reducers read must agree
+		// with the filtered report at both thresholds.
+		var scratch []grid.Coord
+		for _, th := range []float64{t1, t2} {
+			want := rep.Filter(th)
+			if n := rep.CountAbove(th); n != len(want.Mismatches) {
+				t.Fatalf("CountAbove(%v) = %d, Filter keeps %d", th, n, len(want.Mismatches))
+			}
+			var p Pattern
+			if p, scratch = rep.LocalityAbove(th, scratch); p != want.Locality() {
+				t.Fatalf("LocalityAbove(%v) = %v, Filter(%v).Locality() = %v", th, p, th, want.Locality())
+			}
 		}
 		// Monotonicity: a stricter threshold can only keep fewer.
 		lo, hi := t1, t2

@@ -15,6 +15,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -156,6 +157,20 @@ func (p *ReportPool) Put(r *Report) {
 	p.pool.Put(r)
 }
 
+// Reserve makes room for n more mismatches, for builders that know their
+// count before appending. A recycled report whose array is more than four
+// times (plus 64 entries) larger than it needs gets a right-sized one
+// instead: otherwise each pooled report keeps the largest array any strike
+// it served ever needed, however small the strikes it now serves.
+func (r *Report) Reserve(n int) {
+	need := len(r.Mismatches) + n
+	if cap(r.Mismatches) > 4*need+64 {
+		r.Mismatches = append(make([]Mismatch, 0, need), r.Mismatches...)
+		return
+	}
+	r.Mismatches = slices.Grow(r.Mismatches, n)
+}
+
 // Evaluate compares observed against golden and returns the unfiltered
 // report. It panics if the shapes differ — comparing different experiments
 // is a caller bug, not a data condition.
@@ -248,6 +263,34 @@ func (r *Report) Filter(thresholdPct float64) *Report {
 		}
 	}
 	return out
+}
+
+// CountAbove returns how many mismatches Filter(thresholdPct) keeps,
+// without building the filtered report. Survivor sets are nested (a
+// stricter threshold keeps a subset), so two thresholds with equal counts
+// keep the same mismatches.
+func (r *Report) CountAbove(thresholdPct float64) int {
+	n := 0
+	for _, m := range r.Mismatches {
+		if m.RelErrPct > thresholdPct {
+			n++
+		}
+	}
+	return n
+}
+
+// LocalityAbove classifies the spatial pattern of the mismatches
+// Filter(thresholdPct) keeps, equal to Filter(thresholdPct).Locality().
+// The survivors' coordinates are gathered into scratch, which is returned
+// (possibly grown) for reuse by the next call.
+func (r *Report) LocalityAbove(thresholdPct float64, scratch []grid.Coord) (Pattern, []grid.Coord) {
+	scratch = scratch[:0]
+	for _, m := range r.Mismatches {
+		if m.RelErrPct > thresholdPct {
+			scratch = append(scratch, m.Coord)
+		}
+	}
+	return Classify(r.Dims, scratch), scratch
 }
 
 // CorruptedFraction returns the fraction of output elements corrupted.

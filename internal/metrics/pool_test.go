@@ -91,3 +91,24 @@ func TestCoordsAndRelErrsCached(t *testing.T) {
 		t.Fatalf("rebuilt coords wrong: %+v", got)
 	}
 }
+
+// TestReportReserve pins the recycled-capacity policy: Reserve keeps the
+// existing mismatches, grows to fit, reuses an array within four times
+// (plus 64 entries) of the need, and replaces a larger one.
+func TestReportReserve(t *testing.T) {
+	r := sampleReport()
+	r.Reserve(10)
+	if cap(r.Mismatches) < 13 || r.Count() != 3 || r.Mismatches[1].RelErrPct != 50 {
+		t.Fatalf("Reserve(10) on 3 mismatches: len %d cap %d", r.Count(), cap(r.Mismatches))
+	}
+	r.Mismatches = make([]Mismatch, 0, 100)
+	r.Reserve(10)
+	if cap(r.Mismatches) != 100 {
+		t.Fatalf("Reserve(10) replaced a 100-entry array (cap now %d); it is within 4x+64", cap(r.Mismatches))
+	}
+	r.Mismatches = append(make([]Mismatch, 0, 1000), sampleReport().Mismatches...)
+	r.Reserve(2)
+	if cap(r.Mismatches) != 5 || r.Count() != 3 || r.Mismatches[2].RelErrPct != 2.5 {
+		t.Fatalf("Reserve(2) kept a 1000-entry array for 5 mismatches: len %d cap %d", r.Count(), cap(r.Mismatches))
+	}
+}

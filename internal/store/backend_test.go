@@ -3,31 +3,25 @@ package store_test
 import (
 	"bytes"
 	"fmt"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
-	"radcrit/internal/remotestore"
 	"radcrit/internal/store"
 )
 
 // backendCases builds one fresh instance of every Backend implementation:
-// the disk store, the in-memory store, and the remote client speaking to
-// a remotestore.Server over real HTTP (backed by a Mem). Each subtest in
-// the conformance suite runs against all three.
+// the disk store and the in-memory store. Each subtest in the conformance
+// suite runs against both.
 func backendCases(t *testing.T) map[string]store.Backend {
 	t.Helper()
 	disk, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(remotestore.NewServer(store.NewMem()))
-	t.Cleanup(srv.Close)
 	return map[string]store.Backend{
-		"disk":   disk,
-		"mem":    store.NewMem(),
-		"remote": remotestore.New(srv.URL),
+		"disk": disk,
+		"mem":  store.NewMem(),
 	}
 }
 

@@ -26,8 +26,9 @@
 // Every analysis is a reducer over the one outcome stream. For a
 // criticality profile, a hardening plan, ABFT coverage or a rendered
 // figure, run each cell of plan.Build() through RunCampaignStreaming with
-// the matching reducers (NewCriticalityReducer, NewHardeningReducer,
-// NewABFTReducer, NewScatterReducer, ...); no report outlives its strike.
+// the matching reducers (NewSummaryAccumulator, NewCriticalityReducer,
+// NewHardeningReducer, NewABFTReducer, NewScatterReducer, ...); no report
+// outlives its strike.
 // The public campaign log is the streamed checkpoint log: attach
 // NewCampaignLogWriter to RunCampaignStreaming, or set an
 // AdaptiveRunner's Logs hook.
@@ -93,12 +94,10 @@ type (
 	StreamInfo = campaign.StreamInfo
 	// TallyReducer accumulates the outcome tally online.
 	TallyReducer = campaign.TallyReducer
-	// SDCCountReducer counts threshold-surviving SDCs online (SDC FIT).
-	SDCCountReducer = campaign.SDCCountReducer
-	// LocalityReducer accumulates the spatial-pattern breakdown online.
-	LocalityReducer = campaign.LocalityReducer
-	// FilteredFractionReducer tracks the filter-cleared SDC share online.
-	FilteredFractionReducer = campaign.FilteredFractionReducer
+	// SummaryAccumulator folds a cell's outcome stream into its Summary
+	// under a set of thresholds: the tally, SDC FIT, locality breakdown
+	// and filter-cleared share every Runner reports.
+	SummaryAccumulator = campaign.SummaryAccumulator
 	// ScatterReducer keeps a bounded reservoir of scatter points.
 	ScatterReducer = campaign.ScatterReducer
 	// ABFTReducer classifies SDCs against ABFT's correction capability.
@@ -124,7 +123,7 @@ type (
 	// CellOutcome is one plan cell's execution record.
 	CellOutcome = campaign.CellOutcome
 	// Summary is a cell's statistics under the plan's thresholds, folded
-	// by the same online reducers the facade exports.
+	// by a SummaryAccumulator.
 	Summary = campaign.Summary
 	// Progress carries a Runner's optional OnCell/OnChunk hooks.
 	Progress = campaign.Progress
@@ -256,19 +255,11 @@ func ResumeCampaignStreaming(dev Device, kern Kernel, cfg Config, start int, sin
 // NewTallyReducer returns a streaming outcome-tally accumulator.
 func NewTallyReducer() *TallyReducer { return campaign.NewTallyReducer() }
 
-// NewSDCCountReducer returns a streaming SDC counter for each threshold.
-func NewSDCCountReducer(thresholds ...float64) *SDCCountReducer {
-	return campaign.NewSDCCountReducer(thresholds...)
-}
-
-// NewLocalityReducer returns a streaming locality-breakdown accumulator.
-func NewLocalityReducer(thresholdPct float64) *LocalityReducer {
-	return campaign.NewLocalityReducer(thresholdPct)
-}
-
-// NewFilteredFractionReducer returns a streaming filtered-fraction tracker.
-func NewFilteredFractionReducer(thresholdPct float64) *FilteredFractionReducer {
-	return campaign.NewFilteredFractionReducer(thresholdPct)
+// NewSummaryAccumulator returns a streaming cell summary under the given
+// relative-error thresholds (a threshold <= 0 counts every SDC); read it
+// with its Summary method once the cell has run.
+func NewSummaryAccumulator(thresholds []float64) *SummaryAccumulator {
+	return campaign.NewSummaryAccumulator(thresholds)
 }
 
 // NewScatterReducer returns a bounded reservoir of scatter points (pass a
@@ -348,20 +339,15 @@ func RenderScatter(w io.Writer, info StreamInfo, sc *ScatterReducer) {
 	report.Scatter(w, s, 64, 16)
 }
 
-// RenderLocality renders a Figure-3/5/7 style FIT-by-locality bar pair:
-// all is an unfiltered LocalityReducer, filtered one under the threshold,
-// and cleared the FilteredFractionReducer at that threshold.
-func RenderLocality(w io.Writer, info StreamInfo, all, filtered *LocalityReducer, cleared *FilteredFractionReducer) {
+// RenderLocality renders a Figure-3/5/7 style FIT-by-locality bar pair
+// for the campaign cell info describes, from its summary under the
+// thresholds {0, t}: the unfiltered breakdown and the one above t.
+func RenderLocality(w io.Writer, info StreamInfo, sum *Summary) {
 	f := campaign.LocalityFigure{
 		Device:       info.Device,
 		Kernel:       info.Kernel,
-		ThresholdPct: filtered.ThresholdPct,
-		Bars: []campaign.LocalityBar{{
-			Input:            info.Input,
-			All:              all.Breakdown(info.Exposure),
-			Filtered:         filtered.Breakdown(info.Exposure),
-			FilterMeaningful: cleared.Fraction() > 0,
-		}},
+		ThresholdPct: sum.Thresholds[1],
+		Bars:         []campaign.LocalityBar{sum.LocalityBar(info.Input)},
 	}
 	report.LocalityBars(w, f, 60)
 }

@@ -42,9 +42,8 @@ func TestEndToEnd(t *testing.T) {
 	tally := NewTallyReducer()
 	crit := NewCriticalityReducer(DefaultAnalysisOptions())
 	scatter := NewScatterReducer(100, 0)
-	all, filtered := NewLocalityReducer(0), NewLocalityReducer(DefaultThresholdPct)
-	cleared := NewFilteredFractionReducer(DefaultThresholdPct)
-	info := stream(t, dev, kern, cfg, logw, tally, crit, scatter, all, filtered, cleared)
+	acc := NewSummaryAccumulator([]float64{0, DefaultThresholdPct})
+	info := stream(t, dev, kern, cfg, logw, tally, crit, scatter, acc)
 	if err := logw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestEndToEnd(t *testing.T) {
 	// Renderers produce content.
 	var out strings.Builder
 	RenderScatter(&out, info, scatter)
-	RenderLocality(&out, info, all, filtered, cleared)
+	RenderLocality(&out, info, acc.Summary(info))
 	if !strings.Contains(out.String(), "K40 DGEMM") {
 		t.Fatal("renderers produced no figure content")
 	}
@@ -152,12 +151,12 @@ func TestLavaMDTradeoff(t *testing.T) {
 func TestHotSpotResilience(t *testing.T) {
 	kern := NewHotSpot(64, 80)
 	for _, dev := range Devices() {
-		tally, cleared := NewTallyReducer(), NewFilteredFractionReducer(2)
-		stream(t, dev, kern, CampaignConfig(9, 300), tally, cleared)
-		if tally.Tally.SDC == 0 {
+		acc := NewSummaryAccumulator([]float64{2})
+		sum := acc.Summary(stream(t, dev, kern, CampaignConfig(9, 300), acc))
+		if sum.Tally.SDC == 0 {
 			t.Fatalf("%s: no SDCs", dev.ShortName())
 		}
-		frac := cleared.Fraction()
+		frac := sum.FilteredFraction[0]
 		if frac < 0.6 {
 			t.Fatalf("%s: only %.0f%%%% of HotSpot SDCs filtered; paper reports 80-95%%",
 				dev.ShortName(), 100*frac)
@@ -169,13 +168,13 @@ func TestHotSpotResilience(t *testing.T) {
 // mostly square, and essentially none fall under the 2% filter.
 func TestCLAMRCriticality(t *testing.T) {
 	kern := NewCLAMR(48, 60)
-	tally, cleared := NewTallyReducer(), NewFilteredFractionReducer(2)
+	acc := NewSummaryAccumulator([]float64{2})
 	red := NewCriticalityReducer(DefaultAnalysisOptions())
-	stream(t, XeonPhi(), kern, CampaignConfig(11, 300), tally, cleared, red)
-	if tally.Tally.SDC == 0 {
+	sum := acc.Summary(stream(t, XeonPhi(), kern, CampaignConfig(11, 300), acc, red))
+	if sum.Tally.SDC == 0 {
 		t.Fatal("no SDCs")
 	}
-	if frac := cleared.Fraction(); frac > 0.35 {
+	if frac := sum.FilteredFraction[0]; frac > 0.35 {
 		t.Fatalf("%.0f%% of CLAMR SDCs filtered; the paper found none", 100*frac)
 	}
 	crit := red.Criticality()
@@ -198,8 +197,8 @@ func TestStreamingFacade(t *testing.T) {
 	cfg := CampaignConfig(3, 120)
 	serial := cfg
 	serial.Workers = 1
-	want, wantCounts := NewTallyReducer(), NewSDCCountReducer(0)
-	wantInfo := stream(t, dev, kern, serial, want, wantCounts)
+	wantAcc := NewSummaryAccumulator([]float64{0})
+	want := wantAcc.Summary(stream(t, dev, kern, serial, wantAcc))
 	cfg.StreamChunk = 32
 
 	var logBuf bytes.Buffer
@@ -208,8 +207,8 @@ func TestStreamingFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	tally := NewTallyReducer()
-	counts := NewSDCCountReducer(0, DefaultThresholdPct)
-	info, err := RunCampaignStreaming(dev, kern, cfg, tally, counts, ckpt)
+	acc := NewSummaryAccumulator([]float64{0, DefaultThresholdPct})
+	info, err := RunCampaignStreaming(dev, kern, cfg, tally, acc, ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +218,8 @@ func TestStreamingFacade(t *testing.T) {
 	if tally.Tally != want.Tally {
 		t.Fatalf("chunked tally %+v != serial %+v", tally.Tally, want.Tally)
 	}
-	if got, want := counts.FIT(0, info.Exposure), wantCounts.FIT(0, wantInfo.Exposure); got != want {
-		t.Fatalf("chunked SDC FIT %v != serial %v", got, want)
+	if got := acc.Summary(info).SDCFIT[0]; got != want.SDCFIT[0] {
+		t.Fatalf("chunked SDC FIT %v != serial %v", got, want.SDCFIT[0])
 	}
 	full, err := ParseLog(bytes.NewReader(logBuf.Bytes()))
 	if err != nil {
