@@ -155,15 +155,23 @@ func BenchmarkFigure7(b *testing.B) {
 	b.ReportMetric(100*filtered/float64(b.N), "K40-filtered-%")
 }
 
+// clamrPass runs the figure pass over the Xeon Phi CLAMR cell, the one
+// cell F8, F9 and S4 read.
+func clamrPass(b *testing.B, i int) (*campaign.FigureData, campaign.Cell) {
+	b.Helper()
+	cell := campaign.Cell{Dev: phi.New(), Kern: campaign.CLAMRKernel(campaign.TestScale)}
+	d, err := campaign.RunFigurePass([]campaign.Cell{cell}, benchCfg(i), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d, cell
+}
+
 // BenchmarkFigure8 regenerates the CLAMR scatter (Xeon Phi).
 func BenchmarkFigure8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cells := []campaign.Cell{{Dev: phi.New(), Kern: campaign.CLAMRKernel(campaign.TestScale)}}
-		d, err := campaign.RunFigurePass(cells, benchCfg(i), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = d.Scatter(cells)
+		d, cell := clamrPass(b, i)
+		_ = d.Scatter([]campaign.Cell{cell})
 	}
 }
 
@@ -171,7 +179,8 @@ func BenchmarkFigure8(b *testing.B) {
 func BenchmarkFigure9(b *testing.B) {
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		m := campaign.BuildCLAMRLocalityMap(phi.New(), campaign.TestScale, benchCfg(i))
+		d, cell := clamrPass(b, i)
+		m := d.LocalityMap(cell)
 		frac += float64(m.Count) / float64(m.Width*m.Height)
 	}
 	b.ReportMetric(100*frac/float64(b.N), "wave-coverage-%")
@@ -224,8 +233,8 @@ func BenchmarkABFTCoverage(b *testing.B) {
 func BenchmarkMassCheck(b *testing.B) {
 	var cov float64
 	for i := 0; i < b.N; i++ {
-		row := campaign.BuildMassCheckCoverage(phi.New(), campaign.TestScale, benchCfg(i), 2)
-		cov += row.Coverage
+		d, cell := clamrPass(b, i)
+		cov += d.MassCheck(cell).Coverage
 	}
 	b.ReportMetric(100*cov/float64(b.N), "coverage-%")
 }

@@ -11,11 +11,11 @@
 // tens of seconds; the paper scale uses Table II input sizes and takes
 // considerably longer.
 //
-// The aggregate artifacts (F2-F8, S1-S3, X1) render from one shared pass
-// of the streaming engine (DESIGN.md §6): every distinct cell the selected
-// artifacts read runs exactly once, all cells concurrently, and memory
-// stays O(reducer state) per cell — scatter figures keep a -maxpoints
-// reservoir per input.
+// The beam artifacts (F2-F9, S1-S4 and X1's beam side) render from one
+// shared pass of the streaming engine (DESIGN.md §6): every distinct cell
+// the selected artifacts read runs exactly once, all cells concurrently,
+// and memory stays O(reducer state) per cell — scatter figures keep a
+// -maxpoints reservoir per input.
 //
 // -plan takes the campaign configuration (seed, strikes, workers,
 // facility) from a declarative plan file instead of the flags; the
@@ -135,8 +135,8 @@ func main() {
 }
 
 // artifact is one table or figure of the evaluation: the cells it reads
-// from the shared figure pass (nil for artifacts with their own strike
-// loop, or none) and its renderer.
+// from the shared figure pass (nil for the static tables, which read
+// none) and its renderer.
 type artifact struct {
 	id, title string
 	cells     func() []campaign.Cell
@@ -228,8 +228,9 @@ func artifacts(scale campaign.Scale, cfg campaign.Config, k40Dev, phiDev arch.De
 				report.Scatter(w, d.Scatter(clamrPhi()), 64, 16)
 			}},
 		{id: "F9", title: "Figure 9 — CLAMR error locality map",
-			render: func(w io.Writer, _ *campaign.FigureData) {
-				report.LocalityMap(w, campaign.BuildCLAMRLocalityMap(phiDev, scale, cfg), 64)
+			cells: clamrPhi,
+			render: func(w io.Writer, d *campaign.FigureData) {
+				report.LocalityMap(w, d.LocalityMap(clamrPhi()[0]), 64)
 			}},
 		{id: "S1", title: "§V preamble — SDC : crash+hang ratios",
 			cells: onBoth(all),
@@ -247,8 +248,9 @@ func artifacts(scale campaign.Scale, cfg campaign.Config, k40Dev, phiDev arch.De
 				report.ABFT(w, d.ABFTCoverage(dgemm(dev)))
 			})},
 		{id: "S4", title: "§V-D — CLAMR mass-conservation check coverage",
-			render: func(w io.Writer, _ *campaign.FigureData) {
-				report.MassCheck(w, campaign.BuildMassCheckCoverage(phiDev, scale, cfg, 2))
+			cells: clamrPhi,
+			render: func(w io.Writer, d *campaign.FigureData) {
+				report.MassCheck(w, d.MassCheck(clamrPhi()[0]))
 			}},
 		{id: "X1", title: "Extension: §IV-D — beam vs software fault injector",
 			cells: func() []campaign.Cell { return []campaign.Cell{x1Cell()} },

@@ -62,28 +62,46 @@ func TestSelectArtifacts(t *testing.T) {
 }
 
 // TestSharedCellsRunOnce pins the point of the shared pass: F2, F3, S2,
-// S3 and X1 all read the K40 DGEMM cells (X1 its smallest input), yet each
-// distinct cell starts exactly one engine run.
+// S3 and X1 all read the K40 DGEMM cells (X1 its smallest input), and S1,
+// F8, F9 and S4 all read the Xeon Phi CLAMR cell, yet each distinct cell
+// starts exactly one engine run.
 func TestSharedCellsRunOnce(t *testing.T) {
-	sel, err := selectArtifacts(testArtifacts(t, 20), "F2,F3,S2,S3,X1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	counter := &runCounter{runs: map[string]int{}}
-	var cells []campaign.Cell
-	for _, c := range passCells(sel) {
-		cells = append(cells, campaign.Cell{Dev: c.Dev, Kern: countingKernel{c.Kern, counter}})
-	}
-	if _, err := campaign.RunFigurePass(cells, campaign.DefaultConfig(3, 20), 0); err != nil {
-		t.Fatal(err)
-	}
-	// K40 sweeps 3 DGEMM sizes, the Phi 4; five artifacts list them.
-	if len(counter.runs) != 7 || len(cells) <= 7 {
-		t.Fatalf("%d listed cells ran as %d distinct cells, want 7 distinct", len(cells), len(counter.runs))
-	}
-	for cell, n := range counter.runs {
-		if n != 1 {
-			t.Errorf("cell %s started %d engine runs, want 1", cell, n)
+	clamrPhi := "XeonPhi/CLAMR/" + campaign.CLAMRKernel(campaign.TestScale).InputLabel()
+	for _, c := range []struct {
+		only     string
+		distinct int
+		key      string // a cell several artifacts list
+	}{
+		// K40 sweeps 3 DGEMM sizes, the Phi 4; five artifacts list them.
+		{only: "F2,F3,S2,S3,X1", distinct: 7, key: "K40/DGEMM/128x128"},
+		// S1 lists every cell of both devices: 8 on the K40, 10 on the Phi.
+		{only: "S1,F8,F9,S4", distinct: 18, key: clamrPhi},
+		// F8, F9 and S4 read nothing but that cell.
+		{only: "F8,F9,S4", distinct: 1, key: clamrPhi},
+	} {
+		sel, err := selectArtifacts(testArtifacts(t, 20), c.only)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counter := &runCounter{runs: map[string]int{}}
+		var cells []campaign.Cell
+		for _, cell := range passCells(sel) {
+			cells = append(cells, campaign.Cell{Dev: cell.Dev, Kern: countingKernel{cell.Kern, counter}})
+		}
+		if _, err := campaign.RunFigurePass(cells, campaign.DefaultConfig(3, 20), 0); err != nil {
+			t.Fatal(err)
+		}
+		if len(counter.runs) != c.distinct || len(cells) <= c.distinct {
+			t.Fatalf("-only %s: %d listed cells ran as %d distinct cells, want %d distinct",
+				c.only, len(cells), len(counter.runs), c.distinct)
+		}
+		if counter.runs[c.key] != 1 {
+			t.Errorf("-only %s: shared cell %s started %d engine runs, want 1", c.only, c.key, counter.runs[c.key])
+		}
+		for cell, n := range counter.runs {
+			if n != 1 {
+				t.Errorf("-only %s: cell %s started %d engine runs, want 1", c.only, cell, n)
+			}
 		}
 	}
 }

@@ -144,8 +144,12 @@ func TestAllKernels(t *testing.T) {
 	}
 }
 
+// clamrPhiCell is the cell F8, F9 and S4 read: CLAMR on the Xeon Phi.
+func clamrPhiCell() Cell { return Cell{Dev: phi.New(), Kern: CLAMRKernel(TestScale)} }
+
 func TestBuildMassCheckCoverage(t *testing.T) {
-	row := BuildMassCheckCoverage(phi.New(), TestScale, cfg(250), 2)
+	c := clamrPhiCell()
+	row := figureData(t, []Cell{c}, cfg(250)).MassCheck(c)
 	if row.CriticalSDCs == 0 {
 		t.Fatal("no critical CLAMR SDCs sampled")
 	}
@@ -156,7 +160,8 @@ func TestBuildMassCheckCoverage(t *testing.T) {
 }
 
 func TestBuildCLAMRLocalityMap(t *testing.T) {
-	m := BuildCLAMRLocalityMap(phi.New(), TestScale, cfg(40))
+	c := clamrPhiCell()
+	m := figureData(t, []Cell{c}, cfg(40)).LocalityMap(c)
 	if m.Count == 0 {
 		t.Fatal("no SDC found for the locality map")
 	}

@@ -8,13 +8,14 @@ import (
 )
 
 // This file is the shared figure pass: every aggregate §V artifact —
-// scatter, locality, SDC:DUE ratios, FIT scaling, ABFT coverage and the
-// per-resource tally — is a pure function of one reducer bundle per
-// distinct cell. RunFigurePass collects the bundles for the union of the
-// cells the selected artifacts read in one concurrent StreamMatrix pass,
-// so a cell several artifacts share is executed once and no report is
-// retained: memory is O(reducer state + scatter reservoir) per cell. The
-// filtered statistics use the paper's 2% filter (metrics.DefaultThresholdPct).
+// scatter, locality, SDC:DUE ratios, FIT scaling, ABFT coverage, the
+// per-resource tally, CLAMR's mass-check coverage and its Fig. 9 error
+// wave — is a pure function of one reducer bundle per distinct cell.
+// RunFigurePass collects the bundles for the union of the cells the
+// selected artifacts read in one concurrent StreamMatrix pass, so a cell
+// several artifacts share is executed once and no report is retained:
+// memory is O(reducer state + scatter reservoir) per cell. The filtered
+// statistics use the paper's 2% filter (metrics.DefaultThresholdPct).
 
 // scatterCapPct is a kernel family's relative-error display cap in the
 // Figure-2/4/6/8 scatters (per the paper's figure notes: 100% for DGEMM,
@@ -49,20 +50,31 @@ type CellStats struct {
 	// Scatter is capped at the kernel family's display cap.
 	Scatter *ScatterReducer
 	ABFT    *ABFTReducer
+	// MassCheck (S4) and Wave (F9) are set for CLAMR cells only.
+	MassCheck *MassCheckReducer
+	Wave      *WaveReducer
 
 	acc *SummaryAccumulator
 }
 
 func newCellStats(c Cell, cfg Config, maxPoints int) *CellStats {
-	return &CellStats{
+	s := &CellStats{
 		Scatter: NewScatterReducer(scatterCapPct(c.Kern.Name()), maxPoints, scatterRNG(cfg, c)),
 		ABFT:    NewABFTReducer(),
 		acc:     NewSummaryAccumulator([]float64{0, metrics.DefaultThresholdPct}),
 	}
+	if c.Kern.Name() == "CLAMR" {
+		s.MassCheck, s.Wave = &MassCheckReducer{}, &WaveReducer{}
+	}
+	return s
 }
 
 func (s *CellStats) sinks() []Sink {
-	return []Sink{s.acc, s.Scatter, s.ABFT}
+	sinks := []Sink{s.acc, s.Scatter, s.ABFT}
+	if s.Wave != nil {
+		sinks = append(sinks, s.MassCheck, s.Wave)
+	}
+	return sinks
 }
 
 // scatterRNG derives the deterministic reservoir-eviction stream of one
@@ -203,6 +215,25 @@ func (d *FigureData) ABFTCoverage(cells []Cell) []ABFTRow {
 		}
 	}
 	return rows
+}
+
+// MassCheck renders the §V-D mass-check coverage of CLAMR cell c.
+func (d *FigureData) MassCheck(c Cell) MassCheckRow {
+	s := d.Stats(c)
+	st := s.MassCheck.Stats
+	return MassCheckRow{
+		Device:       s.Info.Device,
+		CriticalSDCs: st.Evaluated,
+		Detected:     st.Detected,
+		Coverage:     st.Coverage(),
+	}
+}
+
+// LocalityMap renders Fig. 9 from CLAMR cell c, on the output shape of
+// the cell's profile.
+func (d *FigureData) LocalityMap(c Cell) LocalityMap {
+	s := d.Stats(c)
+	return s.Wave.Map(s.Info.Profile.OutputDims)
 }
 
 // ResourceTally returns c's per-resource outcome accounting, the beam

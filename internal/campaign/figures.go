@@ -1,14 +1,12 @@
 package campaign
 
 import (
-	"radcrit/internal/arch"
-	"radcrit/internal/beam"
 	"radcrit/internal/detect"
 	"radcrit/internal/fault"
 	"radcrit/internal/fit"
+	"radcrit/internal/grid"
+	"radcrit/internal/injector"
 	"radcrit/internal/metrics"
-	"radcrit/internal/par"
-	"radcrit/internal/xrand"
 )
 
 // ScatterSeries is the data behind one subfigure of Figures 2, 4, 6, 8:
@@ -87,43 +85,17 @@ type MassCheckRow struct {
 	Coverage     float64
 }
 
-// BuildMassCheckCoverage runs CLAMR strikes and evaluates the mass check
-// against critical (above-threshold) SDCs. The profile and golden-state
-// handle are prepared once; strikes fan out over the worker pool and the
-// per-strike verdicts are merged in index order.
-func BuildMassCheckCoverage(dev arch.Device, s Scale, cfg Config, thresholdPct float64) MassCheckRow {
-	k := CLAMRKernel(s)
-	prof := k.Profile(dev)
-	golden := k.Golden(dev)
-	rng := xrand.New(cfg.Seed).SplitString(dev.ShortName()).SplitString("masscheck")
-	type verdict struct {
-		critical, fired bool
-	}
-	verdicts := make([]verdict, cfg.Strikes)
-	par.For(cfg.Strikes, cfg.Workers, func(i int) {
-		sub := rng.Split(uint64(i) + 1)
-		strike := fault.Strike{When: sub.Float64(), Energy: beam.StrikeEnergy(sub)}
-		syn := dev.ResolveStrike(prof, strike, sub)
-		if syn.Outcome != fault.SDC {
-			return
-		}
-		rep, det := k.RunInjectedDetailed(golden, syn.Injection, sub)
-		if rep.CountAbove(thresholdPct) == 0 {
-			return
-		}
-		verdicts[i] = verdict{critical: true, fired: det.MassCheckFired}
-	})
-	var stats detect.CoverageStats
-	for _, v := range verdicts {
-		if v.critical {
-			stats.Add(v.fired)
-		}
-	}
-	return MassCheckRow{
-		Device:       dev.ShortName(),
-		CriticalSDCs: stats.Evaluated,
-		Detected:     stats.Detected,
-		Coverage:     stats.Coverage(),
+// MassCheckReducer evaluates CLAMR's mass-conservation check against
+// the critical SDCs: those with a mismatch above the paper's 2% filter
+// (§V-D). The verdict is the outcome's Detected bit.
+type MassCheckReducer struct {
+	Stats detect.CoverageStats
+}
+
+// Consume implements Sink.
+func (r *MassCheckReducer) Consume(_ int, out injector.Outcome) {
+	if out.Class == fault.SDC && out.Report.CountAbove(metrics.DefaultThresholdPct) > 0 {
+		r.Stats.Add(out.Detected)
 	}
 }
 
@@ -135,66 +107,47 @@ type LocalityMap struct {
 	Count         int
 }
 
-// BuildCLAMRLocalityMap runs CLAMR strikes until an SDC with a sizeable
-// error wave appears and maps it (Fig. 9).
-//
-// The search runs in two passes so the strike sweep can fan out without
-// holding every candidate report in memory: pass one scores each strike in
-// parallel (keeping only the incorrect-element count), then the winner —
-// the lowest-scoring index, earliest on ties, exactly as the serial scan
-// chose — is deterministically re-executed to materialise its report.
-func BuildCLAMRLocalityMap(dev arch.Device, s Scale, cfg Config) LocalityMap {
-	k := CLAMRKernel(s)
-	prof := k.Profile(dev)
-	golden := k.Golden(dev)
-	// The paper's Fig. 9 shows a mid-flight error wave: prefer the SDC
-	// whose corrupted area is closest to a third of the output — larger
-	// ones have already flooded the whole domain, smaller ones have not
-	// yet developed the wave shape.
-	target := k.Side() * k.Side() / 3
-	score := func(count int) int {
-		d := count - target
-		if d < 0 {
-			return -d
-		}
-		return d
+// WaveReducer keeps the Fig. 9 error wave. The paper's Fig. 9 shows a
+// mid-flight wave, so it keeps the SDC whose incorrect-element count is
+// closest to a third of the output, the earliest on ties: larger ones
+// have already flooded the whole domain, smaller ones have not yet
+// developed the wave shape. It copies the kept SDC's coordinates, because
+// the engine recycles every report once its chunk is consumed.
+type WaveReducer struct {
+	score  int
+	coords []grid.Coord
+}
+
+// Consume implements Sink.
+func (r *WaveReducer) Consume(_ int, out injector.Outcome) {
+	if out.Class != fault.SDC {
+		return
 	}
-	rng := xrand.New(cfg.Seed).SplitString(dev.ShortName()).SplitString("fig9")
-	runStrike := func(i int) *metrics.Report {
-		sub := rng.Split(uint64(i) + 1)
-		strike := fault.Strike{When: sub.Float64(), Energy: beam.StrikeEnergy(sub)}
-		syn := dev.ResolveStrike(prof, strike, sub)
-		if syn.Outcome != fault.SDC {
-			return nil
-		}
-		return k.RunInjectedPooled(golden, syn.Injection, sub, nil)
+	rep := out.Report
+	score := rep.Count() - rep.TotalElements/3
+	if score < 0 {
+		score = -score
 	}
-	counts := make([]int, cfg.Strikes)
-	par.For(cfg.Strikes, cfg.Workers, func(i int) {
-		if rep := runStrike(i); rep != nil {
-			counts[i] = rep.Count()
-		}
-	})
-	bestIdx := -1
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		if bestIdx < 0 || score(c) < score(counts[bestIdx]) {
-			bestIdx = i
-		}
+	if len(r.coords) > 0 && score >= r.score {
+		return
 	}
-	m := LocalityMap{Width: k.Side(), Height: k.Side()}
+	r.score = score
+	r.coords = r.coords[:0]
+	for _, m := range rep.Mismatches {
+		r.coords = append(r.coords, m.Coord)
+	}
+}
+
+// Map marks the kept SDC's incorrect elements on an output of the given
+// shape (a zero Count when no SDC occurred).
+func (r *WaveReducer) Map(dims grid.Dims) LocalityMap {
+	m := LocalityMap{Width: dims.X, Height: dims.Y, Count: len(r.coords)}
 	m.Marked = make([][]bool, m.Height)
 	for i := range m.Marked {
 		m.Marked[i] = make([]bool, m.Width)
 	}
-	if bestIdx >= 0 {
-		best := runStrike(bestIdx)
-		for _, mm := range best.Mismatches {
-			m.Marked[mm.Coord.Y][mm.Coord.X] = true
-		}
-		m.Count = best.Count()
+	for _, c := range r.coords {
+		m.Marked[c.Y][c.X] = true
 	}
 	return m
 }

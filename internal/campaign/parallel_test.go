@@ -124,29 +124,6 @@ func TestParallelEngineRepeatedRunsIdentical(t *testing.T) {
 	requireIdentical(t, "repeated parallel runs", a, b)
 }
 
-// TestSessionlessBuildersDeterministicUnderWorkers checks the ported
-// strike-loop builders (mass check, Fig. 9 map) produce identical outputs
-// for any worker count.
-func TestSessionlessBuildersDeterministicUnderWorkers(t *testing.T) {
-	dev := phi.New()
-	serial := DefaultConfig(67, 120)
-	serial.Workers = 1
-	parallel := serial
-	parallel.Workers = 8
-
-	mcA := BuildMassCheckCoverage(dev, TestScale, serial, 2)
-	mcB := BuildMassCheckCoverage(dev, TestScale, parallel, 2)
-	if mcA != mcB {
-		t.Fatalf("mass-check coverage depends on workers: %+v vs %+v", mcA, mcB)
-	}
-
-	mapA := BuildCLAMRLocalityMap(dev, TestScale, serial)
-	mapB := BuildCLAMRLocalityMap(dev, TestScale, parallel)
-	if !reflect.DeepEqual(mapA, mapB) {
-		t.Fatal("locality map depends on workers")
-	}
-}
-
 // invalidKernel wraps a real kernel with a degenerate profile, to drive
 // the engine's failure path.
 type invalidKernel struct{ kernels.Kernel }

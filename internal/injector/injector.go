@@ -32,6 +32,12 @@ type Outcome struct {
 	Scope arch.Scope
 	// Report holds the output mismatches; non-nil only for Class == SDC.
 	Report *metrics.Report
+	// Detected is whether the kernel's own detector (CLAMR's mass check)
+	// fired on this SDC, as RunBatch reports it. It stays false for other
+	// classes, for kernels without a detector, and from RunOne. It is an
+	// in-memory verdict for reducers: logs, summaries and cell keys never
+	// carry it.
+	Detected bool
 }
 
 // Session is a prepared (device, kernel) execution context. It hoists the
@@ -146,6 +152,7 @@ func (s *Session) RunBatch(strikes []fault.Strike, rngs []*xrand.RNG, outs []Out
 			continue
 		}
 		outs[i].Report = rep
+		outs[i].Detected = items[j].Detected
 	}
 	bb.items, bb.idx = items, idx
 	s.batches.Put(bb)

@@ -641,7 +641,8 @@ func (k *Kernel) RunInjectedBatch(gs kernels.GoldenState, batch []kernels.BatchS
 			st = g.stateAt(t0)
 			lastT0 = t0
 		}
-		batch[i].Report, _ = k.runInjectedWith(g, sc, st, t0, batch[i].Inj, batch[i].RNG, reports)
+		rep, det := k.runInjectedWith(g, sc, st, t0, batch[i].Inj, batch[i].RNG, reports)
+		batch[i].Report, batch[i].Detected = rep, det.MassCheckFired
 	}
 	g.scr.Put(sc)
 }
@@ -733,17 +734,6 @@ func (k *Kernel) runInjectedWith(g *goldenTimeline, sc *injectScratch, st *state
 		MassCheckFired:  maxDrift > k.MassCheckThresholdRel(),
 	}
 	return rep, det
-}
-
-// RunDense materialises golden and faulty outputs for examples/Fig. 9.
-func (k *Kernel) RunDense(dev arch.Device, inj arch.Injection, rng *xrand.RNG) (golden, faulty *grid.Grid) {
-	golden = k.GoldenFinal()
-	faulty = golden.Clone()
-	rep := k.RunInjectedPooled(k.Golden(dev), inj, rng, nil)
-	for _, m := range rep.Mismatches {
-		faulty.Set(m.Coord, m.Read)
-	}
-	return golden, faulty
 }
 
 // corruptWords flips words..words+count of a conserved array chosen by

@@ -7,6 +7,7 @@ import (
 	"radcrit/internal/arch"
 	"radcrit/internal/fault"
 	"radcrit/internal/floatbits"
+	"radcrit/internal/kernels"
 	"radcrit/internal/metrics"
 	"radcrit/internal/phi"
 	"radcrit/internal/xrand"
@@ -244,13 +245,35 @@ func TestSanitizeCell(t *testing.T) {
 	}
 }
 
-func TestRunDenseAgreesWithReport(t *testing.T) {
+// TestBatchDetectedMatchesDetail pins the batch seam's detector bit: each
+// strike's Detected is the MassCheckFired of a standalone detailed run,
+// and the batch covers both verdicts.
+func TestBatchDetectedMatchesDetail(t *testing.T) {
 	k := small()
-	in := mkInj(arch.ScopeVectorLanes, 0.7)
-	golden, faulty := k.RunDense(phi.New(), in, xrand.New(11))
-	rep := k.RunInjectedPooled(k.Golden(phi.New()), in, xrand.New(11), nil)
-	diff := metrics.Evaluate(golden, faulty)
-	if diff.Count() != rep.Count() {
-		t.Fatalf("dense diff %d != report %d", diff.Count(), rep.Count())
+	g := k.Golden(phi.New())
+	var batch []kernels.BatchStrike
+	for seed := uint64(0); seed < 40; seed++ {
+		scope := arch.ScopeCacheLine
+		if seed%2 == 1 {
+			scope = arch.ScopeOutputWord
+		}
+		in := mkInj(scope, 0.5)
+		in.Flip = fault.FlipSpec{Field: floatbits.AnyField, Bits: 1}
+		batch = append(batch, kernels.BatchStrike{Inj: in, RNG: xrand.New(seed)})
+	}
+	k.RunInjectedBatch(g, batch, nil)
+	seen := map[bool]bool{}
+	for i, b := range batch {
+		rep, det := k.RunInjectedDetailed(g, b.Inj, xrand.New(uint64(i)))
+		if b.Detected != det.MassCheckFired || b.Report.Count() != rep.Count() {
+			t.Fatalf("strike %d: batch (detected %v, %d mismatches), detailed (%v, %d)",
+				i, b.Detected, b.Report.Count(), det.MassCheckFired, rep.Count())
+		}
+		if rep.Count() > 0 {
+			seen[b.Detected] = true
+		}
+	}
+	if !seen[true] || !seen[false] {
+		t.Fatalf("batch SDC verdicts %v: want both fired and evaded", seen)
 	}
 }

@@ -8,10 +8,12 @@
 // report the resulting output mismatches against the fault-free golden
 // output. It has exactly two run methods, both against a golden-state
 // handle from Golden: RunInjectedPooled for one strike, and
-// RunInjectedBatch for the slice of strikes the campaign engine hands it. Error propagation is performed by the kernel's real mathematics
-// — a corrupted matrix element re-enters the actual dot products, a
-// corrupted temperature cell is smoothed by the actual stencil — so the
-// paper's observed behaviours are emergent rather than scripted.
+// RunInjectedBatch for the slice of strikes the campaign engine hands it.
+//
+// Error propagation is performed by the kernel's real mathematics — a
+// corrupted matrix element re-enters the actual dot products, a corrupted
+// temperature cell is smoothed by the actual stencil — so the paper's
+// observed behaviours are emergent rather than scripted.
 //
 // For the two non-iterative kernels (DGEMM, LavaMD) faulty runs use exact
 // delta propagation: only outputs reachable from the corrupted state are
@@ -105,6 +107,10 @@ type BatchStrike struct {
 	// Report is filled by the batch runner; an empty report means the
 	// corruption was logically masked.
 	Report *metrics.Report
+	// Detected is the kernel's own error detector firing on this run
+	// (CLAMR's mass-conservation check). Kernels without a detector leave
+	// it false.
+	Detected bool
 }
 
 // RunBatch is k.RunInjectedBatch(g, batch, reports). It remains only

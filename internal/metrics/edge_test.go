@@ -73,15 +73,3 @@ func TestDuplicateCoordinatesDoNotCrash(t *testing.T) {
 		t.Fatalf("duplicated coordinate set = %v, want single", got)
 	}
 }
-
-func TestRelErrsPctDoesNotMutate(t *testing.T) {
-	r := makeReport(t, 8, map[grid.Coord]float64{
-		{X: 0, Y: 0}: 30,
-		{X: 1, Y: 0}: 11,
-	})
-	first := r.Mismatches[0].RelErrPct
-	_ = r.RelErrsPct()
-	if r.Mismatches[0].RelErrPct != first {
-		t.Fatal("RelErrsPct mutated the report")
-	}
-}

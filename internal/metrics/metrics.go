@@ -16,7 +16,6 @@ package metrics
 import (
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -75,12 +74,11 @@ type Report struct {
 	// Mismatches (0 means unfiltered).
 	ThresholdPct float64
 
-	// coords and relErrs cache the Coords/RelErrsPct derivations, which
-	// the figure builders request once per threshold per report. Atomic
-	// pointers keep concurrent readers race-free: racing builders compute
-	// identical caches and either may win.
-	coords  atomic.Pointer[coordsCache]
-	relErrs atomic.Pointer[relErrsCache]
+	// coords caches the Coords derivation: in the figure pass both the
+	// summary accumulator and the ABFT reducer classify each SDC's
+	// locality. An atomic pointer keeps concurrent readers race-free:
+	// racing readers compute identical caches and either may win.
+	coords atomic.Pointer[coordsCache]
 }
 
 type coordsCache struct {
@@ -88,21 +86,15 @@ type coordsCache struct {
 	coords []grid.Coord
 }
 
-type relErrsCache struct {
-	n    int
-	errs []float64
-}
-
 // Reset returns the report to its empty state, retaining the mismatch
 // slice's capacity for reuse. Any slices previously handed out by
-// Mismatches, Coords or RelErrsPct become invalid.
+// Mismatches or Coords become invalid.
 func (r *Report) Reset() {
 	r.Dims = grid.Dims{}
 	r.TotalElements = 0
 	r.Mismatches = r.Mismatches[:0]
 	r.ThresholdPct = 0
 	r.coords.Store(nil)
-	r.relErrs.Store(nil)
 }
 
 // Clone returns a deep copy of the report whose lifetime is independent of
@@ -302,9 +294,8 @@ func (r *Report) CorruptedFraction() float64 {
 }
 
 // Coords returns the coordinates of all mismatches. The slice comes from
-// a lazily built cache shared by every caller (the figure builders ask
-// once per threshold per report): treat it as read-only. It is valid until
-// the report is Reset.
+// a lazily built cache shared by every caller: treat it as read-only. It
+// is valid until the report is Reset.
 func (r *Report) Coords() []grid.Coord {
 	if c := r.coords.Load(); c != nil && c.n == len(r.Mismatches) {
 		return c.coords
@@ -320,20 +311,4 @@ func (r *Report) Coords() []grid.Coord {
 // Locality classifies the spatial pattern of the mismatches (metric 4).
 func (r *Report) Locality() Pattern {
 	return Classify(r.Dims, r.Coords())
-}
-
-// RelErrsPct returns the per-element relative errors, sorted ascending.
-// Like Coords, the slice comes from a lazily built shared cache: treat it
-// as read-only; it is valid until the report is Reset.
-func (r *Report) RelErrsPct() []float64 {
-	if c := r.relErrs.Load(); c != nil && c.n == len(r.Mismatches) {
-		return c.errs
-	}
-	es := make([]float64, len(r.Mismatches))
-	for i, m := range r.Mismatches {
-		es[i] = m.RelErrPct
-	}
-	sort.Float64s(es)
-	r.relErrs.Store(&relErrsCache{n: len(es), errs: es})
-	return es
 }

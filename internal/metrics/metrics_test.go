@@ -208,20 +208,3 @@ func TestFilterThresholdMonotonicProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRelErrsSorted(t *testing.T) {
-	r := makeReport(t, 4, map[grid.Coord]float64{
-		{X: 0, Y: 0}: 15,
-		{X: 1, Y: 1}: 10.1,
-		{X: 2, Y: 2}: 12,
-	})
-	es := r.RelErrsPct()
-	if len(es) != 3 {
-		t.Fatalf("len = %d", len(es))
-	}
-	for i := 1; i < len(es); i++ {
-		if es[i] < es[i-1] {
-			t.Fatal("RelErrsPct not sorted")
-		}
-	}
-}

@@ -18,14 +18,13 @@ func sampleReport() *Report {
 
 func TestReportReset(t *testing.T) {
 	r := sampleReport()
-	_ = r.Coords() // populate the caches so Reset must drop them
-	_ = r.RelErrsPct()
+	_ = r.Coords() // populate the cache so Reset must drop it
 	r.Reset()
 	if r.Count() != 0 || r.TotalElements != 0 || r.ThresholdPct != 0 || r.Dims != (grid.Dims{}) {
 		t.Fatalf("Reset left state behind: %+v", r)
 	}
-	if len(r.Coords()) != 0 || len(r.RelErrsPct()) != 0 {
-		t.Fatal("Reset kept stale accessor caches")
+	if len(r.Coords()) != 0 {
+		t.Fatal("Reset kept a stale coords cache")
 	}
 }
 
@@ -67,25 +66,16 @@ func TestReportPoolRecyclesAndDegrades(t *testing.T) {
 	p.Put(nil)
 }
 
-func TestCoordsAndRelErrsCached(t *testing.T) {
+func TestCoordsCached(t *testing.T) {
 	r := sampleReport()
 	c1, c2 := r.Coords(), r.Coords()
 	if &c1[0] != &c2[0] {
 		t.Error("Coords rebuilt despite unchanged mismatches")
 	}
-	e1, e2 := r.RelErrsPct(), r.RelErrsPct()
-	if &e1[0] != &e2[0] {
-		t.Error("RelErrsPct rebuilt despite unchanged mismatches")
-	}
-	for i := 1; i < len(e1); i++ {
-		if e1[i-1] > e1[i] {
-			t.Fatalf("RelErrsPct not sorted: %v", e1)
-		}
-	}
-	// Appending a mismatch must invalidate both caches.
+	// Appending a mismatch must invalidate the cache.
 	r.Mismatches = append(r.Mismatches, Mismatch{Coord: grid.Coord{X: 2, Y: 2}, RelErrPct: 9})
-	if len(r.Coords()) != 4 || len(r.RelErrsPct()) != 4 {
-		t.Fatal("caches served stale lengths after append")
+	if len(r.Coords()) != 4 {
+		t.Fatal("cache served a stale length after append")
 	}
 	if got := r.Coords()[3]; got != (grid.Coord{X: 2, Y: 2}) {
 		t.Fatalf("rebuilt coords wrong: %+v", got)

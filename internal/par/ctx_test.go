@@ -11,7 +11,7 @@ import (
 func TestForCtxRunsAll(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var sum atomic.Int64
-		err := ForCtx(context.Background(), 1000, workers, func(i int) {
+		err := forEach(context.Background(), 1000, workers, func(i int) {
 			sum.Add(int64(i))
 		})
 		if err != nil {
@@ -28,7 +28,7 @@ func TestForCtxPreCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		err := ForCtx(ctx, 1000, workers, func(int) { ran.Add(1) })
+		err := forEach(ctx, 1000, workers, func(int) { ran.Add(1) })
 		if err != context.Canceled {
 			t.Fatalf("workers=%d: err %v", workers, err)
 		}
@@ -44,7 +44,7 @@ func TestForCtxCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran atomic.Int64
-	err := ForCtx(ctx, 100000, 4, func(i int) {
+	err := forEach(ctx, 100000, 4, func(i int) {
 		if ran.Add(1) == 50 {
 			cancel()
 		}
@@ -55,7 +55,7 @@ func TestForCtxCancelMidRun(t *testing.T) {
 	if ran.Load() >= 100000 {
 		t.Errorf("cancelled loop ran every index")
 	}
-	// Workers are joined before ForCtx returns: nothing may leak.
+	// Workers are joined before ForSpansCtx returns: nothing may leak.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before+1 {

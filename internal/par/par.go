@@ -4,15 +4,16 @@
 // The campaign workload is embarrassingly parallel but irregular — an SDC
 // strike runs a full injected kernel while a masked strike returns almost
 // immediately — so a static index split would leave workers idle behind
-// whichever range drew the expensive strikes. For instead hands out small
-// contiguous chunks from a shared atomic cursor: workers that finish early
-// steal the next chunk, bounding imbalance by one chunk per worker without
-// any per-item synchronisation.
+// whichever range drew the expensive strikes. ForSpansCtx instead hands
+// out small contiguous chunks from a shared atomic cursor: workers that
+// finish early steal the next chunk, bounding imbalance by one chunk per
+// worker without any per-item synchronisation.
 //
-// Determinism is the caller's contract: fn receives the item index, writes
-// only to its own slot of pre-sized output storage, and derives any
-// randomness from a per-index RNG split. Under that contract the loop's
-// results are independent of worker count and scheduling order.
+// Determinism is the caller's contract: fn receives a span of item
+// indices, writes only to those slots of pre-sized output storage, and
+// derives any randomness from a per-index RNG split. Under that contract
+// the loop's results are independent of worker count and scheduling
+// order.
 package par
 
 import (
@@ -26,39 +27,25 @@ import (
 // serialise the loop.
 const maxChunk = 64
 
-// For runs fn(i) for every i in [0, n) across a pool of workers.
+// ForSpansCtx runs fn over [0, n) across a pool of workers, handing each
+// claimed chunk to fn as a contiguous [start, end) index range, so callers
+// amortise per-call overhead across a run of items — the campaign engine
+// hands each span to the kernels' batch seam so scratch and golden tables
+// stay cache-hot. Spans partition [0, n): every index is visited exactly
+// once.
+//
 // workers <= 0 selects runtime.GOMAXPROCS(0). The loop degenerates to a
 // plain serial loop when one worker (or one item) makes a pool pointless,
 // so callers need no serial fallback of their own.
-func For(n, workers int, fn func(i int)) {
-	// context.Background is never done, so ForCtx cannot return an error.
-	_ = ForCtx(context.Background(), n, workers, fn)
-}
-
-// ForCtx is For under a context: workers re-check ctx each time they claim
-// a chunk from the shared cursor and stop claiming once it is cancelled.
-// In-flight items finish (fn is never interrupted mid-call) and every
-// worker goroutine has exited by the time ForCtx returns, so cancellation
-// leaks nothing; it returns ctx.Err() when the loop stopped early and nil
-// when every index ran. Callers that need a consistent result set must
-// treat a non-nil return as "an unspecified subset of indices ran" — the
-// campaign engines discard the whole chunk.
-func ForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
-	return ForSpansCtx(ctx, n, workers, func(start, end int) {
-		for i := start; i < end; i++ {
-			fn(i)
-		}
-	})
-}
-
-// ForSpansCtx is ForCtx at span granularity: fn receives each claimed
-// chunk as a contiguous [start, end) index range instead of one index at
-// a time. Callers that amortise per-call overhead across a run of items —
-// the campaign engine hands each span to the kernels' batch seam so
-// scratch and golden tables stay cache-hot — use this directly; ForCtx is
-// a per-index wrapper over it. The determinism contract is unchanged:
-// spans partition [0, n), every index is visited exactly once, and fn
-// must write only to the slots of its own span.
+//
+// Workers re-check ctx each time they claim a chunk from the shared
+// cursor and stop claiming once it is cancelled. In-flight spans finish
+// (fn is never interrupted mid-call) and every worker goroutine has
+// exited by the time ForSpansCtx returns, so cancellation leaks nothing;
+// it returns ctx.Err() when the loop stopped early and nil when every
+// index ran. Callers that need a consistent result set must treat a
+// non-nil return as "an unspecified subset of spans ran" — the campaign
+// engine discards the whole chunk.
 func ForSpansCtx(ctx context.Context, n, workers int, fn func(start, end int)) error {
 	if n <= 0 {
 		return nil

@@ -1,15 +1,27 @@
 package par
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 )
+
+// forEach runs fn(i) for every index of the spans ForSpansCtx hands out.
+func forEach(ctx context.Context, n, workers int, fn func(i int)) error {
+	return ForSpansCtx(ctx, n, workers, func(start, end int) {
+		for i := start; i < end; i++ {
+			fn(i)
+		}
+	})
+}
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 64, 1000} {
 		for _, workers := range []int{0, 1, 2, 8, 33} {
 			hits := make([]int32, n)
-			For(n, workers, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			if err := forEach(context.Background(), n, workers, func(i int) { atomic.AddInt32(&hits[i], 1) }); err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+			}
 			for i, h := range hits {
 				if h != 1 {
 					t.Fatalf("n=%d workers=%d: index %d hit %d times", n, workers, i, h)
@@ -22,9 +34,9 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 func TestForIndexedWritesAreOrderIndependent(t *testing.T) {
 	const n = 512
 	want := make([]int, n)
-	For(n, 1, func(i int) { want[i] = i * i })
+	_ = forEach(context.Background(), n, 1, func(i int) { want[i] = i * i })
 	got := make([]int, n)
-	For(n, 16, func(i int) { got[i] = i * i })
+	_ = forEach(context.Background(), n, 16, func(i int) { got[i] = i * i })
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("slot %d: %d != %d", i, got[i], want[i])
