@@ -18,7 +18,6 @@ package campaign
 // same events.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -215,7 +214,8 @@ type EpochRecorder interface {
 // pool; between epochs the pool is re-dealt (in chunk quanta) to the
 // open cells with the widest intervals, widest first. The loop ends when
 // every cell has stopped, the pool is too small to deal, or MaxEpochs is
-// reached.
+// reached. It runs the same plan loop as StreamRunner, without the
+// one-epoch cap and with the Logs hook.
 //
 // Reallocation is a pure function of the epoch log — cells are ranked by
 // the same half-width the #EPOCH records carry, ties break on plan index
@@ -229,188 +229,49 @@ type EpochRecorder interface {
 // the cells' fresh ResumePlanCell logs.
 type AdaptiveRunner struct {
 	Progress Progress
-	// Logs, when non-nil, supplies a checkpoint-log writer per cell. The
-	// runner streams the cell's #CHK and #EPOCH records into it across
-	// epochs and closes it when the plan finishes; an error creating a
-	// log fails that cell. On cancellation the log is left without its
-	// #END trailer — resumable, like every interrupted checkpoint log.
+	// Logs, when non-nil, supplies a checkpoint-log writer per cell. All
+	// are requested before the first strike runs. The runner streams the
+	// cell's #CHK and #EPOCH records into it across epochs and closes it
+	// when the cell's outcome is final; an error creating a log fails
+	// that cell. Only a completed cell's log gets its #END trailer: on
+	// cancellation the open cells' logs are left without it — resumable,
+	// like every interrupted checkpoint log.
 	Logs func(i int, spec CellSpec) (io.WriteCloser, error)
 }
 
 var _ Runner = (*AdaptiveRunner)(nil)
 
-// adaptiveCellState is one cell's long-lived state across epochs.
-type adaptiveCellState struct {
-	run  *cellRun
-	logw io.WriteCloser
-
-	budget  int // current strike allocation
-	started bool
-	done    bool // stopped, or ran its budget in the last epoch
-	failed  bool
-}
-
-// open reports the cell still wants strikes: neither stopped nor failed.
-func (st *adaptiveCellState) open() bool {
-	return !st.failed && !st.run.stopped()
-}
-
 // Run implements Runner.
 func (r *AdaptiveRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) {
-	res, cells, err := planStart(ctx, p)
-	if err != nil {
-		return res, err
-	}
-	baseCfg, rule, adaptive := adaptiveConfig(p.Config())
-	chunk := baseCfg.StreamChunk
-	maxEpochs := 1
-	if adaptive {
-		maxEpochs = baseCfg.Adaptive.MaxEpochs
-	}
-
-	states := make([]*adaptiveCellState, len(cells))
-	for i, cell := range cells {
-		var extra []Sink
-		if r.Progress.OnChunk != nil {
-			extra = append(extra, FlushFunc(func(next int) { r.Progress.OnChunk(i, next) }))
-		}
-		st := &adaptiveCellState{
-			run:    newCellRun(cell, baseCfg, res.Thresholds, extra),
-			budget: baseCfg.Strikes,
-		}
-		states[i] = st
-		if r.Logs == nil {
-			continue
-		}
-		w, err := r.Logs(i, p.Cells[i])
-		if err == nil {
-			st.logw = w
-			_, err = st.run.salvage(bytes.NewReader(nil), w)
-		}
-		if err != nil {
-			st.failed = true
-			res.Cells[i].Err = cellError(cell.Dev, cell.Kern, err)
-		}
-	}
-
-	pool := 0
-	for epoch := 1; epoch <= maxEpochs; epoch++ {
-		for i, st := range states {
-			if !st.open() || st.run.next >= st.budget {
-				continue
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				return r.finishCancelled(res, states, cerr)
-			}
-			alloc := st.budget
-			err := st.run.advance(ctx, alloc)
-			if err != nil && !isCancellation(err) {
-				st.failed = true
-				res.Cells[i].Err = err
-				continue
-			}
-			st.started = true
-			if err != nil {
-				return r.finishCancelled(res, states, ctx.Err())
-			}
-			if st.run.stopped() {
-				pool += st.budget - st.run.next
-				st.budget = st.run.next
-			}
-			st.done = st.run.stopped() || epoch == maxEpochs
-			st.run.recordEpoch(epoch, alloc)
-		}
-
-		var open []int
-		for i, st := range states {
-			if st.open() {
-				open = append(open, i)
-			}
-		}
-		if len(open) == 0 || epoch == maxEpochs || pool < chunk {
-			break
-		}
-		// Reallocate the freed pool to the widest intervals, widest first
-		// (ties in plan order), in chunk quanta so continuation runs stay
-		// look-aligned. Each open cell gets an equal chunk-quantized
-		// share; the remainder is dealt a chunk at a time down the
-		// ranking.
-		sort.SliceStable(open, func(a, b int) bool {
-			sa, sb := states[open[a]].run, states[open[b]].run
-			ha := rule.HalfWidthAt(sa.es.sdc, sa.next)
-			hb := rule.HalfWidthAt(sb.es.sdc, sb.next)
-			if ha != hb {
-				return ha > hb
-			}
-			return open[a] < open[b]
-		})
-		per := pool / len(open)
-		per -= per % chunk
-		rem := pool - per*len(open)
-		for _, idx := range open {
-			add := per
-			if rem >= chunk {
-				add += chunk
-				rem -= chunk
-			}
-			states[idx].budget += add
-			pool -= add
-		}
-	}
-
-	for i, st := range states {
-		out := res.Cells[i]
-		switch {
-		case st.failed:
-		case st.started:
-			out.Info, out.Summary = st.run.outcome()
-		default:
-			out.Err = fmt.Errorf("campaign: cell %d never ran", i)
-		}
-		r.closeCell(st, out)
-		if r.Progress.OnCell != nil {
-			r.Progress.OnCell(i, out)
-		}
-	}
-	return res, res.Err()
+	return runPlan(ctx, p, 0, r.Progress, r.Logs)
 }
 
-// closeCell seals a cell's checkpoint log (trailer + file handle).
-func (r *AdaptiveRunner) closeCell(st *adaptiveCellState, out *CellOutcome) {
-	if st.run.chk != nil {
-		if err := st.run.chk.Close(); err != nil && out.Err == nil {
-			out.Err = err
+// reallocate re-deals the freed pool to the open cells (plan indices, in
+// plan order) between epochs: widest interval first, ties in plan order,
+// in chunk quanta so continuation runs stay look-aligned. Each open cell
+// gets an equal chunk-quantized share; the remainder is dealt a chunk at
+// a time down the ranking. It returns what is left of the pool.
+func reallocate(states []planCell, open []int, rule stats.StopRule, pool, chunk int) int {
+	sort.SliceStable(open, func(a, b int) bool {
+		sa, sb := states[open[a]].run, states[open[b]].run
+		ha := rule.HalfWidthAt(sa.es.sdc, sa.next)
+		hb := rule.HalfWidthAt(sb.es.sdc, sb.next)
+		if ha != hb {
+			return ha > hb
 		}
+		return open[a] < open[b]
+	})
+	per := pool / len(open)
+	per -= per % chunk
+	rem := pool - per*len(open)
+	for _, idx := range open {
+		add := per
+		if rem >= chunk {
+			add += chunk
+			rem -= chunk
+		}
+		states[idx].budget += add
+		pool -= add
 	}
-	if st.logw != nil {
-		if err := st.logw.Close(); err != nil && out.Err == nil {
-			out.Err = err
-		}
-	}
-}
-
-// finishCancelled fills partial outcomes after an external cancellation:
-// cells with progress keep their prefix-rescaled info and partial
-// summary (like StreamRunner's cancelled cell), and carry ctx's error
-// unless they were done; checkpoint logs are left WITHOUT their #END
-// trailer so they stay resumable, and untouched cells are marked with
-// ctx's error.
-func (r *AdaptiveRunner) finishCancelled(res *PlanResult, states []*adaptiveCellState, cerr error) (*PlanResult, error) {
-	for i, st := range states {
-		out := res.Cells[i]
-		if st.started {
-			out.Info, out.Summary = st.run.outcome()
-			if !st.done {
-				out.Err = cerr
-			}
-		} else if out.Err == nil {
-			out.Err = cerr
-		}
-		// Close file handles but never the CheckpointSink: no #END means
-		// the log resumes.
-		if st.logw != nil {
-			_ = st.logw.Close()
-		}
-	}
-	return res, cerr
+	return pool
 }

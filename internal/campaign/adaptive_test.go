@@ -432,19 +432,24 @@ func TestAdaptiveReplayByteIdentity(t *testing.T) {
 // TestAdaptiveRunnerNilSpecRunsFixedBudget pins plans without a spec:
 // AdaptiveRunner runs them itself, as one epoch at the plan's budget.
 // Its outcomes are StreamRunner's, outcome for outcome, also when
-// cancelled mid-plan (the finished cell keeps a nil error), and its Logs
-// hook receives the cell's fresh ResumePlanCell log, byte for byte.
+// cancelled mid-plan (the finished cells keep a nil error), and its Logs
+// hook receives the cell's fresh ResumePlanCell log, byte for byte. The
+// same holds for adaptiveGoldenPlan capped at one epoch, where no freed
+// strike is re-dealt: cancelled, cells 0 and 1 have stopped, cell 2 is
+// in flight at 100 strikes and cell 3 never ran.
 func TestAdaptiveRunnerNilSpecRunsFixedBudget(t *testing.T) {
-	plan := NewPlan(7, 60).
+	nilSpec := NewPlan(7, 60).
 		WithCell("k40", "dgemm:128").WithCell("k40", "hotspot:64x80").
 		WithThresholds(0, 2).WithStreamChunk(20)
-	// run executes plan under r, cancelled once cell 1 has consumed
-	// cancelAt strikes (never, when cancelAt exceeds the budget).
-	run := func(r Runner, p *Progress, cancelAt int) *PlanResult {
+	oneEpoch := adaptiveGoldenPlan().
+		WithAdaptive(AdaptiveSpec{TargetHalfWidth: 0.1, MinStrikes: 100, CheckEvery: 50, MaxEpochs: 1})
+	// run executes plan under r, cancelled once cell cancelCell has
+	// consumed cancelAt strikes (never, when cancelAt exceeds the budget).
+	run := func(r Runner, p *Progress, plan *Plan, cancelCell, cancelAt int) *PlanResult {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		p.OnChunk = func(cell, done int) {
-			if cell == 1 && done >= cancelAt {
+			if cell == cancelCell && done >= cancelAt {
 				cancel()
 			}
 		}
@@ -456,15 +461,27 @@ func TestAdaptiveRunnerNilSpecRunsFixedBudget(t *testing.T) {
 		}
 		return res
 	}
-	for _, cancelAt := range []int{plan.Strikes + 1, 40} {
+	for _, c := range []struct {
+		name           string
+		plan           *Plan
+		cancelCell, at int
+	}{
+		{"nil spec", nilSpec, 1, nilSpec.Strikes + 1},
+		{"nil spec", nilSpec, 1, 40},
+		{"one epoch", oneEpoch, 2, oneEpoch.Strikes + 1},
+		{"one epoch", oneEpoch, 2, 100},
+	} {
 		ar, sr := &AdaptiveRunner{}, &StreamRunner{}
-		a, s := run(ar, &ar.Progress, cancelAt), run(sr, &sr.Progress, cancelAt)
-		if a.Cells[0].Err != nil {
-			t.Fatalf("cancel at %d: finished cell carries %v", cancelAt, a.Cells[0].Err)
+		a := run(ar, &ar.Progress, c.plan, c.cancelCell, c.at)
+		s := run(sr, &sr.Progress, c.plan, c.cancelCell, c.at)
+		for i, out := range a.Cells[:c.cancelCell] {
+			if out.Err != nil {
+				t.Fatalf("%s, cancel at %d: finished cell %d carries %v", c.name, c.at, i, out.Err)
+			}
 		}
 		if !reflect.DeepEqual(a.Cells, s.Cells) {
-			t.Fatalf("cancel at %d: nil-spec AdaptiveRunner diverges from StreamRunner:\n%+v\nvs\n%+v",
-				cancelAt, a.Cells, s.Cells)
+			t.Fatalf("%s, cancel at %d: AdaptiveRunner diverges from StreamRunner:\n%+v\nvs\n%+v",
+				c.name, c.at, a.Cells, s.Cells)
 		}
 	}
 
@@ -491,6 +508,114 @@ func TestAdaptiveRunnerNilSpecRunsFixedBudget(t *testing.T) {
 	}
 }
 
+// reallocPlan is adaptiveGoldenPlan under the tighter 0.08 target, where
+// AdaptiveRunner re-deals freed strikes (TestAdaptiveRunnerReallocation).
+func reallocPlan() *Plan {
+	return adaptiveGoldenPlan().
+		WithAdaptive(AdaptiveSpec{TargetHalfWidth: 0.08, MinStrikes: 100, CheckEvery: 50, MaxEpochs: 3})
+}
+
+// TestStreamRunnerNeverReallocates: on a plan where AdaptiveRunner
+// re-deals freed strikes, every StreamRunner cell is its own
+// RunPlanCell's outcome — what the daemon reports for it.
+func TestStreamRunnerNeverReallocates(t *testing.T) {
+	plan := reallocPlan()
+	res, err := (&StreamRunner{}).Run(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := plan.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cell := range cells {
+		info, sum, err := RunPlanCell(context.Background(), cell, plan.Config(), plan.EffectiveThresholds())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := res.Cells[i]; out.Err != nil || !reflect.DeepEqual(out.Info, info) || !reflect.DeepEqual(out.Summary, sum) {
+			t.Errorf("cell %d: StreamRunner consumed %d (err %v), its RunPlanCell %d",
+				i, out.Info.Strikes, out.Err, info.Strikes)
+		}
+	}
+}
+
+// TestOnCellFiresWhenCellIsFinal pins OnCell's timing: once per cell, as
+// soon as the cell's outcome is final. StreamRunner fires OnCell(i)
+// before any chunk of a later cell, and for the in-flight cell on
+// cancel; AdaptiveRunner fires once per cell, lavamd's (stopped in epoch
+// 1) before hotspot runs, and never hears a cell's chunk after it.
+func TestOnCellFiresWhenCellIsFinal(t *testing.T) {
+	plan := reallocPlan()
+	type event struct{ cell, done int } // done < 0 marks OnCell
+	record := func(r Runner, p *Progress, cancelAt int) []event {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var evs []event
+		p.OnCell = func(i int, out *CellOutcome) { evs = append(evs, event{i, -1}) }
+		p.OnChunk = func(cell, done int) {
+			evs = append(evs, event{cell, done})
+			if cell == 1 && done >= cancelAt {
+				cancel()
+			}
+		}
+		_, _ = r.Run(ctx, plan)
+		return evs
+	}
+	check := func(name string, evs []event, wantCells int) {
+		t.Helper()
+		final := map[int]bool{} // cells whose OnCell has fired
+		for _, ev := range evs {
+			if ev.done >= 0 {
+				if final[ev.cell] {
+					t.Fatalf("%s: chunk %d of cell %d after its OnCell", name, ev.done, ev.cell)
+				}
+				continue
+			}
+			if final[ev.cell] {
+				t.Fatalf("%s: OnCell(%d) fired twice", name, ev.cell)
+			}
+			final[ev.cell] = true
+		}
+		if len(final) != wantCells {
+			t.Fatalf("%s: OnCell fired for %d cells, want %d", name, len(final), wantCells)
+		}
+	}
+
+	sr := &StreamRunner{}
+	evs := record(sr, &sr.Progress, plan.Strikes+1)
+	check("stream", evs, len(plan.Cells))
+	for k, ev := range evs {
+		for _, prev := range evs[:k] {
+			if ev.done < 0 && prev.cell > ev.cell {
+				t.Fatalf("stream: OnCell(%d) after a chunk of cell %d", ev.cell, prev.cell)
+			}
+		}
+	}
+	sr = &StreamRunner{}
+	evs = record(sr, &sr.Progress, 50)
+	check("stream cancelled", evs, 2)
+	if last := evs[len(evs)-1]; last != (event{1, -1}) {
+		t.Fatalf("stream cancelled: last event %+v, want the in-flight cell's OnCell", last)
+	}
+
+	ar := &AdaptiveRunner{}
+	evs = record(ar, &ar.Progress, plan.Strikes+1)
+	check("adaptive", evs, len(plan.Cells))
+	lavamd, hotspot := -1, -1
+	for k, ev := range evs {
+		if ev == (event{1, -1}) {
+			lavamd = k
+		}
+		if ev.cell == 2 && hotspot < 0 {
+			hotspot = k
+		}
+	}
+	if lavamd < 0 || lavamd > hotspot {
+		t.Fatalf("adaptive: OnCell(1) at event %d, hotspot's first chunk at %d: fired at plan end", lavamd, hotspot)
+	}
+}
+
 // TestAdaptiveRunnerReallocation pins the budget-epoch machinery under a
 // tighter 0.08 target: lavamd frees 200 strikes and clamr 50, hotspot
 // stops exactly at its budget, and the whole pool flows to dgemm — the
@@ -499,8 +624,7 @@ func TestAdaptiveRunnerNilSpecRunsFixedBudget(t *testing.T) {
 // epoch log.
 func TestAdaptiveRunnerReallocation(t *testing.T) {
 	run := func() ([]*bytes.Buffer, *PlanResult) {
-		plan := adaptiveGoldenPlan().
-			WithAdaptive(AdaptiveSpec{TargetHalfWidth: 0.08, MinStrikes: 100, CheckEvery: 50, MaxEpochs: 3})
+		plan := reallocPlan()
 		logs := make([]*bytes.Buffer, len(plan.Cells))
 		r := &AdaptiveRunner{Logs: func(i int, _ CellSpec) (io.WriteCloser, error) {
 			logs[i] = &bytes.Buffer{}
@@ -554,8 +678,7 @@ func TestAdaptiveRunnerReallocation(t *testing.T) {
 // marks are re-emitted at their original positions, so both parsers
 // accept the rewritten log and the epoch trail is intact.
 func TestAdaptiveRunnerResumesOwnLog(t *testing.T) {
-	plan := adaptiveGoldenPlan().
-		WithAdaptive(AdaptiveSpec{TargetHalfWidth: 0.08, MinStrikes: 100, CheckEvery: 50, MaxEpochs: 3})
+	plan := reallocPlan()
 	logs := make([]*bytes.Buffer, len(plan.Cells))
 	r := &AdaptiveRunner{Logs: func(i int, _ CellSpec) (io.WriteCloser, error) {
 		logs[i] = &bytes.Buffer{}
@@ -600,8 +723,7 @@ func TestAdaptiveRunnerResumesOwnLog(t *testing.T) {
 // sink order across epochs: when OnChunk hears of a chunk boundary, the
 // cell's log already holds the #CHK covering it.
 func TestAdaptiveRunnerCheckpointsBeforeProgress(t *testing.T) {
-	plan := adaptiveGoldenPlan().
-		WithAdaptive(AdaptiveSpec{TargetHalfWidth: 0.08, MinStrikes: 100, CheckEvery: 50, MaxEpochs: 3})
+	plan := reallocPlan()
 	covs := make([]*coverageSink, len(plan.Cells))
 	r := &AdaptiveRunner{
 		Progress: Progress{OnChunk: func(cell, done int) { covs[cell].FlushChunk(done) }},

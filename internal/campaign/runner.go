@@ -1,8 +1,10 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 
 	"radcrit/internal/fit"
 	"radcrit/internal/injector"
@@ -89,8 +91,12 @@ func (r *PlanResult) Err() error {
 // invoked synchronously from the runner's goroutine, so they never need
 // their own locking.
 type Progress struct {
-	// OnCell fires when a cell completes (successfully or not), with its
-	// plan index.
+	// OnCell fires once per cell, with its plan index, as soon as the
+	// cell's outcome is final: it failed, its stop rule fired, it ran
+	// the budget of its last epoch, or a cancellation interrupted it
+	// after it had run. StreamRunner fires OnCell(i) before cell i+1
+	// starts; a cell a cancellation reached before it ran gets ctx's
+	// error and no OnCell.
 	OnCell func(i int, out *CellOutcome)
 	// OnChunk fires at every streaming chunk boundary with the number of
 	// strikes consumed so far; a cell's checkpoint log, if any, already
@@ -109,54 +115,21 @@ type Runner interface {
 
 // StreamRunner executes cells sequentially through the streaming engine:
 // summaries come from online reducers, no reports are retained, and peak
-// memory per cell is O(StreamChunk + reducer state). A cancelled cell's
-// outcome keeps the partial reducer state accumulated up to the last
-// complete chunk.
+// memory per cell is O(StreamChunk + reducer state). It is the plan loop
+// capped at one epoch: an adaptive cell may stop early, but the strikes
+// it frees are never re-dealt, so every cell's outcome is its own
+// RunPlanCell's (the daemon, which runs each cell through
+// ResumePlanCell, reports the same). A cancelled cell's outcome keeps the
+// partial reducer state accumulated up to the last complete chunk.
 type StreamRunner struct {
 	Progress Progress
 }
 
 var _ Runner = (*StreamRunner)(nil)
 
-// planStart validates and builds the plan (honouring ctx between kernel
-// constructions — the golden simulations happen here) and allocates the
-// shared result shell. An invalid plan returns (nil, nil, err); a
-// cancellation during the build phase returns the shell with every cell
-// marked ctx.Err(), honouring the Runner contract that a cancelled run
-// always yields a partial PlanResult.
-func planStart(ctx context.Context, p *Plan) (*PlanResult, []Cell, error) {
-	cells, err := p.BuildCtx(ctx)
-	if err != nil {
-		if isCancellation(err) {
-			res := planShell(p)
-			markCancelled(res.Cells, err)
-			return res, nil, err
-		}
-		return nil, nil, err
-	}
-	return planShell(p), cells, nil
-}
-
-// planShell allocates a PlanResult with one empty outcome per plan cell.
-func planShell(p *Plan) *PlanResult {
-	res := &PlanResult{
-		Plan:       p,
-		Thresholds: p.EffectiveThresholds(),
-		Cells:      make([]*CellOutcome, len(p.Cells)),
-	}
-	for i := range res.Cells {
-		res.Cells[i] = &CellOutcome{Spec: p.Cells[i]}
-	}
-	return res
-}
-
-// markCancelled stamps ctx's error on outcomes the runner never reached.
-func markCancelled(outs []*CellOutcome, err error) {
-	for _, o := range outs {
-		if o.Err == nil && o.Summary == nil {
-			o.Err = err
-		}
-	}
+// Run implements Runner.
+func (r *StreamRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) {
+	return runPlan(ctx, p, 1, r.Progress, nil)
 }
 
 // prefixInfo rescales a cell's exposure to the strikes consumed before a
@@ -167,45 +140,153 @@ func prefixInfo(info StreamInfo, consumed int) StreamInfo {
 	return info
 }
 
-// Run implements Runner.
-func (r *StreamRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) {
-	res, cells, err := planStart(ctx, p)
+// planCell is one cell's state in the plan loop. Past setup, run is the
+// only reference to the cell's kernel, so dropping it frees a finished
+// cell's golden state while later cells run.
+type planCell struct {
+	run    *cellRun // nil once the cell's outcome is final
+	logw   io.WriteCloser
+	budget int  // current strike allocation
+	ran    bool // advanced at least once
+}
+
+// runPlan is the one plan loop under both Runners. It runs the plan in
+// budget epochs: epoch 1 deals every cell the plan's strike budget, a
+// cell whose stop rule fires returns its unused strikes to a shared
+// pool, and between epochs the pool is re-dealt to the open cells
+// (reallocate). A plan runs at most its adaptive spec's MaxEpochs
+// epochs, one without a spec, and never more than epochCap when it is
+// positive. logs, when non-nil, supplies each cell's checkpoint-log
+// writer (AdaptiveRunner.Logs).
+//
+// A cell's outcome becomes final in one place (finish): when the cell
+// fails, when its stop rule fires, when it has run the budget of its
+// last epoch, or when a cancellation interrupts it. That is also where
+// its log is sealed or closed, OnCell fires and its cellRun is released.
+func runPlan(ctx context.Context, p *Plan, epochCap int, prog Progress, logs func(int, CellSpec) (io.WriteCloser, error)) (*PlanResult, error) {
+	// BuildCtx validates the plan first, then honours ctx between kernel
+	// constructions (the golden simulations happen here).
+	cells, err := p.BuildCtx(ctx)
+	if err != nil && !isCancellation(err) {
+		return nil, err
+	}
+	res := &PlanResult{
+		Plan:       p,
+		Thresholds: p.EffectiveThresholds(),
+		Cells:      make([]*CellOutcome, len(p.Cells)),
+	}
+	for i := range res.Cells {
+		// err is set only if the build was cancelled: no cell ran.
+		res.Cells[i] = &CellOutcome{Spec: p.Cells[i], Err: err}
+	}
 	if err != nil {
-		// res is non-nil (with cells marked) for build-phase cancellation,
-		// nil for an invalid plan.
 		return res, err
 	}
-	cfg := p.Config()
-	for i, cell := range cells {
-		out := res.Cells[i]
-		if cerr := ctx.Err(); cerr != nil {
-			markCancelled(res.Cells[i:], cerr)
-			return res, cerr
+	cfg, rule, adaptive := adaptiveConfig(p.Config())
+	epochs := 1
+	if adaptive {
+		epochs = cfg.Adaptive.MaxEpochs
+	}
+	if epochCap > 0 {
+		epochs = min(epochs, epochCap)
+	}
+
+	states := make([]planCell, len(cells))
+	// finish makes cell i's outcome final: err is nil for a completed
+	// cell, the cell's failure, or ctx's error. Only a completed cell's
+	// log gets its #END trailer; any other is left resumable. OnCell
+	// fires for every cell but one a cancellation reached before it ran.
+	finish := func(i int, err error) {
+		st, out := &states[i], res.Cells[i]
+		out.Err = err
+		if err == nil || (st.ran && isCancellation(err)) {
+			out.Info, out.Summary = st.run.outcome()
 		}
-		var extra []Sink
-		if r.Progress.OnChunk != nil {
-			extra = append(extra, FlushFunc(func(next int) { r.Progress.OnChunk(i, next) }))
+		if err == nil && st.run.chk != nil {
+			out.Err = st.run.chk.Close()
 		}
-		// RunPlanCell handles the cancellation bookkeeping: a cancelled
-		// cell comes back with its info rescaled to the strikes actually
-		// consumed and the partial summary over that prefix — against the
-		// full planned exposure the FIT rates would be biased low by the
-		// cancelled fraction.
-		info, sum, err := RunPlanCell(ctx, cell, cfg, res.Thresholds, extra...)
-		out.Info, out.Summary = info, sum
-		if err != nil {
-			out.Err = err
-			if isCancellation(err) {
-				if r.Progress.OnCell != nil {
-					r.Progress.OnCell(i, out)
-				}
-				markCancelled(res.Cells[i+1:], err)
-				return res, ctx.Err()
+		if st.logw != nil {
+			if cerr := st.logw.Close(); cerr != nil && out.Err == nil {
+				out.Err = cerr
 			}
 		}
-		if r.Progress.OnCell != nil {
-			r.Progress.OnCell(i, out)
+		st.run = nil
+		if prog.OnCell != nil && (st.ran || !isCancellation(err)) {
+			prog.OnCell(i, out)
 		}
 	}
+	// finishOpen finishes every cell still open with err.
+	finishOpen := func(err error) {
+		for i := range states {
+			if states[i].run != nil {
+				finish(i, err)
+			}
+		}
+	}
+
+	for i, cell := range cells {
+		var extra []Sink
+		if prog.OnChunk != nil {
+			extra = append(extra, FlushFunc(func(next int) { prog.OnChunk(i, next) }))
+		}
+		st := &states[i]
+		st.run, st.budget = newCellRun(cell, cfg, res.Thresholds, extra), cfg.Strikes
+		if logs == nil {
+			continue
+		}
+		w, err := logs(i, p.Cells[i])
+		if err == nil {
+			st.logw = w
+			_, err = st.run.salvage(bytes.NewReader(nil), w)
+		}
+		if err != nil {
+			finish(i, cellError(cell.Dev, cell.Kern, err))
+		}
+	}
+
+	pool := 0
+	for epoch := 1; epoch <= epochs; epoch++ {
+		for i := range states {
+			st := &states[i]
+			if st.run == nil || st.run.next >= st.budget {
+				continue
+			}
+			if cerr := ctx.Err(); cerr != nil {
+				finishOpen(cerr)
+				return res, cerr
+			}
+			alloc := st.budget
+			err := st.run.advance(ctx, alloc)
+			if err != nil && !isCancellation(err) {
+				finish(i, err)
+				continue
+			}
+			st.ran = true
+			if err != nil {
+				finishOpen(ctx.Err())
+				return res, ctx.Err()
+			}
+			if st.run.stopped() {
+				pool += st.budget - st.run.next
+				st.budget = st.run.next
+			}
+			st.run.recordEpoch(epoch, alloc)
+			if st.run.stopped() || epoch == epochs {
+				finish(i, nil)
+			}
+		}
+		var open []int
+		for i := range states {
+			if states[i].run != nil {
+				open = append(open, i)
+			}
+		}
+		if len(open) == 0 || epoch == epochs || pool < cfg.StreamChunk {
+			break
+		}
+		pool = reallocate(states, open, rule, pool, cfg.StreamChunk)
+	}
+	// Cells still open ran their budget in the last epoch that dealt any.
+	finishOpen(nil)
 	return res, res.Err()
 }

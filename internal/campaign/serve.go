@@ -4,10 +4,10 @@ package campaign
 // primitives a long-lived campaign service composes — summary
 // accumulation as a Sink and one-cell execution with attachable sinks,
 // with or without a checkpoint log. RunPlanCell, ResumePlanCell and
-// RecoverLog are thin calls into one core (runCell), and AdaptiveRunner
-// advances the same cellRun once per budget epoch, so a daemon that
-// interleaves caching and checkpointing still runs the exact engine path
-// the in-process runners are pinned against.
+// RecoverLog are thin calls into one core (runCell), and the Runners'
+// plan loop (runPlan) advances the same cellRun once per budget epoch,
+// so a daemon that interleaves caching and checkpointing still runs the
+// exact engine path the in-process runners are pinned against.
 
 import (
 	"context"
@@ -23,9 +23,9 @@ import (
 )
 
 // SummaryAccumulator folds a streaming outcome sequence into a Summary —
-// the reducer stack StreamRunner attaches per cell, exported as a Sink so
-// serving layers can combine it with their own sinks (checkpoint logs,
-// progress relays) on one engine pass. It additionally replays salvaged
+// the reducer every Runner and RunPlanCell attach per cell, exported as a
+// Sink so serving layers can combine it with their own sinks (checkpoint
+// logs, progress relays) on one engine pass. It additionally replays salvaged
 // checkpoint-log events, which is what makes a resumed cell's summary
 // bit-identical to an uninterrupted run: the prefix comes from the log's
 // exact hex-float record, the tail from the deterministic per-index RNG
@@ -176,9 +176,10 @@ func (a *SummaryAccumulator) Summary(info StreamInfo) *Summary {
 }
 
 // RunPlanCell executes one resolved plan cell through the streaming
-// engine and returns its StreamInfo and Summary — StreamRunner's per-cell
-// body, exported for serving layers. The extra sinks observe the same
-// in-order outcome stream after the accumulator. It keeps no checkpoint
+// engine and returns its StreamInfo and Summary — the outcome
+// StreamRunner reports for that cell, exported for serving layers. The
+// extra sinks observe the same in-order outcome stream after the
+// accumulator. It keeps no checkpoint
 // log of its own; ResumePlanCell is the same run under one.
 //
 // On cancellation the returned info is rescaled to the chunk-aligned
@@ -260,12 +261,12 @@ func runCell(ctx context.Context, prev io.Reader, w io.Writer, cell Cell, cfg Co
 
 // cellRun is one cell's execution state: the summary accumulator, the
 // optional checkpoint log, the caller's extra sinks and, under an
-// adaptive config, the stop rule. runCell advances it once; AdaptiveRunner
-// advances it once per budget epoch. advance fixes the sink order: the
-// accumulator, then the checkpoint log (so a chunk's #CHK record is
-// written before any extra sink sees that chunk boundary), then the
-// extra sinks, then the stop rule (so every checkpoint has flushed before
-// it requests a stop).
+// adaptive config, the stop rule. runCell advances it once; the plan
+// loop (runPlan) advances it once per budget epoch. advance fixes the
+// sink order: the accumulator, then the checkpoint log (so a chunk's
+// #CHK record is written before any extra sink sees that chunk
+// boundary), then the extra sinks, then the stop rule (so every
+// checkpoint has flushed before it requests a stop).
 //
 // Under an adaptive config a salvaged prefix is re-judged exactly as the
 // original run judged it: the replayed events seed the stop rule's SDC

@@ -535,13 +535,6 @@ func (k *Kernel) stateAt(t int) *state {
 	return cur
 }
 
-// GoldenFinal returns the golden water-height output as a grid.
-func (k *Kernel) GoldenFinal() *grid.Grid {
-	g := grid.New2D(k.side, k.side)
-	copy(g.Data(), k.finalH)
-	return g
-}
-
 // RefinedFraction returns the mean fraction of refined cells during the
 // golden run (AMR statistics).
 func (k *Kernel) RefinedFraction() float64 { return k.refineFrac }

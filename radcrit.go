@@ -198,16 +198,22 @@ func SavePlan(w io.Writer, p *Plan) error { return campaign.SavePlan(w, p) }
 
 // NewStreamRunner returns the bounded-memory streaming engine as a
 // Runner: summaries come from online reducers and no reports are
-// retained.
+// retained. It is the plan loop capped at one budget epoch: cells of an
+// adaptive plan stop early but the strikes they free are never re-dealt,
+// so each cell reports what the daemon reports for it. OnCell(i) fires
+// as soon as cell i ends, before cell i+1 starts.
 func NewStreamRunner() *campaign.StreamRunner { return &campaign.StreamRunner{} }
 
 // NewAdaptiveRunner returns the early-stopping campaign engine as a
 // Runner: cells of a plan carrying an AdaptiveSpec stop as soon as their
 // confidence target is met, freed strikes are re-dealt to the cells with
 // the widest intervals, and every summary stays byte-identical to a
-// straight run with the same consumed strike count. A plan without a spec
-// runs each cell once at the plan's budget, with StreamRunner's outcomes.
-// Either way, its Logs hook receives each cell's checkpoint log.
+// straight run with the same consumed strike count. It runs the same
+// plan loop as NewStreamRunner, without the one-epoch cap and with the
+// Logs hook. A plan without a spec runs each cell once at the plan's
+// budget, with StreamRunner's outcomes. Either way, its Logs hook
+// receives each cell's checkpoint log, and OnCell fires once per cell as
+// soon as that cell's outcome is final.
 func NewAdaptiveRunner() *campaign.AdaptiveRunner { return &campaign.AdaptiveRunner{} }
 
 // RegisterDevice registers a device factory under name, making it

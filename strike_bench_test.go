@@ -49,8 +49,10 @@ func benchStrikeMix(b *testing.B, dev arch.Device, kern kernels.Kernel) {
 		b.Fatal(err)
 	}
 	rng := xrand.New(42)
-	// Warm the golden-state handle and the session pools.
-	for i := uint64(0); i < 64; i++ {
+	// Warm the golden-state handle, the session pools and the lazily
+	// built golden state (DGEMM's rows and columns) over every index the
+	// timed loop visits, as benchInjected does for its corpus.
+	for i := uint64(0); i < uint64(min(b.N, strikeCycle)); i++ {
 		strike, sub := strikeAt(rng, i)
 		releaseOutcome(ses, ses.RunOne(strike, sub))
 	}
