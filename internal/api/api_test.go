@@ -98,6 +98,32 @@ func summariesJSON(t *testing.T, cells []service.CellResult) string {
 // byte-identical to StreamRunner run in-process — on a cold store, on a
 // warm (fully deduplicated) store, and from a fresh daemon incarnation
 // reusing the first one's store across a restart.
+// mustGet builds a GET request for url.
+func mustGet(t *testing.T, url string) *http.Request {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return req
+}
+
+// doJSON sends req, requires a 200 and decodes the JSON body into v.
+func doJSON(t *testing.T, req *http.Request, v any) {
+	t.Helper()
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s %s: status %d", req.Method, req.URL.Path, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEndToEndGoldenBitIdentity(t *testing.T) {
 	plan := loadGoldenPlan(t)
 	direct, err := (&campaign.StreamRunner{}).Run(context.Background(), plan)
@@ -209,8 +235,14 @@ func TestAPIErrorsAndLifecycle(t *testing.T) {
 	if _, err := d.c.Result(ctx, snap.ID); err != service.ErrNotFinished {
 		t.Errorf("result of running job = %v, want ErrNotFinished", err)
 	}
-	if _, err := d.c.Cancel(ctx, snap.ID); err != nil {
+	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, d.srv.URL+"/v1/jobs/"+snap.ID, nil)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var cancelled service.Snapshot
+	doJSON(t, req, &cancelled)
+	if cancelled.ID != snap.ID {
+		t.Errorf("cancel answered for job %q, want %q", cancelled.ID, snap.ID)
 	}
 	final, err := d.c.Wait(ctx, snap.ID, 10*time.Millisecond, nil)
 	if err != nil {
@@ -221,20 +253,16 @@ func TestAPIErrorsAndLifecycle(t *testing.T) {
 	}
 
 	// Discovery endpoints.
-	reg, err := d.c.Registry(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var reg RegistryInfo
+	doJSON(t, mustGet(t, d.srv.URL+"/v1/registry"), &reg)
 	if len(reg.Devices) < 2 || len(reg.Kernels) < 4 {
 		t.Errorf("registry = %+v", reg)
 	}
 	if reg.Devices[0].Name != "k40" || reg.Devices[0].Help == "" {
 		t.Errorf("device info = %+v", reg.Devices[0])
 	}
-	vi, err := d.c.Version(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var vi VersionInfo
+	doJSON(t, mustGet(t, d.srv.URL+"/v1/version"), &vi)
 	if vi.Version != "test-build" || !strings.HasPrefix(vi.Go, "go") {
 		t.Errorf("version = %+v", vi)
 	}

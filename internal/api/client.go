@@ -289,13 +289,6 @@ func (c *Client) Result(ctx context.Context, id string) (*service.JobResult, err
 	return &jr, nil
 }
 
-// Cancel asks the daemon to stop a job.
-func (c *Client) Cancel(ctx context.Context, id string) (service.Snapshot, error) {
-	var snap service.Snapshot
-	_, err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil, &snap)
-	return snap, err
-}
-
 // Tenants fetches the daemon's per-tenant scheduling stats — the
 // fairness observability radload samples mid-drain.
 func (c *Client) Tenants(ctx context.Context) ([]service.TenantStat, error) {
@@ -310,20 +303,6 @@ func (c *Client) List(ctx context.Context) (JobsList, error) {
 	var jl JobsList
 	_, err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &jl)
 	return jl, err
-}
-
-// Registry fetches the daemon's registered devices and kernels.
-func (c *Client) Registry(ctx context.Context) (RegistryInfo, error) {
-	var ri RegistryInfo
-	_, err := c.do(ctx, http.MethodGet, "/v1/registry", nil, &ri)
-	return ri, err
-}
-
-// Version fetches the daemon's build information.
-func (c *Client) Version(ctx context.Context) (VersionInfo, error) {
-	var vi VersionInfo
-	_, err := c.do(ctx, http.MethodGet, "/v1/version", nil, &vi)
-	return vi, err
 }
 
 // Wait polls a job until it reaches a terminal state, reporting progress

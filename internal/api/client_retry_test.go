@@ -121,14 +121,14 @@ func TestClientAuthHeaders(t *testing.T) {
 	var gotAuth, gotTenant string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotAuth, gotTenant = r.Header.Get("Authorization"), r.Header.Get(TenantHeader)
-		writeJSON(w, http.StatusOK, VersionInfo{Version: "x", Go: "gox"})
+		writeJSON(w, http.StatusOK, JobsList{})
 	}))
 	defer srv.Close()
 	ctx := context.Background()
 
 	c := NewClient(srv.URL)
 	c.Tenant = "beta"
-	if _, err := c.Version(ctx); err != nil {
+	if _, err := c.List(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if gotAuth != "" || gotTenant != "beta" {
@@ -136,7 +136,7 @@ func TestClientAuthHeaders(t *testing.T) {
 	}
 
 	c.Token = "s3cret"
-	if _, err := c.Version(ctx); err != nil {
+	if _, err := c.List(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if gotAuth != "Bearer s3cret" || gotTenant != "" {

@@ -130,31 +130,11 @@ func (e Exposure) TuneSingleStrike() Exposure {
 	return e
 }
 
-// SampleStrikes returns the number of struck executions in the slot,
-// drawn from the Poisson arrival process. Executions hit by two strikes
-// are vanishingly rare by construction; they are counted once, consistent
-// with the paper's "at most one neutron generating a failure per
-// execution" experimental design.
-func (e Exposure) SampleStrikes(rng *xrand.RNG) int {
-	mean := e.StrikeRatePerExec() * float64(e.Executions())
-	return rng.Poisson(mean)
-}
-
 // StrikeEnergy samples a relative deposited-charge factor from the
 // facility spectrum: mostly single-bit-scale deposits with an
 // exponential high-energy tail.
 func StrikeEnergy(rng *xrand.RNG) float64 {
 	return 1 + 0.5*rng.ExpFloat64()
-}
-
-// ErrorRatePerExecution converts an observed error count into the
-// errors/execution statistic the paper bounds at 10^-3.
-func (e Exposure) ErrorRatePerExecution(errors int) float64 {
-	ex := e.Executions()
-	if ex == 0 {
-		return 0
-	}
-	return float64(errors) / float64(ex)
 }
 
 // HoursForStrikes returns the beam hours needed for an expected number of

@@ -102,22 +102,6 @@ func TestDeratingReducesStrikes(t *testing.T) {
 	}
 }
 
-func TestSampleStrikesPoisson(t *testing.T) {
-	e := exposure()
-	e.BeamHours = 4000 // enough for a meaningful expectation
-	mean := e.StrikeRatePerExec() * float64(e.Executions())
-	rng := xrand.New(5)
-	var sum float64
-	const n = 2000
-	for i := 0; i < n; i++ {
-		sum += float64(e.SampleStrikes(rng))
-	}
-	got := sum / n
-	if math.Abs(got-mean) > mean*0.2+0.5 {
-		t.Fatalf("sampled strike mean %v vs expected %v", got, mean)
-	}
-}
-
 func TestHoursForStrikesRoundTrip(t *testing.T) {
 	e := exposure()
 	hours := e.HoursForStrikes(100)
@@ -128,17 +112,6 @@ func TestHoursForStrikesRoundTrip(t *testing.T) {
 	mean := e.StrikeRatePerExec() * float64(e.Executions())
 	if math.Abs(mean-100) > 2 {
 		t.Fatalf("round trip gives %v strikes, want ~100", mean)
-	}
-}
-
-func TestErrorRatePerExecution(t *testing.T) {
-	e := exposure()
-	if e.ErrorRatePerExecution(18) != 18.0/float64(e.Executions()) {
-		t.Fatal("error rate wrong")
-	}
-	e.ExecSeconds = 0
-	if e.ErrorRatePerExecution(18) != 0 {
-		t.Fatal("zero executions should give 0")
 	}
 }
 

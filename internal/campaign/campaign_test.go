@@ -14,6 +14,17 @@ import (
 
 func cfg(strikes int) Config { return DefaultConfig(7, strikes) }
 
+// allCells returns the full device x kernel x input matrix of the paper's
+// evaluation at the given scale, in the §V presentation order (per device:
+// DGEMM sweep, LavaMD sweep, HotSpot, CLAMR).
+func allCells(s Scale) []Cell {
+	var cells []Cell
+	for _, dev := range Devices() {
+		cells = append(cells, DeviceCells(dev, s)...)
+	}
+	return cells
+}
+
 // TestRunDeterministicAndCached pins that repeated Runs of one cell are
 // bit-identical and that the Result retains one report per SDC.
 func TestRunDeterministicAndCached(t *testing.T) {
@@ -190,7 +201,7 @@ func figureData(t *testing.T, cells []Cell, c Config) *FigureData {
 }
 
 func TestBuildSDCRatiosCoversMatrix(t *testing.T) {
-	rows := figureData(t, AllCells(TestScale), cfg(80)).Ratios(AllCells(TestScale))
+	rows := figureData(t, allCells(TestScale), cfg(80)).Ratios(allCells(TestScale))
 	// K40: 3 DGEMM + 3 LavaMD + HotSpot + CLAMR = 8; Phi: 4+4+2 = 10.
 	if len(rows) != 18 {
 		t.Fatalf("expected 18 rows, got %d", len(rows))

@@ -41,14 +41,3 @@ func DeviceCells(dev arch.Device, s Scale) []Cell {
 		Cell{Dev: dev, Kern: CLAMRKernel(s)})
 	return cells
 }
-
-// AllCells returns the full device x kernel x input matrix of the paper's
-// evaluation at the given scale, in the §V presentation order (per device:
-// DGEMM sweep, LavaMD sweep, HotSpot, CLAMR).
-func AllCells(s Scale) []Cell {
-	var cells []Cell
-	for _, dev := range Devices() {
-		cells = append(cells, DeviceCells(dev, s)...)
-	}
-	return cells
-}

@@ -114,18 +114,6 @@ func (p *Plan) WithStreamChunk(n int) *Plan {
 	return p
 }
 
-// WithFacility selects the neutron source by name.
-func (p *Plan) WithFacility(name string) *Plan {
-	p.Facility = name
-	return p
-}
-
-// WithBaseExecSeconds sets the wall-seconds scale of one execution.
-func (p *Plan) WithBaseExecSeconds(s float64) *Plan {
-	p.BaseExecSeconds = s
-	return p
-}
-
 // WithAdaptive enables sequential early stopping under the given spec.
 func (p *Plan) WithAdaptive(a AdaptiveSpec) *Plan {
 	p.Adaptive = &a
@@ -242,7 +230,9 @@ func (p *Plan) Build() ([]Cell, error) {
 
 // BuildCtx is Build under a context: construction — the expensive phase
 // for iterative kernels, whose golden simulations run here — is abandoned
-// between cells once ctx is cancelled, returning ctx.Err().
+// between cells once ctx is cancelled, returning ctx.Err(). A cell whose
+// device or kernel fails to construct fails the build with a *CellError
+// naming the cell's specs.
 func (p *Plan) BuildCtx(ctx context.Context) ([]Cell, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -253,17 +243,20 @@ func (p *Plan) BuildCtx(ctx context.Context) ([]Cell, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		cellErr := func(err error) error {
+			return fmt.Errorf("plan %q: cell %d: %w", p.Name, i, &CellError{Device: c.Device, Kernel: c.Kernel, Err: err})
+		}
 		dev, ok := devs[c.Device]
 		if !ok {
 			var err error
 			if dev, err = registry.NewDevice(c.Device); err != nil {
-				return nil, fmt.Errorf("plan %q: cell %d: %w", p.Name, i, err)
+				return nil, cellErr(err)
 			}
 			devs[c.Device] = dev
 		}
 		kern, err := registry.NewKernel(c.Kernel)
 		if err != nil {
-			return nil, fmt.Errorf("plan %q: cell %d: %w", p.Name, i, err)
+			return nil, cellErr(err)
 		}
 		cells = append(cells, Cell{Dev: dev, Kern: kern})
 	}

@@ -79,7 +79,8 @@ func TestPlanValidateRejections(t *testing.T) {
 }
 
 func TestPlanJSONRoundTrip(t *testing.T) {
-	p := validPlan().WithFacility("ISIS").WithBaseExecSeconds(2.5)
+	p := validPlan()
+	p.Facility, p.BaseExecSeconds = "ISIS", 2.5
 	var buf bytes.Buffer
 	if err := SavePlan(&buf, p); err != nil {
 		t.Fatalf("SavePlan: %v", err)

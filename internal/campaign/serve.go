@@ -3,11 +3,11 @@ package campaign
 // This file is the serving-layer surface: the per-cell execution
 // primitives a long-lived campaign service composes — summary
 // accumulation as a Sink and one-cell execution with attachable sinks,
-// with or without a checkpoint log. RunPlanCell, ResumePlanCell and
-// RecoverLog are thin calls into one core (runCell), and the Runners'
-// plan loop (runPlan) advances the same cellRun once per budget epoch,
-// so a daemon that interleaves caching and checkpointing still runs the
-// exact engine path the in-process runners are pinned against.
+// with or without a checkpoint log. RunPlanCell and ResumePlanCell are
+// thin calls into one core (runCell), and the Runners' plan loop
+// (runPlan) advances the same cellRun once per budget epoch, so a daemon
+// that interleaves caching and checkpointing still runs the exact engine
+// path the in-process runners are pinned against.
 
 import (
 	"context"
@@ -221,8 +221,7 @@ func ResumePlanCell(ctx context.Context, prev io.Reader, w io.Writer, cell Cell,
 	return runCell(ctx, prev, w, cell, cfg, thresholds, extra)
 }
 
-// runCell is the one body under RunPlanCell, ResumePlanCell and
-// RecoverLog: one cellRun advanced once to the full budget. With w nil
+// runCell is the one body under RunPlanCell and ResumePlanCell: one cellRun advanced once to the full budget. With w nil
 // the cell runs unlogged from strike 0; otherwise salvage opens w's log
 // and replays prev's prefix first.
 func runCell(ctx context.Context, prev io.Reader, w io.Writer, cell Cell, cfg Config, thresholds []float64, extra []Sink) (StreamInfo, *Summary, error) {

@@ -25,14 +25,18 @@ func TestCellKeyCanonicalisation(t *testing.T) {
 		t.Fatalf("CellKey %q is not lowercase sha256 hex", baseKey)
 	}
 
+	facility := NewPlan(42, 300).WithCell("k40", "dgemm:128").WithThresholds(0, 2)
+	facility.Facility = "ISIS"
+	baseExec := NewPlan(42, 300).WithCell("k40", "dgemm:128").WithThresholds(0, 2)
+	baseExec.BaseExecSeconds = 2
 	mutations := map[string]*Plan{
 		"device":     NewPlan(42, 300).WithCell("phi", "dgemm:128").WithThresholds(0, 2),
 		"kernel":     NewPlan(42, 300).WithCell("k40", "dgemm:256").WithThresholds(0, 2),
 		"seed":       NewPlan(43, 300).WithCell("k40", "dgemm:128").WithThresholds(0, 2),
 		"strikes":    NewPlan(42, 301).WithCell("k40", "dgemm:128").WithThresholds(0, 2),
 		"thresholds": NewPlan(42, 300).WithCell("k40", "dgemm:128").WithThresholds(0, 3),
-		"facility":   NewPlan(42, 300).WithCell("k40", "dgemm:128").WithThresholds(0, 2).WithFacility("ISIS"),
-		"base_exec":  NewPlan(42, 300).WithCell("k40", "dgemm:128").WithThresholds(0, 2).WithBaseExecSeconds(2),
+		"facility":   facility,
+		"base_exec":  baseExec,
 	}
 	seen := map[string]string{baseKey: "base"}
 	for what, p := range mutations {

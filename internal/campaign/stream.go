@@ -311,13 +311,10 @@ func (r *ScatterReducer) Consume(_ int, out injector.Outcome) {
 	}
 }
 
-// Points returns the sampled points. When no eviction occurred (Seen() <=
-// MaxPoints, or MaxPoints <= 0) these are every SDC's points in strike
-// order.
+// Points returns the sampled points. When no eviction occurred (at most
+// MaxPoints SDCs offered, or MaxPoints <= 0) these are every SDC's points
+// in strike order.
 func (r *ScatterReducer) Points() []ScatterPoint { return r.pts }
-
-// Seen returns the total number of SDC points offered to the reservoir.
-func (r *ScatterReducer) Seen() int { return r.seen }
 
 // ABFTReducer accumulates the ABFT coverage classification of every SDC
 // (§V-A): which errors ABFT corrects and which it only detects.
@@ -341,7 +338,7 @@ func (r *ABFTReducer) Consume(_ int, out injector.Outcome) {
 // CheckpointSink streams every non-masked outcome into a logdata campaign
 // log as it happens, flushing a checkpoint record at every chunk boundary.
 // A campaign killed mid-cell leaves a log that ParseResume can truncate to
-// its last checkpoint; RecoverLog then re-runs only the missing tail.
+// its last checkpoint; ResumePlanCell then re-runs only the missing tail.
 //
 // Write errors are sticky: the first one is remembered and returned by
 // Close (the engine's Consume path has no error channel, matching the
@@ -405,15 +402,3 @@ func (c *CheckpointSink) RecordEpoch(m logdata.EpochMark) error { return c.sw.Wr
 
 // Close writes the trailer and reports any write error seen on the way.
 func (c *CheckpointSink) Close() error { return c.sw.Close() }
-
-// RecoverLog completes a checkpointed campaign log that was truncated by a
-// crash: it parses the salvageable prefix (up to the last flushed
-// checkpoint), replays those events into w, re-runs only the strikes the
-// checkpoint does not cover, and closes the log. The recovered log is
-// event-for-event identical to one written by an uninterrupted run —
-// checkpoint/resume's determinism contract (DESIGN.md §6). It is
-// ResumePlanCell (serve.go) with the summary dropped: log in, log out.
-func RecoverLog(w io.Writer, truncated io.Reader, dev arch.Device, kern kernels.Kernel, cfg Config) error {
-	_, _, err := runCell(context.Background(), truncated, w, Cell{Dev: dev, Kern: kern}, cfg, nil, nil)
-	return err
-}

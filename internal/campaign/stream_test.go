@@ -274,8 +274,8 @@ func TestScatterReservoirBounded(t *testing.T) {
 		if _, err := RunStreamingCtx(context.Background(), dev, kern, cfg, sc); err != nil {
 			t.Fatal(err)
 		}
-		if sc.Seen() != res.Tally.SDC {
-			t.Fatalf("reservoir saw %d SDCs, want %d", sc.Seen(), res.Tally.SDC)
+		if sc.seen != res.Tally.SDC {
+			t.Fatalf("reservoir saw %d SDCs, want %d", sc.seen, res.Tally.SDC)
 		}
 		return sc.Points()
 	}
@@ -321,7 +321,7 @@ func TestFigurePassMatchesReference(t *testing.T) {
 	// strike count keeps the property meaningful (every cell, every row
 	// field) without doubling the suite's wall time.
 	ratioCfg := DefaultConfig(301, 40)
-	all := AllCells(TestScale)
+	all := allCells(TestScale)
 	requireDeepEqual(t, "SDC ratios", figureData(t, all, ratioCfg).Ratios(all), refRatios(runAll(all, ratioCfg)))
 }
 
@@ -447,8 +447,8 @@ func TestCheckpointLogMatchesResult(t *testing.T) {
 }
 
 // TestCheckpointResumeReproducesTail is the crash-recovery contract: a log
-// truncated at an arbitrary byte offset recovers, via RecoverLog, into a
-// log whose parsed content is identical to the uninterrupted run's.
+// truncated at an arbitrary byte offset recovers, via ResumePlanCell, into
+// a log whose parsed content is identical to the uninterrupted run's.
 func TestCheckpointResumeReproducesTail(t *testing.T) {
 	dev := k40.New()
 	kern := dgemm.New(128)
@@ -493,7 +493,7 @@ func TestCheckpointResumeReproducesTail(t *testing.T) {
 	}
 	for _, cut := range cuts {
 		var recovered bytes.Buffer
-		if err := RecoverLog(&recovered, bytes.NewReader(data[:cut]), dev, kern, cfg); err != nil {
+		if _, _, err := ResumePlanCell(context.Background(), bytes.NewReader(data[:cut]), &recovered, Cell{Dev: dev, Kern: kern}, cfg, nil); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		got, err := logdata.Parse(strings.NewReader(recovered.String()))
@@ -507,7 +507,7 @@ func TestCheckpointResumeReproducesTail(t *testing.T) {
 
 	// A complete log passes through recovery untouched too.
 	var normalized bytes.Buffer
-	if err := RecoverLog(&normalized, bytes.NewReader(data), dev, kern, cfg); err != nil {
+	if _, _, err := ResumePlanCell(context.Background(), bytes.NewReader(data), &normalized, Cell{Dev: dev, Kern: kern}, cfg, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := logdata.Parse(strings.NewReader(normalized.String()))
@@ -519,9 +519,9 @@ func TestCheckpointResumeReproducesTail(t *testing.T) {
 	}
 }
 
-// TestRecoverLogRejectsMismatchedCell guards against resuming a log under
-// the wrong cell or seed, which would silently fabricate a hybrid
-// campaign.
+// TestRecoverLogRejectsMismatchedCell guards against resuming a log, via
+// ResumePlanCell, under the wrong cell or seed, which would silently
+// fabricate a hybrid campaign.
 func TestRecoverLogRejectsMismatchedCell(t *testing.T) {
 	dev := k40.New()
 	kern := dgemm.New(128)
@@ -545,12 +545,12 @@ func TestRecoverLogRejectsMismatchedCell(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	if err := RecoverLog(&out, bytes.NewReader(buf.Bytes()), dev, dgemm.New(256), cfg); err == nil {
+	if _, _, err := ResumePlanCell(context.Background(), bytes.NewReader(buf.Bytes()), &out, Cell{Dev: dev, Kern: dgemm.New(256)}, cfg, nil); err == nil {
 		t.Fatal("recovery accepted a log from a different input size")
 	}
 	badSeed := cfg
 	badSeed.Seed = 999
-	if err := RecoverLog(&out, bytes.NewReader(buf.Bytes()), dev, kern, badSeed); err == nil {
+	if _, _, err := ResumePlanCell(context.Background(), bytes.NewReader(buf.Bytes()), &out, Cell{Dev: dev, Kern: kern}, badSeed, nil); err == nil {
 		t.Fatal("recovery accepted a log written under a different seed")
 	}
 }

@@ -19,7 +19,6 @@ import (
 
 	"radcrit/internal/arch"
 	"radcrit/internal/campaign"
-	"radcrit/internal/kernels"
 	"radcrit/internal/registry"
 )
 
@@ -69,18 +68,6 @@ func (c *CampaignFlags) ScaleValue() (campaign.Scale, error) {
 func (c *CampaignFlags) ResolveDevice() (arch.Device, error) {
 	dev, err := registry.NewDevice(c.Device)
 	return dev, WithSuggestion(err)
-}
-
-// ResolveKernel constructs the -kernel selection through the registry,
-// filling in the scale's default params for bare built-in family names
-// ("dgemm" at test scale on the K40 means "dgemm:128").
-func (c *CampaignFlags) ResolveKernel(dev arch.Device) (kernels.Kernel, error) {
-	s, err := c.ScaleValue()
-	if err != nil {
-		return nil, err
-	}
-	k, err := registry.NewKernel(DefaultSpec(c.Kernel, s, dev))
-	return k, WithSuggestion(err)
 }
 
 // WithSuggestion augments a registry unknown-name error with the closest

@@ -37,12 +37,8 @@ func TestWithSuggestion(t *testing.T) {
 		t.Errorf("ResolveDevice(k04) error = %v, want a k40 suggestion", err)
 	}
 	c = &CampaignFlags{Device: "k40", Kernel: "dgmem:128", Strikes: 10, Seed: 1, Scale: "test"}
-	dev, err := c.ResolveDevice()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ResolveKernel(dev); err == nil || !strings.Contains(err.Error(), `did you mean "dgemm"?`) {
-		t.Errorf("ResolveKernel(dgmem) error = %v, want a dgemm suggestion", err)
+	if _, err := c.ResolvePlan(); err == nil || !strings.Contains(err.Error(), `did you mean "dgemm"?`) {
+		t.Errorf("ResolvePlan(dgmem) error = %v, want a dgemm suggestion", err)
 	}
 	// The plan path carries the suggestion too.
 	c = &CampaignFlags{Device: "phii", Kernel: "dgemm", Strikes: 10, Seed: 1, Scale: "test"}

@@ -1,14 +1,10 @@
-// Package detect provides the application-level error detectors discussed
-// in §V-C and §V-D of the paper: the CLAMR mass-conservation check (82%
-// fault coverage in [4]), an entropy monitor for stencil codes, and a
-// neighbour-disparity scan.
+// Package detect provides the application-level error detection of §V-C
+// and §V-D of the paper: an entropy monitor for stencil codes, and the
+// coverage bookkeeping for the CLAMR mass-conservation check (82% fault
+// coverage in [4]), which the CLAMR kernel itself evaluates.
 package detect
 
-import (
-	"math"
-
-	"radcrit/internal/grid"
-)
+import "math"
 
 // Result is one detector's verdict on one execution.
 type Result struct {
@@ -22,18 +18,6 @@ type Result struct {
 	Threshold float64
 }
 
-// MassCheck evaluates a conservation-invariant drift: it fires when the
-// observed relative drift exceeds the threshold. CLAMR ships exactly this
-// check; the paper reports 82% fault coverage for it.
-func MassCheck(maxDriftRel, thresholdRel float64) Result {
-	return Result{
-		Name:      "mass-conservation",
-		Fired:     maxDriftRel > thresholdRel,
-		Signal:    maxDriftRel,
-		Threshold: thresholdRel,
-	}
-}
-
 // EntropyCheck compares the spatial entropy of an output against the
 // golden run's: widespread stencil corruption shifts the value
 // distribution even when each individual error is small (§V-C). entropy
@@ -45,40 +29,6 @@ func EntropyCheck(goldenEntropy, observedEntropy, threshold float64) Result {
 		Signal:    math.Abs(observedEntropy - goldenEntropy),
 		Threshold: threshold,
 	}
-}
-
-// NeighborDisparity scans a 2D field for cells that deviate from their
-// neighbourhood average by more than threshold (relative). It returns the
-// flagged cell count; stencil-smoothed corruption evades it easily, which
-// is why the paper calls plain neighbour checks "difficult" for HotSpot.
-func NeighborDisparity(g *grid.Grid, threshold float64) int {
-	d := g.Dims()
-	if d.Z != 1 {
-		panic("detect: NeighborDisparity requires a 2D grid")
-	}
-	flagged := 0
-	for y := 0; y < d.Y; y++ {
-		for x := 0; x < d.X; x++ {
-			var sum float64
-			var n int
-			for _, off := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-				nx, ny := x+off[0], y+off[1]
-				if nx < 0 || nx >= d.X || ny < 0 || ny >= d.Y {
-					continue
-				}
-				sum += g.At2(nx, ny)
-				n++
-			}
-			avg := sum / float64(n)
-			if avg == 0 {
-				continue
-			}
-			if math.Abs(g.At2(x, y)-avg) > threshold*math.Abs(avg) {
-				flagged++
-			}
-		}
-	}
-	return flagged
 }
 
 // CoverageStats accumulates detector verdicts over a campaign.

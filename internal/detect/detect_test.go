@@ -2,19 +2,7 @@ package detect
 
 import (
 	"testing"
-
-	"radcrit/internal/grid"
 )
-
-func TestMassCheck(t *testing.T) {
-	r := MassCheck(1e-3, 1e-6)
-	if !r.Fired || r.Name != "mass-conservation" {
-		t.Fatalf("mass check should fire: %+v", r)
-	}
-	if MassCheck(1e-9, 1e-6).Fired {
-		t.Fatal("sub-threshold drift fired")
-	}
-}
 
 func TestEntropyCheck(t *testing.T) {
 	if !EntropyCheck(3.0, 3.5, 0.2).Fired {
@@ -27,47 +15,6 @@ func TestEntropyCheck(t *testing.T) {
 	if !EntropyCheck(3.5, 3.0, 0.2).Fired {
 		t.Fatal("entropy drop not detected")
 	}
-}
-
-func TestNeighborDisparity(t *testing.T) {
-	g := grid.New2D(16, 16)
-	g.Fill(100)
-	if NeighborDisparity(g, 0.05) != 0 {
-		t.Fatal("uniform field flagged")
-	}
-	g.Set2(8, 8, 200)
-	flagged := NeighborDisparity(g, 0.05)
-	if flagged == 0 {
-		t.Fatal("outlier not flagged")
-	}
-	// The outlier and its four neighbours deviate from their
-	// neighbourhood averages.
-	if flagged > 5 {
-		t.Fatalf("flagged %d cells for one outlier", flagged)
-	}
-}
-
-func TestNeighborDisparityMissesSmoothError(t *testing.T) {
-	// A smooth gradient (stencil-smoothed corruption) evades the check —
-	// the paper's point about why neighbour checks are weak for HotSpot.
-	g := grid.New2D(32, 32)
-	for y := 0; y < 32; y++ {
-		for x := 0; x < 32; x++ {
-			g.Set2(x, y, 100+float64(x)*0.1)
-		}
-	}
-	if NeighborDisparity(g, 0.05) != 0 {
-		t.Fatal("smooth gradient flagged")
-	}
-}
-
-func TestNeighborDisparityPanicsOn3D(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("3D grid accepted")
-		}
-	}()
-	NeighborDisparity(grid.New3D(4, 4, 4), 0.1)
 }
 
 func TestCoverageStats(t *testing.T) {

@@ -78,15 +78,6 @@ func (r Resource) String() string {
 	}
 }
 
-// Resources lists every strikeable resource.
-func Resources() []Resource {
-	rs := make([]Resource, NumResources)
-	for i := range rs {
-		rs[i] = Resource(i)
-	}
-	return rs
-}
-
 // ResourceFromString inverts Resource.String: it parses a resource name
 // as written into campaign logs, so a replayed log event reconstructs the
 // struck structure. The second result is false for unknown names (logs

@@ -10,16 +10,13 @@ import (
 )
 
 func TestResourceStrings(t *testing.T) {
-	for _, r := range Resources() {
+	for r := range Resource(NumResources) {
 		if r.String() == "unknown" || r.String() == "" {
 			t.Fatalf("resource %d has no name", r)
 		}
 	}
 	if Resource(999).String() != "unknown" {
 		t.Fatal("invalid resource should be unknown")
-	}
-	if len(Resources()) != NumResources {
-		t.Fatal("Resources() count wrong")
 	}
 }
 

@@ -6,8 +6,6 @@
 package fit
 
 import (
-	"math"
-
 	"radcrit/internal/beam"
 	"radcrit/internal/stats"
 )
@@ -52,17 +50,6 @@ func ConfidenceInterval(fitValue float64, errors, totalStrikes int) (lo, hi floa
 	return fitValue * pLo / p, fitValue * pHi / p
 }
 
-// MTBFHours returns the mean time between failures of a machine with n
-// devices of the given per-device FIT, in hours. Titan-scale systems
-// (18,688 GPUs) see radiation MTBFs of dozens of hours (§I).
-func MTBFHours(fitPerDevice float64, devices int) float64 {
-	total := fitPerDevice * float64(devices)
-	if total <= 0 {
-		return math.Inf(1)
-	}
-	return HoursPerBillion / total
-}
-
 // Normalizer rescales absolute FITs into the arbitrary units of the
 // paper's figures: "as we use the same normalization for each device and
 // code, relative FIT data still allows cross comparisons" (§V).
@@ -97,13 +84,4 @@ func (b Breakdown) Total() float64 {
 		t += v
 	}
 	return t
-}
-
-// Scale returns a copy with every value scaled by s.
-func (b Breakdown) Scale(s float64) Breakdown {
-	out := Breakdown{Labels: append([]string(nil), b.Labels...), Values: make([]float64, len(b.Values))}
-	for i, v := range b.Values {
-		out.Values[i] = v * s
-	}
-	return out
 }

@@ -104,12 +104,6 @@ type BitSource interface {
 	Intn(n int) int
 }
 
-// Flip64 flips one uniformly chosen bit of v within field f.
-func Flip64(v float64, f Field, src BitSource) float64 {
-	lo, hi := bitRange64(f)
-	return FlipBit64(v, lo+src.Intn(hi-lo))
-}
-
 // FlipBit64 flips bit position pos (0 = LSB) of v.
 func FlipBit64(v float64, pos int) float64 {
 	if pos < 0 || pos > 63 {
@@ -154,33 +148,4 @@ func FlipBit32(v float32, pos int) float32 {
 		panic("floatbits: FlipBit32 position out of range")
 	}
 	return math.Float32frombits(math.Float32bits(v) ^ (1 << uint(pos)))
-}
-
-// FieldOfBit64 reports which exclusive field (Sign, Exponent, Mantissa) a
-// float64 bit position belongs to.
-func FieldOfBit64(pos int) Field {
-	switch {
-	case pos == SignBit64:
-		return Sign
-	case pos >= MantissaBits64:
-		return Exponent
-	default:
-		return Mantissa
-	}
-}
-
-// IsFinite reports whether v is neither NaN nor an infinity.
-func IsFinite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
-}
-
-// Sanitize replaces NaN or infinite values produced by exponent-field flips
-// with the given fallback. Device memory never holds "NaN" — the bits are
-// just bits — but downstream metric arithmetic needs finite values, mirroring
-// the paper's treatment of wildly corrupted outputs as ">= cap" values.
-func Sanitize(v, fallback float64) float64 {
-	if IsFinite(v) {
-		return v
-	}
-	return fallback
 }

@@ -59,7 +59,7 @@ func TestFlipBit32Involution(t *testing.T) {
 
 func TestSignFlip(t *testing.T) {
 	rng := xrand.New(1)
-	v := Flip64(3.25, Sign, rng)
+	v := FlipN64(3.25, 1, Sign, rng)
 	if v != -3.25 {
 		t.Fatalf("sign flip of 3.25 = %v", v)
 	}
@@ -69,7 +69,7 @@ func TestLowMantissaFlipIsSmall(t *testing.T) {
 	rng := xrand.New(2)
 	for i := 0; i < 1000; i++ {
 		orig := 1.0 + rng.Float64()
-		v := Flip64(orig, LowMantissa, rng)
+		v := FlipN64(orig, 1, LowMantissa, rng)
 		rel := math.Abs(v-orig) / math.Abs(orig)
 		if rel > 1e-7 {
 			t.Fatalf("low-mantissa flip relative error %v too large (orig %v -> %v)", rel, orig, v)
@@ -87,32 +87,14 @@ func TestExponentFlipIsLarge(t *testing.T) {
 	rng := xrand.New(3)
 	for i := 0; i < 1000; i++ {
 		orig := 1.0 + rng.Float64()
-		v := Flip64(orig, Exponent, rng)
-		if !IsFinite(v) {
+		v := FlipN64(orig, 1, Exponent, rng)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
 			continue // overflowed to Inf: certainly large
 		}
 		rel := math.Abs(v-orig) / math.Abs(orig)
 		if rel < 0.499 {
 			t.Fatalf("exponent flip relative error %v < 50%% (orig %v -> %v)", rel, orig, v)
 		}
-	}
-}
-
-func TestFieldOfBit64(t *testing.T) {
-	if FieldOfBit64(0) != Mantissa {
-		t.Fatal("bit 0 should be mantissa")
-	}
-	if FieldOfBit64(51) != Mantissa {
-		t.Fatal("bit 51 should be mantissa")
-	}
-	if FieldOfBit64(52) != Exponent {
-		t.Fatal("bit 52 should be exponent")
-	}
-	if FieldOfBit64(62) != Exponent {
-		t.Fatal("bit 62 should be exponent")
-	}
-	if FieldOfBit64(63) != Sign {
-		t.Fatal("bit 63 should be sign")
 	}
 }
 
@@ -147,33 +129,6 @@ func popcount(x uint64) int {
 		n++
 	}
 	return n
-}
-
-func TestIsFinite(t *testing.T) {
-	cases := []struct {
-		v    float64
-		want bool
-	}{
-		{0, true}, {1.5, true}, {-math.MaxFloat64, true},
-		{math.Inf(1), false}, {math.Inf(-1), false}, {math.NaN(), false},
-	}
-	for _, c := range cases {
-		if IsFinite(c.v) != c.want {
-			t.Fatalf("IsFinite(%v) != %v", c.v, c.want)
-		}
-	}
-}
-
-func TestSanitize(t *testing.T) {
-	if Sanitize(math.NaN(), 7) != 7 {
-		t.Fatal("Sanitize(NaN) did not fall back")
-	}
-	if Sanitize(math.Inf(1), 7) != 7 {
-		t.Fatal("Sanitize(+Inf) did not fall back")
-	}
-	if Sanitize(3, 7) != 3 {
-		t.Fatal("Sanitize(finite) changed value")
-	}
 }
 
 func TestFlip32FieldBounds(t *testing.T) {
@@ -214,7 +169,7 @@ func TestFlip64AllFieldsStayInField(t *testing.T) {
 	for _, c := range checks {
 		for i := 0; i < 200; i++ {
 			orig := rng.Float64()*100 - 50
-			v := Flip64(orig, c.f, rng)
+			v := FlipN64(orig, 1, c.f, rng)
 			diff := math.Float64bits(v) ^ math.Float64bits(orig)
 			if diff&^c.mask != 0 {
 				t.Fatalf("field %v flip escaped mask: %x", c.f, diff)

@@ -13,25 +13,6 @@ type Dims struct {
 	X, Y, Z int
 }
 
-// Rank returns the number of axes larger than one (1, 2 or 3), with a
-// minimum of 1 so a 1x1x1 grid is rank 1.
-func (d Dims) Rank() int {
-	r := 0
-	if d.X > 1 {
-		r++
-	}
-	if d.Y > 1 {
-		r++
-	}
-	if d.Z > 1 {
-		r++
-	}
-	if r == 0 {
-		return 1
-	}
-	return r
-}
-
 // Len returns the number of elements.
 func (d Dims) Len() int { return d.X * d.Y * d.Z }
 
@@ -69,23 +50,8 @@ func New(d Dims) *Grid {
 	return &Grid{dims: d, data: make([]float64, d.Len())}
 }
 
-// New1D allocates an x-element vector.
-func New1D(x int) *Grid { return New(Dims{X: x, Y: 1, Z: 1}) }
-
 // New2D allocates an x-by-y matrix.
 func New2D(x, y int) *Grid { return New(Dims{X: x, Y: y, Z: 1}) }
-
-// New3D allocates an x-by-y-by-z volume.
-func New3D(x, y, z int) *Grid { return New(Dims{X: x, Y: y, Z: z}) }
-
-// FromSlice wraps data (not copied) in a grid of the given shape.
-// It panics if the lengths disagree.
-func FromSlice(d Dims, data []float64) *Grid {
-	if !d.Valid() || d.Len() != len(data) {
-		panic(fmt.Sprintf("grid: FromSlice shape %v does not match %d elements", d, len(data)))
-	}
-	return &Grid{dims: d, data: data}
-}
 
 // Dims returns the shape.
 func (g *Grid) Dims() Dims { return g.dims }
@@ -110,9 +76,6 @@ func (g *Grid) CoordOf(i int) Coord {
 	return Coord{X: x, Y: y, Z: z}
 }
 
-// At returns the element at c.
-func (g *Grid) At(c Coord) float64 { return g.data[g.Index(c)] }
-
 // Set stores v at c.
 func (g *Grid) Set(c Coord, v float64) { g.data[g.Index(c)] = v }
 
@@ -136,15 +99,6 @@ func (g *Grid) Fill(v float64) {
 	}
 }
 
-// Sum returns the sum over all elements.
-func (g *Grid) Sum() float64 {
-	var s float64
-	for _, v := range g.data {
-		s += v
-	}
-	return s
-}
-
 // Equal reports whether two grids have identical shape and bit-identical
 // contents.
 func (g *Grid) Equal(other *Grid) bool {
@@ -160,11 +114,4 @@ func (g *Grid) Equal(other *Grid) bool {
 		}
 	}
 	return true
-}
-
-// InBounds reports whether c is a valid coordinate.
-func (g *Grid) InBounds(c Coord) bool {
-	return c.X >= 0 && c.X < g.dims.X &&
-		c.Y >= 0 && c.Y < g.dims.Y &&
-		c.Z >= 0 && c.Z < g.dims.Z
 }

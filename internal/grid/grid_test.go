@@ -5,25 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestDimsRank(t *testing.T) {
-	cases := []struct {
-		d    Dims
-		want int
-	}{
-		{Dims{1, 1, 1}, 1},
-		{Dims{5, 1, 1}, 1},
-		{Dims{5, 5, 1}, 2},
-		{Dims{5, 5, 5}, 3},
-		{Dims{1, 5, 1}, 1},
-		{Dims{1, 5, 5}, 2},
-	}
-	for _, c := range cases {
-		if got := c.d.Rank(); got != c.want {
-			t.Fatalf("Rank(%v) = %d, want %d", c.d, got, c.want)
-		}
-	}
-}
-
 func TestDimsString(t *testing.T) {
 	if (Dims{4, 1, 1}).String() != "4" {
 		t.Fatal("1D string wrong")
@@ -37,20 +18,20 @@ func TestDimsString(t *testing.T) {
 }
 
 func TestIndexCoordRoundTrip(t *testing.T) {
-	g := New3D(7, 5, 3)
+	g := New(Dims{X: 7, Y: 5, Z: 3})
 	for i := 0; i < g.Len(); i++ {
 		c := g.CoordOf(i)
 		if g.Index(c) != i {
 			t.Fatalf("round trip failed at %d -> %+v -> %d", i, c, g.Index(c))
 		}
-		if !g.InBounds(c) {
+		if d := g.Dims(); c.X < 0 || c.X >= d.X || c.Y < 0 || c.Y >= d.Y || c.Z < 0 || c.Z >= d.Z {
 			t.Fatalf("CoordOf produced out-of-bounds %+v", c)
 		}
 	}
 }
 
 func TestIndexCoordProperty(t *testing.T) {
-	g := New3D(11, 9, 4)
+	g := New(Dims{X: 11, Y: 9, Z: 4})
 	f := func(raw uint16) bool {
 		i := int(raw) % g.Len()
 		return g.Index(g.CoordOf(i)) == i
@@ -63,20 +44,20 @@ func TestIndexCoordProperty(t *testing.T) {
 func TestAtSet(t *testing.T) {
 	g := New2D(4, 3)
 	g.Set(Coord{X: 2, Y: 1}, 42)
-	if g.At(Coord{X: 2, Y: 1}) != 42 {
-		t.Fatal("At/Set mismatch")
+	if g.Data()[g.Index(Coord{X: 2, Y: 1})] != 42 {
+		t.Fatal("Set/Index mismatch")
 	}
 	if g.At2(2, 1) != 42 {
-		t.Fatal("At2 disagrees with At")
+		t.Fatal("At2 disagrees with Set")
 	}
 	g.Set2(3, 2, 7)
-	if g.At(Coord{X: 3, Y: 2}) != 7 {
-		t.Fatal("Set2 disagrees with At")
+	if g.Data()[g.Index(Coord{X: 3, Y: 2})] != 7 {
+		t.Fatal("Set2 disagrees with Index")
 	}
 }
 
 func TestCloneIndependence(t *testing.T) {
-	g := New1D(5)
+	g := New(Dims{X: 5, Y: 1, Z: 1})
 	g.Fill(1)
 	c := g.Clone()
 	c.Data()[0] = 99
@@ -105,32 +86,15 @@ func TestEqual(t *testing.T) {
 }
 
 func TestSumFill(t *testing.T) {
-	g := New3D(2, 2, 2)
+	g := New(Dims{X: 2, Y: 2, Z: 2})
 	g.Fill(2.5)
-	if g.Sum() != 20 {
-		t.Fatalf("Sum = %v", g.Sum())
+	var sum float64
+	for _, v := range g.Data() {
+		sum += v
 	}
-}
-
-func TestFromSlice(t *testing.T) {
-	data := []float64{1, 2, 3, 4, 5, 6}
-	g := FromSlice(Dims{X: 3, Y: 2, Z: 1}, data)
-	if g.At2(0, 1) != 4 {
-		t.Fatal("FromSlice row-major layout wrong")
+	if sum != 20 {
+		t.Fatalf("sum after Fill = %v", sum)
 	}
-	data[0] = 9
-	if g.At2(0, 0) != 9 {
-		t.Fatal("FromSlice should wrap, not copy")
-	}
-}
-
-func TestFromSlicePanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FromSlice shape mismatch did not panic")
-		}
-	}()
-	FromSlice(Dims{X: 2, Y: 2, Z: 1}, []float64{1})
 }
 
 func TestNewPanicsOnInvalidDims(t *testing.T) {
@@ -142,30 +106,19 @@ func TestNewPanicsOnInvalidDims(t *testing.T) {
 	New(Dims{X: 0, Y: 1, Z: 1})
 }
 
-func TestInBounds(t *testing.T) {
-	g := New2D(3, 3)
-	if g.InBounds(Coord{X: 3, Y: 0}) || g.InBounds(Coord{X: -1, Y: 0}) ||
-		g.InBounds(Coord{X: 0, Y: 0, Z: 1}) {
-		t.Fatal("InBounds accepted out-of-range coordinate")
-	}
-	if !g.InBounds(Coord{X: 2, Y: 2}) {
-		t.Fatal("InBounds rejected valid coordinate")
-	}
-}
-
 func TestRowMajorOrder(t *testing.T) {
-	g := New3D(2, 2, 2)
+	g := New(Dims{X: 2, Y: 2, Z: 2})
 	for i := 0; i < 8; i++ {
 		g.Data()[i] = float64(i)
 	}
 	// x fastest, then y, then z.
-	if g.At(Coord{X: 1, Y: 0, Z: 0}) != 1 {
+	if g.Data()[g.Index(Coord{X: 1, Y: 0, Z: 0})] != 1 {
 		t.Fatal("x stride wrong")
 	}
-	if g.At(Coord{X: 0, Y: 1, Z: 0}) != 2 {
+	if g.Data()[g.Index(Coord{X: 0, Y: 1, Z: 0})] != 2 {
 		t.Fatal("y stride wrong")
 	}
-	if g.At(Coord{X: 0, Y: 0, Z: 1}) != 4 {
+	if g.Data()[g.Index(Coord{X: 0, Y: 0, Z: 1})] != 4 {
 		t.Fatal("z stride wrong")
 	}
 }

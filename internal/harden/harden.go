@@ -105,36 +105,6 @@ func (r *Reducer) Advise(device, kernel, input string) Advice {
 	return adv
 }
 
-// TopResources returns the smallest resource set whose hardening removes
-// at least the target fraction of critical SDCs.
-func (a Advice) TopResources(targetFraction float64) []fault.Resource {
-	var out []fault.Resource
-	for _, r := range a.Rankings {
-		out = append(out, r.Resource)
-		if r.CumulativeShare >= targetFraction {
-			break
-		}
-	}
-	return out
-}
-
-// ProjectedCriticalSDCs returns the critical SDC count remaining after
-// hardening the given resources (their silent corruptions are assumed
-// detected-and-corrected, i.e. removed).
-func (a Advice) ProjectedCriticalSDCs(hardened ...fault.Resource) int {
-	set := make(map[fault.Resource]bool, len(hardened))
-	for _, r := range hardened {
-		set[r] = true
-	}
-	remaining := a.TotalCriticalSDCs
-	for _, imp := range a.Rankings {
-		if set[imp.Resource] {
-			remaining -= imp.CriticalSDCs
-		}
-	}
-	return remaining
-}
-
 // String renders the plan as a table.
 func (a Advice) String() string {
 	var sb strings.Builder

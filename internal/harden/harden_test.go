@@ -61,34 +61,6 @@ func TestAdviseRanksByCriticality(t *testing.T) {
 	}
 }
 
-func TestTopResources(t *testing.T) {
-	adv := syntheticAdvice()
-	top := adv.TopResources(0.5)
-	if len(top) != 1 || top[0] != fault.Scheduler {
-		t.Fatalf("50%% target should need only the scheduler: %v", top)
-	}
-	top = adv.TopResources(0.8)
-	if len(top) != 2 {
-		t.Fatalf("80%% target should need two resources: %v", top)
-	}
-	if len(adv.TopResources(1.0)) != 3 {
-		t.Fatal("full coverage needs all three")
-	}
-}
-
-func TestProjectedCriticalSDCs(t *testing.T) {
-	adv := syntheticAdvice()
-	if got := adv.ProjectedCriticalSDCs(fault.Scheduler); got != 3 {
-		t.Fatalf("hardening the scheduler leaves %d, want 3", got)
-	}
-	if got := adv.ProjectedCriticalSDCs(fault.Scheduler, fault.L2Cache, fault.FPU); got != 0 {
-		t.Fatalf("hardening everything leaves %d", got)
-	}
-	if got := adv.ProjectedCriticalSDCs(); got != 6 {
-		t.Fatal("hardening nothing should change nothing")
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	s := syntheticAdvice().String()
 	for _, want := range []string{"selective hardening plan", "scheduler", "cumulative"} {
@@ -115,13 +87,5 @@ func TestAdviseOnRealCampaign(t *testing.T) {
 	}
 	if sum != adv.TotalCriticalSDCs {
 		t.Fatalf("rankings sum %d != total %d", sum, adv.TotalCriticalSDCs)
-	}
-	// Hardening every listed resource removes every critical SDC.
-	all := make([]fault.Resource, len(adv.Rankings))
-	for i, r := range adv.Rankings {
-		all[i] = r.Resource
-	}
-	if adv.ProjectedCriticalSDCs(all...) != 0 {
-		t.Fatal("full hardening left residual critical SDCs")
 	}
 }

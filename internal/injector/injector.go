@@ -77,17 +77,8 @@ func NewSession(dev arch.Device, kern kernels.Kernel) (*Session, error) {
 	return &Session{dev: dev, kern: kern, prof: prof, golden: kern.Golden(dev)}, nil
 }
 
-// Device returns the session's device.
-func (s *Session) Device() arch.Device { return s.dev }
-
-// Kernel returns the session's kernel.
-func (s *Session) Kernel() kernels.Kernel { return s.kern }
-
 // Profile returns the validated occupancy profile.
 func (s *Session) Profile() arch.Profile { return s.prof }
-
-// Golden returns the session's golden-state handle.
-func (s *Session) Golden() kernels.GoldenState { return s.golden }
 
 // RunOne executes one strike in the session and classifies it.
 //
@@ -183,22 +174,4 @@ func (t Tally) SDCToDUERatio() float64 {
 		return 0
 	}
 	return float64(t.SDC) / float64(due)
-}
-
-// TallyOutcomes counts outcome classes.
-func TallyOutcomes(outs []Outcome) Tally {
-	var t Tally
-	for _, o := range outs {
-		switch o.Class {
-		case fault.Masked:
-			t.Masked++
-		case fault.SDC:
-			t.SDC++
-		case fault.Crash:
-			t.Crash++
-		case fault.Hang:
-			t.Hang++
-		}
-	}
-	return t
 }

@@ -202,9 +202,6 @@ func New(side, steps int) *Kernel {
 // Side returns the mesh edge length.
 func (k *Kernel) Side() int { return k.side }
 
-// Steps returns the timestep count.
-func (k *Kernel) Steps() int { return k.steps }
-
 // Name implements kernels.Kernel.
 func (k *Kernel) Name() string { return "CLAMR" }
 

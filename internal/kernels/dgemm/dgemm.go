@@ -60,9 +60,6 @@ func New(n int) *Kernel {
 	return &Kernel{n: n, seedA: 0xA0A0 + uint64(n), seedB: 0xB0B0 + uint64(n)}
 }
 
-// N returns the matrix side.
-func (k *Kernel) N() int { return k.n }
-
 // Name implements kernels.Kernel.
 func (k *Kernel) Name() string { return "DGEMM" }
 
@@ -87,15 +84,6 @@ func (k *Kernel) A(i, kk int) float64 {
 // B returns input element b_{k,j}.
 func (k *Kernel) B(kk, j int) float64 {
 	return kernels.ValueAt(k.seedB, kk, j, 0.5, 2.0)
-}
-
-// GoldenElem computes the fault-free c_{i,j} on demand.
-func (k *Kernel) GoldenElem(i, j int) float64 {
-	var sum float64
-	for kk := 0; kk < k.n; kk++ {
-		sum += k.A(i, kk) * k.B(kk, j)
-	}
-	return sum
 }
 
 // Profile implements kernels.Kernel. Thread counts follow Table II
@@ -461,16 +449,4 @@ func (k *Kernel) injectTaskSet(r *run, inj arch.Injection, rng *xrand.RNG) {
 			}
 		}
 	}
-}
-
-// Materialize computes the full golden C as a dense grid. Intended for
-// tests and small examples only: cost grows as N^3.
-func (k *Kernel) Materialize() *grid.Grid {
-	g := grid.New2D(k.n, k.n)
-	for i := 0; i < k.n; i++ {
-		for j := 0; j < k.n; j++ {
-			g.Set2(j, i, k.GoldenElem(i, j))
-		}
-	}
-	return g
 }

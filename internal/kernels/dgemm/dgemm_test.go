@@ -25,8 +25,8 @@ func TestNewValidations(t *testing.T) {
 			New(n)
 		}()
 	}
-	if New(128).N() != 128 {
-		t.Fatal("N() wrong")
+	if New(128).n != 128 {
+		t.Fatal("side wrong")
 	}
 }
 
@@ -44,18 +44,6 @@ func TestInputsDeterministicAndBounded(t *testing.T) {
 			b := k.B(i, j)
 			if b < 0.5 || b >= 2.0 {
 				t.Fatalf("B out of range: %v", b)
-			}
-		}
-	}
-}
-
-func TestGoldenElemMatchesMaterialize(t *testing.T) {
-	k := New(64)
-	full := k.Materialize()
-	for i := 0; i < 64; i += 7 {
-		for j := 0; j < 64; j += 5 {
-			if full.At2(j, i) != k.GoldenElem(i, j) {
-				t.Fatalf("Materialize disagrees at (%d,%d)", i, j)
 			}
 		}
 	}
@@ -341,4 +329,14 @@ func TestMismatchesWithinBounds(t *testing.T) {
 			}
 		}
 	}
+}
+
+// GoldenElem computes the fault-free c_{i,j} on demand: the naive oracle
+// for the golden row and column paths.
+func (k *Kernel) GoldenElem(i, j int) float64 {
+	var sum float64
+	for kk := 0; kk < k.n; kk++ {
+		sum += k.A(i, kk) * k.B(kk, j)
+	}
+	return sum
 }

@@ -133,12 +133,6 @@ func New(side, iters int) *Kernel {
 	return k
 }
 
-// Side returns the grid edge length.
-func (k *Kernel) Side() int { return k.side }
-
-// Iters returns the iteration count.
-func (k *Kernel) Iters() int { return k.iters }
-
 // Name implements kernels.Kernel.
 func (k *Kernel) Name() string { return "HotSpot" }
 

@@ -203,13 +203,3 @@ func AlignedStart(rng *xrand.RNG, n, words int) int {
 	}
 	return rng.Intn(slots) * words
 }
-
-// VectorWords returns the SIMD lane count in output words for a device
-// (minimum 1 for scalar devices).
-func VectorWords(dev arch.Device, precisionBits int) int {
-	vw := dev.Model().VectorWidthBits / precisionBits
-	if vw < 1 {
-		vw = 1
-	}
-	return vw
-}

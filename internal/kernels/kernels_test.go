@@ -3,9 +3,6 @@ package kernels
 import (
 	"testing"
 	"testing/quick"
-
-	"radcrit/internal/k40"
-	"radcrit/internal/phi"
 )
 
 func TestValueAtDeterministicAndBounded(t *testing.T) {
@@ -80,17 +77,5 @@ func TestProgressConsumed(t *testing.T) {
 	}
 	if !ProgressConsumed(0, 10, 0) {
 		t.Fatal("when=0 consumes everything")
-	}
-}
-
-func TestVectorWords(t *testing.T) {
-	if VectorWords(phi.New(), 64) != 8 {
-		t.Fatal("Phi has 8 64-bit lanes")
-	}
-	if VectorWords(phi.New(), 32) != 16 {
-		t.Fatal("Phi has 16 32-bit lanes")
-	}
-	if VectorWords(k40.New(), 64) != 1 {
-		t.Fatal("scalar device floor is 1")
 	}
 }

@@ -148,9 +148,6 @@ func New(g int) *Kernel {
 	return &Kernel{g: g, seed: 0x1A7A + uint64(g)}
 }
 
-// GridSize returns boxes per dimension.
-func (k *Kernel) GridSize() int { return k.g }
-
 // Name implements kernels.Kernel.
 func (k *Kernel) Name() string { return "LavaMD" }
 
@@ -195,17 +192,6 @@ func interaction(xi, yi, zi, xj, yj, zj, qj float64) float64 {
 
 // boxIndex linearises box coordinates; it also defines processing order.
 func (k *Kernel) boxIndex(bx, by, bz int) int { return (bz*k.g+by)*k.g + bx }
-
-// neighbors calls fn for every box in b's cut-off neighbourhood including
-// b itself. It delegates to appendNeighbors so the enumeration order —
-// which the injected paths' RNG consumption depends on — has exactly one
-// definition.
-func (k *Kernel) neighbors(bx, by, bz int, fn func(nx, ny, nz int)) {
-	var buf [27]nb
-	for _, b := range k.appendNeighbors(buf[:0], bx, by, bz) {
-		fn(b.x, b.y, b.z)
-	}
-}
 
 // appendNeighbors collects the cut-off neighbourhood of (bx,by,bz) into
 // buf[:0] — the enumeration order every neighbour consumer (including the
@@ -319,13 +305,6 @@ func (t *goldenTab) buildPot(bi int) *[]float64 {
 		return t.boxes[bi].pot.Load()
 	}
 	return &pot
-}
-
-// GoldenPotential computes the fault-free potential of particle idx of box
-// (bx,by,bz) from the golden-sum table.
-func (k *Kernel) GoldenPotential(dev arch.Device, bx, by, bz, idx int) float64 {
-	h := k.handleFor(k.ParticlesPerBox(dev))
-	return h.tab.potential(k.boxIndex(bx, by, bz), idx)
 }
 
 // Profile implements kernels.Kernel. LavaMD keeps the home box and one

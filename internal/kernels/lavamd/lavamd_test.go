@@ -284,3 +284,10 @@ func TestMismatchCoordsInBounds(t *testing.T) {
 		}
 	}
 }
+
+// GoldenPotential computes the fault-free potential of particle idx of box
+// (bx,by,bz) from the golden-sum table.
+func (k *Kernel) GoldenPotential(dev arch.Device, bx, by, bz, idx int) float64 {
+	h := k.handleFor(k.ParticlesPerBox(dev))
+	return h.tab.potential(k.boxIndex(bx, by, bz), idx)
+}

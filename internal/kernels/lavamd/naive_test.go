@@ -281,3 +281,14 @@ func (r *naiveRun) naiveFinish() *metrics.Report {
 	}
 	return rep
 }
+
+// neighbors calls fn for every box in b's cut-off neighbourhood including
+// b itself. It delegates to appendNeighbors so the enumeration order —
+// which the injected paths' RNG consumption depends on — has exactly one
+// definition.
+func (k *Kernel) neighbors(bx, by, bz int, fn func(nx, ny, nz int)) {
+	var buf [27]nb
+	for _, b := range k.appendNeighbors(buf[:0], bx, by, bz) {
+		fn(b.x, b.y, b.z)
+	}
+}

@@ -48,9 +48,6 @@ func NewStreamWriter(w io.Writer, meta *Log) (*StreamWriter, error) {
 // lines; they are carried by checkpoint records and the trailer.
 func (sw *StreamWriter) AddMasked(n int) { sw.masked += n }
 
-// Masked returns the masked executions recorded so far.
-func (sw *StreamWriter) Masked() int { return sw.masked }
-
 // WriteEvent appends one non-masked event.
 func (sw *StreamWriter) WriteEvent(e Event) error {
 	if sw.err != nil {

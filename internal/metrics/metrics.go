@@ -223,21 +223,6 @@ func (r *Report) MaxRelErrPct() float64 {
 	return mx
 }
 
-// MinRelErrPct returns the smallest per-element relative error, or 0 when
-// there are no mismatches.
-func (r *Report) MinRelErrPct() float64 {
-	if len(r.Mismatches) == 0 {
-		return 0
-	}
-	mn := math.Inf(1)
-	for _, m := range r.Mismatches {
-		if m.RelErrPct < mn {
-			mn = m.RelErrPct
-		}
-	}
-	return mn
-}
-
 // Filter returns a new report keeping only mismatches with relative error
 // strictly greater than thresholdPct (§III: "we ignore all incorrect
 // elements whose relative error is lower than 2%"). The receiver is not

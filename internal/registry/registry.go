@@ -113,10 +113,10 @@ var (
 // RegisterDevice registers a device factory under name. Registering an
 // existing name replaces it (last registration wins), letting tests and
 // plugins shadow a built-in — but only before any campaign has run:
-// the engine memo caches and the iterative-kernel instance caches are
-// keyed by name strings and are never invalidated by re-registration,
-// so results computed before the shadowing would be served afterwards.
-// Register at init time, as the built-ins do.
+// the iterative-kernel instance caches and the service's result store
+// are keyed by name strings and are never invalidated by
+// re-registration, so results computed before the shadowing would be
+// served afterwards. Register at init time, as the built-ins do.
 func RegisterDevice(name string, f DeviceFactory) {
 	RegisterDeviceInfo(name, "", f)
 }
@@ -250,7 +250,9 @@ func editDistance(a, b string) int {
 	return prev[len(b)]
 }
 
-// NewDevice constructs the device registered under name.
+// NewDevice constructs the device registered under name and validates
+// its model, so a registered device with no cores or no flip
+// distributions is refused here instead of reaching the engine.
 func NewDevice(name string) (arch.Device, error) {
 	mu.RLock()
 	e, ok := devices[name]
@@ -258,7 +260,17 @@ func NewDevice(name string) (arch.Device, error) {
 	if !ok {
 		return nil, &UnknownDeviceError{Name: name, Known: DeviceNames()}
 	}
-	return e.make()
+	dev, err := e.make()
+	if err != nil {
+		return nil, err
+	}
+	if dev == nil || dev.Model() == nil {
+		return nil, fmt.Errorf("registry: device %s: factory returned no model", name)
+	}
+	if err := dev.Model().Validate(); err != nil {
+		return nil, fmt.Errorf("registry: device %s: %w", name, err)
+	}
+	return dev, nil
 }
 
 // SplitSpec splits a kernel spec "name" or "name:params" into its parts.

@@ -204,12 +204,9 @@ func TestRemoveAndDepths(t *testing.T) {
 	q.Push("a", 1, 0, 1, 10, 101)
 	q.Push("a", 1, 0, 2, 10, 102)
 	q.Push("b", 2, 0, 3, 10, 103)
-	if q.Len() != 3 || q.Depth("a") != 2 || q.Depth("b") != 1 {
-		t.Fatalf("Len=%d depths a=%d b=%d", q.Len(), q.Depth("a"), q.Depth("b"))
-	}
 	d := q.Depths()
-	if d["a"] != 2 || d["b"] != 1 || len(d) != 2 {
-		t.Fatalf("Depths() = %v", d)
+	if q.Len() != 3 || d["a"] != 2 || d["b"] != 1 || len(d) != 2 {
+		t.Fatalf("Len=%d Depths()=%v", q.Len(), d)
 	}
 	if v, ok := q.Remove("a", 1); !ok || v != 101 {
 		t.Fatalf("Remove = %d ok=%v", v, ok)

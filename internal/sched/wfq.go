@@ -195,15 +195,6 @@ func (q *Queue[T]) Lags() map[string]float64 {
 // Len is the total number of queued items.
 func (q *Queue[T]) Len() int { return q.length }
 
-// Depth is one tenant's queued-item count.
-func (q *Queue[T]) Depth(tenant string) int {
-	ts := q.tenants[tenant]
-	if ts == nil {
-		return 0
-	}
-	return len(ts.h)
-}
-
 // Depths maps every tenant with queued items to its depth.
 func (q *Queue[T]) Depths() map[string]int {
 	out := map[string]int{}

@@ -1,7 +1,6 @@
 package scratch
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -43,8 +42,9 @@ func statsFor(name string) *PoolStats {
 	return s
 }
 
-// NewNamedPool is NewPool with shared per-name traffic accounting,
-// exported by RegisterMetrics. Pools of the same name — across kernel
+// NewNamedPool returns a pool whose cold Gets construct values with
+// newFn, with shared per-name traffic accounting exported by
+// RegisterMetrics. Pools of the same name — across kernel
 // instances and goroutines — aggregate into one stats row.
 func NewNamedPool[T any](name string, newFn func() T) *Pool[T] {
 	s := statsFor(name)
@@ -54,32 +54,6 @@ func NewNamedPool[T any](name string, newFn func() T) *Pool[T] {
 		return newFn()
 	}
 	return p
-}
-
-// Stats snapshots every named pool's counters, sorted by name.
-func Stats() []struct {
-	Name         string
-	Gets, Misses uint64
-} {
-	statsMu.Lock()
-	names := make([]string, 0, len(statsByName))
-	for name := range statsByName {
-		names = append(names, name)
-	}
-	statsMu.Unlock()
-	sort.Strings(names)
-	out := make([]struct {
-		Name         string
-		Gets, Misses uint64
-	}, 0, len(names))
-	for _, name := range names {
-		s := statsFor(name)
-		out = append(out, struct {
-			Name         string
-			Gets, Misses uint64
-		}{name, s.Gets(), s.Misses()})
-	}
-	return out
 }
 
 // RegisterMetrics exports every named pool's traffic on reg as

@@ -29,22 +29,16 @@ import (
 // use. Invariants on the pooled value's state (e.g. "grid is all-zero")
 // are the caller's contract: establish them before Put, rely on them after
 // Get.
+//
+// Pools come from NewNamedPool (metrics.go), which meters their traffic.
 type Pool[T any] struct {
 	pool  sync.Pool
-	stats *PoolStats // nil for anonymous pools (NewPool)
-}
-
-// NewPool returns a pool whose cold Gets construct values with newFn.
-// NewNamedPool (metrics.go) is the metered variant.
-func NewPool[T any](newFn func() T) *Pool[T] {
-	return &Pool[T]{pool: sync.Pool{New: func() any { return newFn() }}}
+	stats *PoolStats
 }
 
 // Get borrows a value from the pool.
 func (p *Pool[T]) Get() T {
-	if p.stats != nil {
-		p.stats.gets.Add(1)
-	}
+	p.stats.gets.Add(1)
 	return p.pool.Get().(T)
 }
 
@@ -81,9 +75,6 @@ const minMapCap = 64
 func (m *IndexMap[V]) hashIndex(key int) int {
 	return int((uint64(key) * 0x9E3779B97F4A7C15) >> m.shift)
 }
-
-// Len returns the number of live entries.
-func (m *IndexMap[V]) Len() int { return len(m.keys) }
 
 // Clear drops every entry in O(1) by advancing the epoch. On the (rare)
 // epoch wrap it eagerly zeroes the stamps so stale slots from 2^32 clears
@@ -188,11 +179,6 @@ func (m *IndexMap[V]) grow() {
 		m.slots[i] = mapSlot[V]{key: s.key, stamp: m.epoch, val: s.val}
 	}
 }
-
-// Keys returns the live keys in insertion order. The slice aliases the
-// map's insertion log: it is valid until the next Clear and must not be
-// mutated (use SortedKeys for in-place sorting).
-func (m *IndexMap[V]) Keys() []int { return m.keys }
 
 // SortedKeys sorts the live keys ascending in place and returns them —
 // the deterministic emission order of the kernels' mismatch reports,

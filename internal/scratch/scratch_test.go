@@ -13,8 +13,8 @@ func TestIndexMapBasic(t *testing.T) {
 	m.Set(7, 1.5)
 	m.Set(3, -2)
 	m.Set(7, 4.5) // overwrite keeps one entry
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", m.Len())
+	if len(m.keys) != 2 {
+		t.Fatalf("Len = %d, want 2", len(m.keys))
 	}
 	if v, ok := m.Get(7); !ok || v != 4.5 {
 		t.Fatalf("Get(7) = %v,%v", v, ok)
@@ -50,8 +50,8 @@ func TestIndexMapClearIsEmpty(t *testing.T) {
 		m.Set(i*977, i)
 	}
 	m.Clear()
-	if m.Len() != 0 {
-		t.Fatalf("Len after Clear = %d", m.Len())
+	if len(m.keys) != 0 {
+		t.Fatalf("Len after Clear = %d", len(m.keys))
 	}
 	for i := 0; i < 100; i++ {
 		if _, ok := m.Get(i * 977); ok {
@@ -63,8 +63,8 @@ func TestIndexMapClearIsEmpty(t *testing.T) {
 	if v, ok := m.Get(977); !ok || v != -1 {
 		t.Fatalf("post-Clear Set/Get = %v,%v", v, ok)
 	}
-	if len(m.Keys()) != 1 {
-		t.Fatalf("Keys after Clear+Set = %v", m.Keys())
+	if len(m.keys) != 1 {
+		t.Fatalf("Keys after Clear+Set = %v", m.keys)
 	}
 }
 
@@ -74,8 +74,8 @@ func TestIndexMapGrowthKeepsEntries(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.Set(i*31, i)
 	}
-	if m.Len() != n {
-		t.Fatalf("Len = %d, want %d", m.Len(), n)
+	if len(m.keys) != n {
+		t.Fatalf("Len = %d, want %d", len(m.keys), n)
 	}
 	for i := 0; i < n; i++ {
 		if v, ok := m.Get(i * 31); !ok || v != i {
@@ -136,7 +136,7 @@ func TestIndexMapSteadyStateAllocFree(t *testing.T) {
 
 func TestPool(t *testing.T) {
 	built := 0
-	p := NewPool(func() *[]int {
+	p := NewNamedPool("scratch.test", func() *[]int {
 		built++
 		s := make([]int, 4)
 		return &s

@@ -371,9 +371,6 @@ func New(opts Options) (*Manager, error) {
 	return m, nil
 }
 
-// Store exposes the result store backend (stats endpoints, tests).
-func (m *Manager) Store() store.Backend { return m.store }
-
 // Tenants exposes the tenant registry (API middleware, tests).
 func (m *Manager) Tenants() *tenant.Registry { return m.tenants }
 

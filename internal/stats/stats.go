@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit used by the campaign
-// simulator and the result analysis: summary statistics, histograms, Wilson
+// simulator and the result analysis: summary statistics, Wilson
 // confidence intervals for observed error rates, and correlation, all over
 // plain float64 slices. Only deterministic, allocation-light routines live
 // here; random sampling lives in xrand.
@@ -22,37 +22,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance of xs (0 if len < 2).
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
-// Min returns the minimum of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the maximum of xs, or -Inf for an empty slice.
 func Max(xs []float64) float64 {
 	m := math.Inf(-1)
@@ -62,15 +31,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
@@ -179,76 +139,4 @@ func WilsonInterval(successes, trials int, z float64) (lo, hi float64) {
 		hi = 1
 	}
 	return lo, hi
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi). Values outside the range
-// are clamped into the first/last bin so mass is never silently dropped.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	N      int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
-// It panics on a non-positive bin count or an empty interval.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: NewHistogram with bins <= 0")
-	}
-	if !(hi > lo) {
-		panic("stats: NewHistogram with hi <= lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	idx := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= bins {
-		idx = bins - 1
-	}
-	h.Counts[idx]++
-	h.N++
-}
-
-// Fraction returns the fraction of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.N)
-}
-
-// BinCenter returns the center value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Mode returns the index of the fullest bin (first one on ties).
-func (h *Histogram) Mode() int {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	_ = best
-	return best
-}
-
-// CDF returns the empirical cumulative fraction at or below bin i.
-func (h *Histogram) CDF(i int) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	total := 0
-	for j := 0; j <= i && j < len(h.Counts); j++ {
-		total += h.Counts[j]
-	}
-	return float64(total) / float64(h.N)
 }

@@ -47,9 +47,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{root: dir}, nil
 }
 
-// Root returns the store's directory.
-func (s *Store) Root() string { return s.root }
-
 // path maps a key to its entry file, rejecting anything that is not a
 // plausible content digest so no key can escape the root or collide with
 // the sharding scheme.

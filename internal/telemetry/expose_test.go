@@ -84,7 +84,7 @@ func TestEmptyFamilyKeepsMetadata(t *testing.T) {
 
 func TestHandlerContentType(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "").Inc()
+	r.CounterVec("x_total", "", nil).With().Inc()
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); ct != ContentType {

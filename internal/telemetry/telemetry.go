@@ -117,21 +117,6 @@ func (h *Histogram) Sum() float64 { return h.sum.Value() }
 // DefBuckets are general-purpose latency buckets in seconds, 1ms..60s.
 var DefBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
 
-// ExpBuckets returns n exponential bucket bounds starting at start and
-// multiplying by factor.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if n <= 0 || start <= 0 || factor <= 1 {
-		panic("telemetry: ExpBuckets wants start > 0, factor > 1, n > 0")
-	}
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
 // series is one labeled child of a family.
 type series struct {
 	labels []string // values, in the family's label-name order
@@ -179,18 +164,6 @@ func NewRegistry() *Registry {
 	return r
 }
 
-// VecOpt configures a labeled family at registration.
-type VecOpt func(*family)
-
-// Cap overrides the family's series cap (default DefaultSeriesCap).
-func Cap(n int) VecOpt {
-	return func(f *family) {
-		if n > 0 {
-			f.cap = n
-		}
-	}
-}
-
 func validMetricName(name string) bool {
 	if name == "" {
 		return false
@@ -222,7 +195,7 @@ func validLabelName(name string) bool {
 // register installs (or, for an identical static re-registration,
 // returns) a family. Conflicts panic: two components disagreeing about a
 // metric's shape is a bug no scrape should paper over.
-func (r *Registry) register(name, help, kind string, labels []string, buckets []float64, collect func(func([]string, float64)), opts []VecOpt) *family {
+func (r *Registry) register(name, help, kind string, labels []string, buckets []float64, collect func(func([]string, float64))) *family {
 	if !validMetricName(name) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
 	}
@@ -252,9 +225,6 @@ func (r *Registry) register(name, help, kind string, labels []string, buckets []
 	}
 	if collect == nil {
 		f.children = map[string]*series{}
-	}
-	for _, o := range opts {
-		o(f)
 	}
 	r.families[name] = f
 	return f
@@ -336,23 +306,9 @@ func (f *family) child(values []string) *series {
 
 // --- static scalars ---
 
-// Counter registers (or returns) an unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	return r.register(name, help, kindCounter, nil, nil, nil, nil).child(nil).c
-}
-
 // Gauge registers (or returns) an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.register(name, help, kindGauge, nil, nil, nil, nil).child(nil).g
-}
-
-// Histogram registers (or returns) an unlabeled histogram over the given
-// ascending bucket upper bounds (nil selects DefBuckets).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	return r.register(name, help, kindHistogram, nil, buckets, nil, nil).child(nil).h
+	return r.register(name, help, kindGauge, nil, nil, nil).child(nil).g
 }
 
 // --- label vectors ---
@@ -377,22 +333,22 @@ type HistogramVec struct{ f *family }
 func (v *HistogramVec) With(labelValues ...string) *Histogram { return v.f.child(labelValues).h }
 
 // CounterVec registers (or returns) a labeled counter family.
-func (r *Registry) CounterVec(name, help string, labels []string, opts ...VecOpt) *CounterVec {
-	return &CounterVec{r.register(name, help, kindCounter, labels, nil, nil, opts)}
+func (r *Registry) CounterVec(name, help string, labels []string) *CounterVec {
+	return &CounterVec{r.register(name, help, kindCounter, labels, nil, nil)}
 }
 
 // GaugeVec registers (or returns) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels []string, opts ...VecOpt) *GaugeVec {
-	return &GaugeVec{r.register(name, help, kindGauge, labels, nil, nil, opts)}
+func (r *Registry) GaugeVec(name, help string, labels []string) *GaugeVec {
+	return &GaugeVec{r.register(name, help, kindGauge, labels, nil, nil)}
 }
 
 // HistogramVec registers (or returns) a labeled histogram family (nil
 // buckets selects DefBuckets).
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels []string, opts ...VecOpt) *HistogramVec {
+func (r *Registry) HistogramVec(name, help string, buckets []float64, labels []string) *HistogramVec {
 	if buckets == nil {
 		buckets = DefBuckets
 	}
-	return &HistogramVec{r.register(name, help, kindHistogram, labels, buckets, nil, opts)}
+	return &HistogramVec{r.register(name, help, kindHistogram, labels, buckets, nil)}
 }
 
 // --- scrape-time collectors ---
@@ -402,14 +358,14 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels []s
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(name, help, kindCounter, nil, nil, func(emit func([]string, float64)) {
 		emit(nil, fn())
-	}, nil)
+	})
 }
 
 // GaugeFunc registers a gauge computed at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(name, help, kindGauge, nil, nil, func(emit func([]string, float64)) {
 		emit(nil, fn())
-	}, nil)
+	})
 }
 
 // GaugeVecFunc registers a labeled gauge family whose samples are
@@ -417,26 +373,12 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 // emitted label-value slices must match len(labels); violations panic at
 // scrape.
 func (r *Registry) GaugeVecFunc(name, help string, labels []string, collect func(emit func(labelValues []string, v float64))) {
-	r.register(name, help, kindGauge, labels, nil, collect, nil)
+	r.register(name, help, kindGauge, labels, nil, collect)
 }
 
 // CounterVecFunc is GaugeVecFunc for monotonic counters.
 func (r *Registry) CounterVecFunc(name, help string, labels []string, collect func(emit func(labelValues []string, v float64))) {
-	r.register(name, help, kindCounter, labels, nil, collect, nil)
-}
-
-// SeriesCount reports a family's live child count (tests, capacity
-// monitoring). Collector families report 0.
-func (r *Registry) SeriesCount(name string) int {
-	r.mu.Lock()
-	f := r.families[name]
-	r.mu.Unlock()
-	if f == nil || f.collect != nil {
-		return 0
-	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.children)
+	r.register(name, help, kindCounter, labels, nil, collect)
 }
 
 // sortedFamilies snapshots the family list in name order for exposition.

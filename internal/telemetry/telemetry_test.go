@@ -14,9 +14,9 @@ import (
 // increment is lost.
 func TestConcurrentMutation(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c_total", "")
+	c := r.CounterVec("c_total", "", nil).With()
 	g := r.Gauge("g", "")
-	h := r.Histogram("h", "", []float64{1, 2, 4})
+	h := r.HistogramVec("h", "", []float64{1, 2, 4}, nil).With()
 	vec := r.CounterVec("v_total", "", []string{"tenant"})
 
 	const workers = 8
@@ -66,11 +66,12 @@ func TestConcurrentMutation(t *testing.T) {
 // rejections are counted on the registry self-metric.
 func TestBoundedCardinality(t *testing.T) {
 	r := NewRegistry()
-	vec := r.CounterVec("bounded_total", "", []string{"tenant"}, Cap(4))
+	vec := r.CounterVec("bounded_total", "", []string{"tenant"})
+	vec.f.cap = 4
 	for i := 0; i < 100; i++ {
 		vec.With(fmt.Sprintf("t%d", i)).Inc()
 	}
-	if got := r.SeriesCount("bounded_total"); got != 4 {
+	if got := len(vec.f.children); got != 4 {
 		t.Fatalf("series count = %d, want cap 4", got)
 	}
 	// The 96 rejected label sets all landed on one overflow child (the
@@ -96,8 +97,8 @@ func TestBoundedCardinality(t *testing.T) {
 // the same underlying state; a conflicting shape panics.
 func TestIdempotentRegistration(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("dup_total", "help")
-	b := r.Counter("dup_total", "help")
+	a := r.CounterVec("dup_total", "help", nil).With()
+	b := r.CounterVec("dup_total", "help", nil).With()
 	a.Inc()
 	if b.Value() != 1 {
 		t.Errorf("re-registered counter is not the same series")
@@ -119,7 +120,7 @@ func TestInvalidNamesPanic(t *testing.T) {
 					t.Errorf("metric name %q did not panic", bad)
 				}
 			}()
-			r.Counter(bad, "")
+			r.CounterVec(bad, "", nil).With()
 		}()
 	}
 	defer func() {
@@ -141,7 +142,7 @@ func TestGaugeSetAndAdd(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat", "", []float64{0.1, 1, 10})
+	h := r.HistogramVec("lat", "", []float64{0.1, 1, 10}, nil).With()
 	for _, v := range []float64{0.05, 0.1, 0.5, 2, 100} {
 		h.Observe(v)
 	}
@@ -158,15 +159,5 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if math.Abs(h.Sum()-102.65) > 1e-9 {
 		t.Errorf("sum = %v, want 102.65", h.Sum())
-	}
-}
-
-func TestExpBuckets(t *testing.T) {
-	got := ExpBuckets(0.5, 2, 4)
-	want := []float64{0.5, 1, 2, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ExpBuckets = %v, want %v", got, want)
-		}
 	}
 }

@@ -156,19 +156,6 @@ func (r *RNG) Poisson(mean float64) int {
 	}
 }
 
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Shuffle pseudo-randomly swaps elements using the provided swap function.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {

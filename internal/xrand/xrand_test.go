@@ -232,18 +232,6 @@ func TestPoissonZeroMean(t *testing.T) {
 	}
 }
 
-func TestPerm(t *testing.T) {
-	r := New(47)
-	p := r.Perm(20)
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("Perm invalid: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestWeightedChoiceDistribution(t *testing.T) {
 	r := New(53)
 	weights := []float64{1, 0, 3}

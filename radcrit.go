@@ -8,9 +8,9 @@
 // element counts, relative error, mean relative error and spatial
 // locality under an imprecise-computing tolerance filter.
 //
-// This package is the public facade; examples and the regeneration
-// commands use it exclusively. The heavy lifting lives in internal/
-// packages (one per subsystem, see DESIGN.md).
+// This package is the public facade, and the examples use nothing else.
+// The heavy lifting lives in internal/ packages (one per subsystem, see
+// DESIGN.md), which the cmd/ tools also import directly.
 //
 // Quick start — a campaign is a declarative Plan executed by a Runner:
 //
@@ -27,8 +27,7 @@
 // criticality profile, a hardening plan, ABFT coverage or a rendered
 // figure, run each cell of plan.Build() through RunCampaignStreaming with
 // the matching reducers (NewSummaryAccumulator, NewCriticalityReducer,
-// NewHardeningReducer, NewABFTReducer, NewScatterReducer, ...); no report
-// outlives its strike.
+// NewHardeningReducer, NewABFTReducer); no report outlives its strike.
 // The public campaign log is the streamed checkpoint log: attach
 // NewCampaignLogWriter to RunCampaignStreaming, or set an
 // AdaptiveRunner's Logs hook.
@@ -37,9 +36,8 @@
 // shareable artifact, a CLI argument (-plan plan.json on every cmd/
 // tool), and — eventually — a serving-layer request body. Devices and
 // kernels are addressed by registry name ("k40", "dgemm:1024",
-// "hotspot:1024x400"); third-party scenarios join via RegisterDevice /
-// RegisterKernel. The pre-plan constructors (K40, NewDGEMM,
-// RunCampaignStreaming, ...) remain as thin wrappers for programmatic use.
+// "hotspot:1024x400"), built with NewDevice and NewKernel; third-party
+// scenarios join via RegisterDevice / RegisterKernel.
 package radcrit
 
 import (
@@ -50,15 +48,9 @@ import (
 	"radcrit/internal/campaign"
 	"radcrit/internal/core"
 	"radcrit/internal/harden"
-	"radcrit/internal/k40"
 	"radcrit/internal/kernels"
-	"radcrit/internal/kernels/clamr"
-	"radcrit/internal/kernels/dgemm"
-	"radcrit/internal/kernels/hotspot"
-	"radcrit/internal/kernels/lavamd"
 	"radcrit/internal/logdata"
 	"radcrit/internal/metrics"
-	"radcrit/internal/phi"
 	"radcrit/internal/registry"
 	"radcrit/internal/report"
 )
@@ -81,8 +73,6 @@ type (
 	AnalysisOptions = core.Options
 	// Log is the CAROL-style public campaign log.
 	Log = logdata.Log
-	// Scale selects paper-scale or test-scale experiment sizing.
-	Scale = campaign.Scale
 
 	// Sink consumes strike outcomes in index order during a streaming
 	// campaign (DESIGN.md §6). Outcome reports are only valid during the
@@ -92,14 +82,10 @@ type (
 	// StreamInfo is the cell metadata a streaming campaign yields next to
 	// its reducers' state: identity, profile and beam exposure.
 	StreamInfo = campaign.StreamInfo
-	// TallyReducer accumulates the outcome tally online.
-	TallyReducer = campaign.TallyReducer
 	// SummaryAccumulator folds a cell's outcome stream into its Summary
 	// under a set of thresholds: the tally, SDC FIT, locality breakdown
 	// and filter-cleared share every Runner reports.
 	SummaryAccumulator = campaign.SummaryAccumulator
-	// ScatterReducer keeps a bounded reservoir of scatter points.
-	ScatterReducer = campaign.ScatterReducer
 	// ABFTReducer classifies SDCs against ABFT's correction capability.
 	ABFTReducer = campaign.ABFTReducer
 	// CriticalityReducer applies the §III criticality methodology online.
@@ -108,8 +94,6 @@ type (
 	HardeningReducer = harden.Reducer
 	// CheckpointSink streams events into a resumable campaign log.
 	CheckpointSink = campaign.CheckpointSink
-	// LogResume is the recoverable state of a truncated streamed log.
-	LogResume = logdata.Resume
 
 	// Plan is a declarative, serialisable campaign: named cells plus the
 	// statistical configuration, validated before any compute is spent.
@@ -142,46 +126,8 @@ type (
 	KernelEntry = registry.KernelEntry
 )
 
-// Experiment scales.
-const (
-	TestScale  = campaign.TestScale
-	PaperScale = campaign.PaperScale
-)
-
 // DefaultThresholdPct is the paper's conservative 2% relative-error filter.
 const DefaultThresholdPct = metrics.DefaultThresholdPct
-
-// K40 returns the NVIDIA Tesla K40 (Kepler GK110b) model.
-func K40() Device { return k40.New() }
-
-// XeonPhi returns the Intel Xeon Phi 3120A (Knights Corner) model.
-func XeonPhi() Device { return phi.New() }
-
-// Devices returns both tested accelerators.
-func Devices() []Device { return campaign.Devices() }
-
-// NewDGEMM returns an n x n matrix-multiplication kernel (Table II sweeps
-// 1024 through 8192).
-func NewDGEMM(n int) *dgemm.Kernel { return dgemm.New(n) }
-
-// NewLavaMD returns a particle-interaction kernel over g boxes per
-// dimension (Table II uses 13, 15, 19, 23).
-func NewLavaMD(g int) *lavamd.Kernel { return lavamd.New(g) }
-
-// NewHotSpot returns the 2D thermal stencil (Table II: 1024x1024).
-// Construction runs the golden simulation once.
-func NewHotSpot(side, iters int) *hotspot.Kernel { return hotspot.New(side, iters) }
-
-// NewCLAMR returns the shallow-water AMR dam-break kernel substituting for
-// LANL's proprietary CLAMR (Table II: 512x512). Construction runs the
-// golden simulation once.
-func NewCLAMR(side, steps int) *clamr.Kernel { return clamr.New(side, steps) }
-
-// CampaignConfig returns the standard campaign configuration: `strikes`
-// particle strikes under LANSCE flux, reproducible from seed.
-func CampaignConfig(seed uint64, strikes int) Config {
-	return campaign.DefaultConfig(seed, strikes)
-}
 
 // --- Declarative plans, registries and runners ---
 
@@ -231,12 +177,6 @@ func NewDevice(name string) (Device, error) { return registry.NewDevice(name) }
 // "lavamd:19", "hotspot:1024x400", "clamr:512x600").
 func NewKernel(spec string) (Kernel, error) { return registry.NewKernel(spec) }
 
-// DeviceNames lists the registered device names, sorted.
-func DeviceNames() []string { return registry.DeviceNames() }
-
-// KernelNames lists the registered kernel family names, sorted.
-func KernelNames() []string { return registry.KernelNames() }
-
 // SplitKernelSpec splits "name:params" into its parts.
 func SplitKernelSpec(spec string) (name, params string) { return registry.SplitSpec(spec) }
 
@@ -251,16 +191,6 @@ func RunCampaignStreaming(dev Device, kern Kernel, cfg Config, sinks ...Sink) (S
 	return campaign.RunStreamingCtx(context.Background(), dev, kern, cfg, sinks...)
 }
 
-// ResumeCampaignStreaming re-runs only the strikes from index start
-// onwards; per-index randomness makes the tail bit-identical to the same
-// indices of a full run.
-func ResumeCampaignStreaming(dev Device, kern Kernel, cfg Config, start int, sinks ...Sink) (StreamInfo, error) {
-	return campaign.RunStreamingFromCtx(context.Background(), dev, kern, cfg, start, sinks...)
-}
-
-// NewTallyReducer returns a streaming outcome-tally accumulator.
-func NewTallyReducer() *TallyReducer { return campaign.NewTallyReducer() }
-
 // NewSummaryAccumulator returns a streaming cell summary under the given
 // relative-error thresholds (a threshold <= 0 counts every SDC); read it
 // with its Summary method once the cell has run.
@@ -268,17 +198,11 @@ func NewSummaryAccumulator(thresholds []float64) *SummaryAccumulator {
 	return campaign.NewSummaryAccumulator(thresholds)
 }
 
-// NewScatterReducer returns a bounded reservoir of scatter points (pass a
-// nil RNG for the default deterministic eviction stream).
-func NewScatterReducer(capPct float64, maxPoints int) *ScatterReducer {
-	return campaign.NewScatterReducer(capPct, maxPoints, nil)
-}
-
 // NewABFTReducer returns a streaming ABFT coverage classifier.
 func NewABFTReducer() *ABFTReducer { return campaign.NewABFTReducer() }
 
 // NewCriticalityReducer returns a streaming criticality analysis under
-// opts; its Criticality equals Analyze over the same SDC reports.
+// opts; its Criticality equals AnalyzeLog over the same cell's log.
 func NewCriticalityReducer(opts AnalysisOptions) *CriticalityReducer {
 	return core.NewAnalyzer(opts)
 }
@@ -291,31 +215,12 @@ func NewHardeningReducer(thresholdPct float64) *HardeningReducer {
 
 // NewCampaignLogWriter starts a checkpointed streaming campaign log for
 // one cell: pass the returned sink to RunCampaignStreaming, then Close it.
-// A run killed mid-campaign leaves a log recoverable by RecoverCampaignLog.
 func NewCampaignLogWriter(w io.Writer, dev Device, kern Kernel, cfg Config) (*CheckpointSink, error) {
 	info, err := campaign.CellInfo(dev, kern, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return campaign.NewCheckpointSink(w, info, cfg.Seed)
-}
-
-// RecoverCampaignLog completes a truncated checkpointed campaign log by
-// replaying its salvageable prefix into w and re-running only the strikes
-// after its last flushed checkpoint. The recovered log is identical to an
-// uninterrupted run's.
-func RecoverCampaignLog(w io.Writer, truncated io.Reader, dev Device, kern Kernel, cfg Config) error {
-	return campaign.RecoverLog(w, truncated, dev, kern, cfg)
-}
-
-// ParseResumableLog reads a possibly-truncated streamed campaign log and
-// reports where the campaign must restart.
-func ParseResumableLog(r io.Reader) (LogResume, error) { return logdata.ParseResume(r) }
-
-// Analyze applies the paper's criticality methodology to a set of
-// per-execution reports.
-func Analyze(reports []*Report, opts AnalysisOptions) *Criticality {
-	return core.Analyze(reports, opts)
 }
 
 // AnalyzeLog re-analyses a parsed campaign log with a chosen filter — the
@@ -332,18 +237,6 @@ func DefaultAnalysisOptions() AnalysisOptions { return core.DefaultOptions() }
 // (NewCampaignLogWriter) or a Runner's log hook writes it; the first
 // malformed or inconsistent line is an error.
 func ParseLog(r io.Reader) (*Log, error) { return logdata.Parse(r) }
-
-// RenderScatter renders a Figure-2/4/6/8 style plot of the points a
-// ScatterReducer collected from the campaign cell info describes.
-func RenderScatter(w io.Writer, info StreamInfo, sc *ScatterReducer) {
-	s := campaign.ScatterSeries{
-		Device: info.Device,
-		Kernel: info.Kernel,
-		CapPct: sc.CapPct,
-		Series: []campaign.LabeledPoints{{Label: info.Input, Points: sc.Points()}},
-	}
-	report.Scatter(w, s, 64, 16)
-}
 
 // RenderLocality renders a Figure-3/5/7 style FIT-by-locality bar pair
 // for the campaign cell info describes, from its summary under the

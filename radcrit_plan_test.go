@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"radcrit"
+	"radcrit/internal/arch"
+	"radcrit/internal/k40"
 )
 
 // TestPlanFacadeEndToEnd drives the declarative surface exactly as a
@@ -88,5 +90,39 @@ func TestFacadeCancellation(t *testing.T) {
 	plan := radcrit.NewPlan(1, 50).WithCell("k40", "dgemm:128")
 	if _, err := radcrit.NewStreamRunner().Run(ctx, plan); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled facade run returned %v", err)
+	}
+}
+
+// TestRegisteredDeviceIsValidated pins that a third-party device whose
+// model fails arch.Model.Validate (no cores, no flip distributions) is
+// refused at construction, and that a plan naming it fails that cell
+// with a *CellError instead of running the engine on it.
+func TestRegisteredDeviceIsValidated(t *testing.T) {
+	broken := map[string]func(m *arch.Model){
+		"test-coreless": func(m *arch.Model) { m.NumCores = 0 },
+		"test-flipless": func(m *arch.Model) { m.StorageFlip.Specs = nil },
+	}
+	for name, breakIt := range broken {
+		radcrit.RegisterDevice(name, func() (radcrit.Device, error) {
+			m := k40.New()
+			breakIt(m)
+			return m, nil
+		})
+		if _, err := radcrit.NewDevice(name); err == nil {
+			t.Errorf("NewDevice(%q) accepted an invalid model", name)
+		}
+		plan := radcrit.NewPlan(1, 50).WithCell(name, "dgemm:128")
+		_, err := radcrit.NewStreamRunner().Run(context.Background(), plan)
+		var ce *radcrit.CellError
+		if !errors.As(err, &ce) {
+			t.Errorf("plan on %q: error %v, want a *CellError", name, err)
+		} else if ce.Device != name {
+			t.Errorf("plan on %q: CellError names device %q", name, ce.Device)
+		}
+	}
+	for _, name := range []string{"k40", "phi"} {
+		if _, err := radcrit.NewDevice(name); err != nil {
+			t.Errorf("built-in %s: %v", name, err)
+		}
 	}
 }

@@ -2,10 +2,38 @@ package radcrit
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
+
+	"radcrit/internal/campaign"
+	"radcrit/internal/logdata"
 )
+
+// device and kernel build registered devices and kernels through the
+// facade, failing the test on error.
+func device(t *testing.T, name string) Device {
+	t.Helper()
+	dev, err := NewDevice(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dev
+}
+
+func kernel(t *testing.T, spec string) Kernel {
+	t.Helper()
+	kern, err := NewKernel(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kern
+}
+
+// config is the standard campaign configuration under seed: what a plan
+// with no facility or base-time override runs.
+func config(seed uint64, strikes int) Config { return NewPlan(seed, strikes).Config() }
 
 // stream runs one campaign cell through the facade's streaming engine,
 // failing the test on error.
@@ -29,9 +57,9 @@ func analyze(t *testing.T, dev Device, kern Kernel, cfg Config, opts AnalysisOpt
 // TestEndToEnd exercises the full public pipeline: device + kernel ->
 // campaign -> log round trip -> criticality analysis -> rendering.
 func TestEndToEnd(t *testing.T) {
-	dev := K40()
-	kern := NewDGEMM(128)
-	cfg := CampaignConfig(1, 200)
+	dev := device(t, "k40")
+	kern := kernel(t, "dgemm:128")
+	cfg := config(1, 200)
 
 	// One pass feeds the streamed checkpoint log and every reducer.
 	var sb strings.Builder
@@ -39,19 +67,18 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tally := NewTallyReducer()
 	crit := NewCriticalityReducer(DefaultAnalysisOptions())
-	scatter := NewScatterReducer(100, 0)
 	acc := NewSummaryAccumulator([]float64{0, DefaultThresholdPct})
-	info := stream(t, dev, kern, cfg, logw, tally, crit, scatter, acc)
+	info := stream(t, dev, kern, cfg, logw, crit, acc)
 	if err := logw.Close(); err != nil {
 		t.Fatal(err)
 	}
+	sum := acc.Summary(info)
 
-	if tally.Tally.Count() != 200 {
-		t.Fatalf("strikes accounted: %d", tally.Tally.Count())
+	if sum.Tally.Count() != 200 {
+		t.Fatalf("strikes accounted: %d", sum.Tally.Count())
 	}
-	if tally.Tally.SDC == 0 {
+	if sum.Tally.SDC == 0 {
 		t.Fatal("no SDCs in 200 strikes")
 	}
 
@@ -60,32 +87,31 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.SDCCount() != tally.Tally.SDC || l.Masked != tally.Tally.Masked {
+	if l.SDCCount() != sum.Tally.SDC || l.Masked != sum.Tally.Masked {
 		t.Fatal("log tally diverged")
 	}
 
 	// Analysis paths agree.
 	direct := crit.Criticality()
 	fromLog := AnalyzeLog(l, DefaultAnalysisOptions())
-	if direct.TotalExecutions != tally.Tally.SDC || direct.CriticalSDCs != fromLog.CriticalSDCs {
+	if direct.TotalExecutions != sum.Tally.SDC || direct.CriticalSDCs != fromLog.CriticalSDCs {
 		t.Fatalf("analysis diverged: %d of %d vs %d", direct.CriticalSDCs, direct.TotalExecutions, fromLog.CriticalSDCs)
 	}
 
-	// Renderers produce content.
+	// The renderer produces content.
 	var out strings.Builder
-	RenderScatter(&out, info, scatter)
 	RenderLocality(&out, info, acc.Summary(info))
 	if !strings.Contains(out.String(), "K40 DGEMM") {
-		t.Fatal("renderers produced no figure content")
+		t.Fatal("renderer produced no figure content")
 	}
 }
 
 func TestDevicesDiffer(t *testing.T) {
-	k, p := K40(), XeonPhi()
+	k, p := device(t, "k40"), device(t, "phi")
 	if k.ShortName() == p.ShortName() {
 		t.Fatal("devices not distinct")
 	}
-	if len(Devices()) != 2 {
+	if len(campaign.Devices()) != 2 {
 		t.Fatal("expected two devices")
 	}
 }
@@ -94,13 +120,13 @@ func TestDevicesDiffer(t *testing.T) {
 // "arithmetic operations are less critical for the K40" — for DGEMM the
 // K40's surviving errors are smaller and fewer than the Phi's.
 func TestCrossArchitectureHeadline(t *testing.T) {
-	kern := NewDGEMM(256)
-	cfg := CampaignConfig(3, 300)
+	kern := kernel(t, "dgemm:256")
+	cfg := config(3, 300)
 	opts := DefaultAnalysisOptions()
 	opts.CapPct = 100 // the paper's Fig. 2 display cap
 
-	k40Crit := analyze(t, K40(), kern, cfg, opts)
-	phiCrit := analyze(t, XeonPhi(), kern, cfg, opts)
+	k40Crit := analyze(t, device(t, "k40"), kern, cfg, opts)
+	phiCrit := analyze(t, device(t, "phi"), kern, cfg, opts)
 
 	// K40 clears far more runs through the 2% filter (paper: 50-75% vs
 	// essentially none on the Phi).
@@ -123,13 +149,13 @@ func TestCrossArchitectureHeadline(t *testing.T) {
 // TestLavaMDTradeoff reproduces §V-E: the Phi corrupts more elements with
 // smaller relative errors than the K40 for FDM-style codes.
 func TestLavaMDTradeoff(t *testing.T) {
-	cfg := CampaignConfig(5, 300)
+	cfg := config(5, 300)
 	// Fig. 4 plots all mismatches (no filter), capped at 20,000% as in
 	// the paper's figure note.
 	opts := AnalysisOptions{ThresholdPct: 0, CapPct: 20000}
 
-	k40Crit := analyze(t, K40(), NewLavaMD(5), cfg, opts)
-	phiCrit := analyze(t, XeonPhi(), NewLavaMD(5), cfg, opts)
+	k40Crit := analyze(t, device(t, "k40"), kernel(t, "lavamd:5"), cfg, opts)
+	phiCrit := analyze(t, device(t, "phi"), kernel(t, "lavamd:5"), cfg, opts)
 	if k40Crit.CriticalSDCs == 0 || phiCrit.CriticalSDCs == 0 {
 		t.Fatal("no critical SDCs sampled")
 	}
@@ -149,10 +175,11 @@ func TestLavaMDTradeoff(t *testing.T) {
 // TestHotSpotResilience reproduces §V-C: stencils are the most resilient
 // class — the 2% filter clears the large majority of HotSpot SDCs.
 func TestHotSpotResilience(t *testing.T) {
-	kern := NewHotSpot(64, 80)
-	for _, dev := range Devices() {
+	kern := kernel(t, "hotspot:64x80")
+	for _, name := range []string{"k40", "phi"} {
+		dev := device(t, name)
 		acc := NewSummaryAccumulator([]float64{2})
-		sum := acc.Summary(stream(t, dev, kern, CampaignConfig(9, 300), acc))
+		sum := acc.Summary(stream(t, dev, kern, config(9, 300), acc))
 		if sum.Tally.SDC == 0 {
 			t.Fatalf("%s: no SDCs", dev.ShortName())
 		}
@@ -167,10 +194,10 @@ func TestHotSpotResilience(t *testing.T) {
 // TestCLAMRCriticality reproduces §V-D: CLAMR errors are widespread,
 // mostly square, and essentially none fall under the 2% filter.
 func TestCLAMRCriticality(t *testing.T) {
-	kern := NewCLAMR(48, 60)
+	kern := kernel(t, "clamr:48x60")
 	acc := NewSummaryAccumulator([]float64{2})
 	red := NewCriticalityReducer(DefaultAnalysisOptions())
-	sum := acc.Summary(stream(t, XeonPhi(), kern, CampaignConfig(11, 300), acc, red))
+	sum := acc.Summary(stream(t, device(t, "phi"), kern, config(11, 300), acc, red))
 	if sum.Tally.SDC == 0 {
 		t.Fatal("no SDCs")
 	}
@@ -190,11 +217,12 @@ func TestCLAMRCriticality(t *testing.T) {
 // TestStreamingFacade exercises the public streaming pipeline: reducers
 // fed by RunCampaignStreaming in small chunks reproduce a serial run at
 // the default chunk, a checkpointed log written alongside is parseable,
-// and a truncated copy recovers into the identical log.
+// and a truncated copy recovers, through the ResumePlanCell path the
+// daemon and the fleet use, into the identical log.
 func TestStreamingFacade(t *testing.T) {
-	dev := K40()
-	kern := NewDGEMM(128)
-	cfg := CampaignConfig(3, 120)
+	dev := device(t, "k40")
+	kern := kernel(t, "dgemm:128")
+	cfg := config(3, 120)
 	serial := cfg
 	serial.Workers = 1
 	wantAcc := NewSummaryAccumulator([]float64{0})
@@ -206,32 +234,32 @@ func TestStreamingFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tally := NewTallyReducer()
 	acc := NewSummaryAccumulator([]float64{0, DefaultThresholdPct})
-	info, err := RunCampaignStreaming(dev, kern, cfg, tally, acc, ckpt)
+	info, err := RunCampaignStreaming(dev, kern, cfg, acc, ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ckpt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if tally.Tally != want.Tally {
-		t.Fatalf("chunked tally %+v != serial %+v", tally.Tally, want.Tally)
+	sum := acc.Summary(info)
+	if sum.Tally != want.Tally {
+		t.Fatalf("chunked tally %+v != serial %+v", sum.Tally, want.Tally)
 	}
-	if got := acc.Summary(info).SDCFIT[0]; got != want.SDCFIT[0] {
+	if got := sum.SDCFIT[0]; got != want.SDCFIT[0] {
 		t.Fatalf("chunked SDC FIT %v != serial %v", got, want.SDCFIT[0])
 	}
 	full, err := ParseLog(bytes.NewReader(logBuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Masked != tally.Tally.Masked || full.SDCCount() != tally.Tally.SDC {
-		t.Fatalf("log counts (masked %d, sdc %d) != tally %+v", full.Masked, full.SDCCount(), tally.Tally)
+	if full.Masked != sum.Tally.Masked || full.SDCCount() != sum.Tally.SDC {
+		t.Fatalf("log counts (masked %d, sdc %d) != tally %+v", full.Masked, full.SDCCount(), sum.Tally)
 	}
 
 	// Crash recovery: drop the tail, recover, compare.
 	cut := logBuf.Len() / 2
-	res, err := ParseResumableLog(bytes.NewReader(logBuf.Bytes()[:cut]))
+	res, err := logdata.ParseResume(bytes.NewReader(logBuf.Bytes()[:cut]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +267,8 @@ func TestStreamingFacade(t *testing.T) {
 		t.Fatalf("truncated log should resume mid-campaign, got %+v", res)
 	}
 	var recovered bytes.Buffer
-	if err := RecoverCampaignLog(&recovered, bytes.NewReader(logBuf.Bytes()[:cut]), dev, kern, cfg); err != nil {
+	cell := campaign.Cell{Dev: dev, Kern: kern}
+	if _, _, err := campaign.ResumePlanCell(context.Background(), bytes.NewReader(logBuf.Bytes()[:cut]), &recovered, cell, cfg, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ParseLog(bytes.NewReader(recovered.Bytes()))
