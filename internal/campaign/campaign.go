@@ -66,11 +66,12 @@ type Config struct {
 	// only — the outcome stream is bit-identical for any value. It is therefore
 	// deliberately excluded from CellKey.
 	Workers int
-	// StreamChunk sizes the streaming engine's execution window
-	// (0 = DefaultStreamChunk). Like Workers it can never change results —
+	// StreamChunk is the streaming engine's chunk (0 =
+	// DefaultStreamChunk). Like Workers it can never change results —
 	// outcomes are consumed in strike-index order whatever the chunking —
-	// it only sets the flush/checkpoint granularity and the engine's peak
-	// outcome memory, so it too is excluded from CellKey.
+	// it only sets the flush/checkpoint and cancellation granularity and,
+	// below the engine's 128-strike window, its peak outcome memory, so
+	// it too is excluded from CellKey.
 	//
 	// One carve-out: when Adaptive is set with CheckEvery == 0, the look
 	// spacing defaults to the effective chunk, and the look schedule DOES

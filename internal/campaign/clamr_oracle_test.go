@@ -6,13 +6,15 @@ package campaign
 // and ran the kernel's single-strike path; production now computes both
 // with reducers in the shared figure pass. The only edits to the retired
 // code are the RNG root, now a parameter (it was seed→device→"masscheck"
-// and seed→device→"fig9"), and the loop, now parFor over par.ForSpansCtx.
-// Do not share code with the reducers: its value is that it is a second
-// implementation.
+// and seed→device→"fig9"), and the loop, now parFor, a plain counter
+// loop. Do not share code with the reducers: its value is that it is a
+// second implementation.
 
 import (
-	"context"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"radcrit/internal/arch"
@@ -22,17 +24,28 @@ import (
 	"radcrit/internal/grid"
 	"radcrit/internal/injector"
 	"radcrit/internal/metrics"
-	"radcrit/internal/par"
 	"radcrit/internal/xrand"
 )
 
-// parFor runs fn(i) for every i in [0, n) over the engine's span loop.
+// parFor runs fn(i) for every i in [0, n) on up to workers goroutines
+// (<= 0 means GOMAXPROCS), each taking the next index from a shared
+// counter.
 func parFor(n, workers int, fn func(i int)) {
-	_ = par.ForSpansCtx(context.Background(), n, workers, func(start, end int) {
-		for i := start; i < end; i++ {
-			fn(i)
-		}
-	})
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // cellRoot is the RNG root the engine derives a cell's strikes from.

@@ -48,8 +48,9 @@ type Plan struct {
 	// Workers sizes each cell's strike pool (0 = GOMAXPROCS). Like
 	// Config.Workers it can never change results, only wall time.
 	Workers int `json:"workers,omitempty"`
-	// StreamChunk sizes the streaming engine's execution window
-	// (0 = DefaultStreamChunk); it also sets cancellation granularity.
+	// StreamChunk is the streaming engine's chunk (0 =
+	// DefaultStreamChunk): its checkpoint spacing and cancellation
+	// granularity.
 	StreamChunk int `json:"stream_chunk,omitempty"`
 	// BaseExecSeconds scales a profile's RelRuntime into wall seconds
 	// (0 = the default 1.0).

@@ -3,11 +3,14 @@
 package campaign
 
 import (
+	"context"
 	"testing"
 
 	"radcrit/internal/beam"
 	"radcrit/internal/fault"
 	"radcrit/internal/injector"
+	"radcrit/internal/k40"
+	"radcrit/internal/kernels/dgemm"
 	"radcrit/internal/xrand"
 )
 
@@ -109,5 +112,37 @@ func TestLavaMDMixedStrikeAllocBounds(t *testing.T) {
 	perStrike := testing.AllocsPerRun(5, runCycle) / cycle
 	if perStrike > 2 {
 		t.Errorf("LavaMD mixed population allocates %.2f objects/strike, want <= 2", perStrike)
+	}
+}
+
+// TestSummaryAccumulatorAllocFree pins the summary reduction's alloc
+// contract: once warm, SummaryAccumulator.Consume at the thresholds
+// {0, 2} allocates nothing on a K40 DGEMM-128 SDC, so locality
+// classification, which runs per SDC and threshold, makes no garbage.
+//
+// Excluded under -race: the race runtime's instrumentation allocates.
+func TestSummaryAccumulatorAllocFree(t *testing.T) {
+	capture := &captureSink{}
+	if _, err := RunStreamingCtx(context.Background(), k40.New(), dgemm.New(128), DefaultConfig(42, 300), capture); err != nil {
+		t.Fatal(err)
+	}
+	var sdcs []injector.Outcome
+	for _, out := range capture.outs {
+		if out.Class == fault.SDC {
+			sdcs = append(sdcs, out)
+		}
+	}
+	if len(sdcs) == 0 {
+		t.Fatal("no SDC in the captured stream")
+	}
+	acc := NewSummaryAccumulator([]float64{0, 2})
+	consumeAll := func() {
+		for i, out := range sdcs {
+			acc.Consume(i, out)
+		}
+	}
+	consumeAll() // warm the tally's per-resource map
+	if avg := testing.AllocsPerRun(20, consumeAll); avg != 0 {
+		t.Errorf("consuming %d warm DGEMM-128 SDCs allocates %v objects, want 0", len(sdcs), avg)
 	}
 }

@@ -115,7 +115,7 @@ type Runner interface {
 
 // StreamRunner executes cells sequentially through the streaming engine:
 // summaries come from online reducers, no reports are retained, and peak
-// memory per cell is O(StreamChunk + reducer state). It is the plan loop
+// memory per cell is O(window + reducer state). It is the plan loop
 // capped at one epoch: an adaptive cell may stop early, but the strikes
 // it frees are never re-dealt, so every cell's outcome is its own
 // RunPlanCell's (the daemon, which runs each cell through

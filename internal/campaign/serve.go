@@ -39,10 +39,9 @@ import (
 // Not safe for concurrent use; the engine's in-order consume loop is a
 // single goroutine (Sink contract).
 type SummaryAccumulator struct {
-	ts     []float64
-	tally  *TallyReducer
-	per    []thresholdCounts // one per threshold
-	coords []grid.Coord      // survivors' coordinates, reused across SDCs
+	ts    []float64
+	tally *TallyReducer
+	per   []thresholdCounts // one per threshold
 }
 
 // thresholdCounts is a SummaryAccumulator's state under one threshold.
@@ -107,9 +106,7 @@ func (a *SummaryAccumulator) pattern(rep *metrics.Report, k int, t float64, n in
 	if n == rep.Count() {
 		return rep.Locality()
 	}
-	var p metrics.Pattern
-	p, a.coords = rep.LocalityAbove(t, a.coords)
-	return p
+	return rep.LocalityAbove(t)
 }
 
 // AddMasked records n masked executions without per-strike payloads — the

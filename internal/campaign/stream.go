@@ -14,14 +14,14 @@ import (
 	"radcrit/internal/injector"
 	"radcrit/internal/kernels"
 	"radcrit/internal/logdata"
-	"radcrit/internal/par"
 	"radcrit/internal/xrand"
 )
 
-// DefaultStreamChunk is the streaming engine's flush granularity: strikes
-// are executed in chunks of this many indices, consumed in order, and the
-// chunk buffer is recycled. Peak memory is O(chunk) outcomes plus reducer
-// state, independent of the campaign's SDC count.
+// DefaultStreamChunk is the streaming engine's flush granularity: sinks
+// see a chunk boundary (FlushChunk) every this many strikes, and
+// cancellation takes effect at the next one. The engine's peak memory is
+// O(min(chunk, maxWindow)) outcomes plus reducer state, independent of
+// the campaign's SDC count.
 const DefaultStreamChunk = 512
 
 // Sink consumes classified strike outcomes as the engine produces them.
@@ -109,11 +109,11 @@ func cellInfo(ses *injector.Session, dev arch.Device, kern kernels.Kernel, cfg C
 }
 
 // RunStreamingCtx executes cfg.Strikes strikes of kern on dev, feeding
-// every outcome to the sinks in strike-index order, holding O(chunk +
-// reducer state) memory instead of O(SDC reports). Strikes within a chunk
-// fan out over the Config.Workers pool with per-index RNG splits, so the
-// outcome stream is bit-identical for any worker count. Cancellation is
-// honoured at chunk boundaries (see RunStreamingFromCtx).
+// every outcome to the sinks in strike-index order, holding O(window +
+// reducer state) memory instead of O(SDC reports). Strikes fan out over
+// the Config.Workers pool with per-index RNG splits, so the outcome
+// stream is bit-identical for any worker count. Cancellation is honoured
+// at chunk boundaries (see RunStreamingFromCtx).
 func RunStreamingCtx(ctx context.Context, dev arch.Device, kern kernels.Kernel, cfg Config, sinks ...Sink) (StreamInfo, error) {
 	return RunStreamingFromCtx(ctx, dev, kern, cfg, 0, sinks...)
 }
@@ -123,13 +123,19 @@ func RunStreamingCtx(ctx context.Context, dev arch.Device, kern kernels.Kernel, 
 // its randomness from an independent per-index RNG split, the tail
 // produced here is bit-identical to the same indices of a full run — the
 // foundation of checkpoint/resume (a crashed campaign re-runs only the
-// strikes after its last flushed checkpoint). Cancellation is graceful
-// and chunk-aligned: a chunk whose execution was interrupted is discarded
-// whole, so the sinks always observe a chunk-aligned prefix of the
-// deterministic outcome stream — partial reducer state remains
-// meaningful, and a CheckpointSink's log stays recoverable. The engine
-// then stops and returns ctx.Err() alongside the cell's StreamInfo; no
-// worker goroutine outlives the call.
+// strikes after its last flushed checkpoint).
+//
+// Workers run strikes at most min(chunk, maxWindow) ahead of the sinks,
+// which consume on the calling goroutine while the workers run; chunk
+// boundaries fall every cfg.StreamChunk strikes counted from start.
+// Cancellation is graceful and chunk-aligned: the engine checks ctx only
+// at a boundary, so the chunk in progress runs to its end and the sinks
+// always observe a chunk-aligned prefix of the deterministic outcome
+// stream — partial reducer state remains meaningful, and a
+// CheckpointSink's log stays recoverable. The engine then stops and
+// returns ctx.Err() alongside the cell's StreamInfo; strikes the workers
+// ran past the boundary are discarded, and no worker goroutine outlives
+// the call.
 func RunStreamingFromCtx(ctx context.Context, dev arch.Device, kern kernels.Kernel, cfg Config, start int, sinks ...Sink) (StreamInfo, error) {
 	ses, err := injector.NewSession(dev, kern)
 	if err != nil {
@@ -145,52 +151,44 @@ func RunStreamingFromCtx(ctx context.Context, dev arch.Device, kern kernels.Kern
 	if chunk <= 0 {
 		chunk = DefaultStreamChunk
 	}
-	if start < 0 {
-		start = 0
-	}
-	bufLen := min(chunk, max(cfg.Strikes-start, 0))
-	buf := make([]injector.Outcome, bufLen)
-	strikes := make([]fault.Strike, bufLen)
-	rngs := make([]*xrand.RNG, bufLen)
-	for base := start; base < cfg.Strikes; base += chunk {
-		if err := ctx.Err(); err != nil {
-			return info, err
-		}
-		n := min(chunk, cfg.Strikes-base)
-		// Each claimed span runs through the session's batch path: strikes
-		// derive their RNG from the per-index split as before (bit-identity
-		// at any worker count), but the kernel sees the whole span at once,
-		// keeping its scratch and golden tables cache-hot across strikes.
-		err := par.ForSpansCtx(ctx, n, cfg.Workers, func(lo, hi int) {
+	size := windowSize(chunk)
+	outs := make([]injector.Outcome, size)
+	strikes := make([]fault.Strike, size)
+	rngs := make([]*xrand.RNG, size)
+	err = pipeline(ctx, max(start, 0), cfg.Strikes, chunk, cfg.Workers, stages{
+		// Each span runs through the session's batch path: strikes derive
+		// their RNG from the per-index split (bit-identity at any worker
+		// count), and the kernel sees the whole span at once.
+		run: func(lo, hi, slot int) {
 			for j := lo; j < hi; j++ {
-				sub := rng.Split(uint64(base+j) + 1)
-				strikes[j] = fault.Strike{When: sub.Float64(), Energy: beam.StrikeEnergy(sub)}
-				rngs[j] = sub
+				sub := rng.Split(uint64(j) + 1)
+				strikes[slot+j-lo] = fault.Strike{When: sub.Float64(), Energy: beam.StrikeEnergy(sub)}
+				rngs[slot+j-lo] = sub
 			}
-			ses.RunBatch(strikes[lo:hi], rngs[lo:hi], buf[lo:hi])
-		})
-		if err != nil {
-			// The chunk may be partially executed: discard it whole so the
-			// sinks keep their chunk-aligned prefix.
-			return info, err
-		}
-		for j := 0; j < n; j++ {
+			end := slot + hi - lo
+			ses.RunBatch(strikes[slot:end], rngs[slot:end], outs[slot:end])
+		},
+		consume: func(i, slot int) {
 			for _, s := range sinks {
-				s.Consume(base+j, buf[j])
+				s.Consume(i, outs[slot])
 			}
-			// Recycle the report into the session pool: the sinks have
-			// consumed it (Sink contract), so the next chunk's strikes
-			// reuse its memory instead of allocating afresh.
-			ses.ReleaseReport(buf[j].Report)
-			buf[j] = injector.Outcome{}
-		}
-		for _, s := range sinks {
-			if f, ok := s.(ChunkFlusher); ok {
-				f.FlushChunk(base + n)
+		},
+		// Recycle the report into the session pool: the sinks have
+		// consumed it (Sink contract) or never will, so a later strike
+		// reuses its memory instead of allocating afresh.
+		free: func(slot int) {
+			ses.ReleaseReport(outs[slot].Report)
+			outs[slot] = injector.Outcome{}
+		},
+		flush: func(next int) {
+			for _, s := range sinks {
+				if f, ok := s.(ChunkFlusher); ok {
+					f.FlushChunk(next)
+				}
 			}
-		}
-	}
-	return info, nil
+		},
+	})
+	return info, err
 }
 
 // StreamMatrix evaluates every cell under cfg concurrently through the

@@ -57,10 +57,10 @@ func TestFullGridCorruptionIsSquare(t *testing.T) {
 func TestTwoElementsSameRowIsLine(t *testing.T) {
 	// The minimal multi-element patterns at the classification boundary.
 	dims := grid.Dims{X: 8, Y: 8, Z: 1}
-	if got := Classify(dims, []grid.Coord{{X: 1, Y: 3}, {X: 5, Y: 3}}); got != Line {
+	if got := classifyCoords(dims, []grid.Coord{{X: 1, Y: 3}, {X: 5, Y: 3}}); got != Line {
 		t.Fatalf("two in a row = %v", got)
 	}
-	if got := Classify(dims, []grid.Coord{{X: 1, Y: 3}, {X: 5, Y: 4}}); got != Random {
+	if got := classifyCoords(dims, []grid.Coord{{X: 1, Y: 3}, {X: 5, Y: 4}}); got != Random {
 		t.Fatalf("two sharing nothing = %v", got)
 	}
 }
@@ -69,7 +69,7 @@ func TestDuplicateCoordinatesDoNotCrash(t *testing.T) {
 	dims := grid.Dims{X: 8, Y: 8, Z: 1}
 	coords := []grid.Coord{{X: 1, Y: 1}, {X: 1, Y: 1}, {X: 1, Y: 1}}
 	// Duplicates share every axis: a degenerate single-position set.
-	if got := Classify(dims, coords); got != Single {
+	if got := classifyCoords(dims, coords); got != Single {
 		t.Fatalf("duplicated coordinate set = %v, want single", got)
 	}
 }

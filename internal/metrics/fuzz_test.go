@@ -60,14 +60,12 @@ func FuzzReportFilter(f *testing.F) {
 		}
 		// The copy-free helpers the streaming reducers read must agree
 		// with the filtered report at both thresholds.
-		var scratch []grid.Coord
 		for _, th := range []float64{t1, t2} {
 			want := rep.Filter(th)
 			if n := rep.CountAbove(th); n != len(want.Mismatches) {
 				t.Fatalf("CountAbove(%v) = %d, Filter keeps %d", th, n, len(want.Mismatches))
 			}
-			var p Pattern
-			if p, scratch = rep.LocalityAbove(th, scratch); p != want.Locality() {
+			if p := rep.LocalityAbove(th); p != want.Locality() {
 				t.Fatalf("LocalityAbove(%v) = %v, Filter(%v).Locality() = %v", th, p, th, want.Locality())
 			}
 		}

@@ -1,6 +1,10 @@
 package metrics
 
-import "radcrit/internal/grid"
+import (
+	"slices"
+
+	"radcrit/internal/grid"
+)
 
 // Pattern is the spatial-locality class of a set of corrupted elements
 // (paper §III). "When several elements are corrupted, but they do not share
@@ -48,72 +52,135 @@ func (p Pattern) String() string {
 // Patterns lists all error-producing patterns in figure order.
 var Patterns = []Pattern{Cubic, Square, Line, Single, Random}
 
-// Classify returns the spatial-locality class of coords inside an output of
-// shape dims.
+// classify returns the spatial-locality class of the mismatches whose
+// relative error exceeds t (of every mismatch when all is set). It reads
+// the mismatches in place.
 //
 // The decision procedure, matching the paper's prose:
 //
 //   - 0 elements → NoPattern; 1 element → Single.
 //   - If the elements vary along exactly one axis they form a Line.
-//   - Otherwise, if no two elements share a coordinate on any varying axis,
+//   - Otherwise, if no two elements share a position on any varying axis,
 //     the scatter is Random.
 //   - Otherwise the elements share axis positions while spreading over two
 //     (Square) or three (Cubic) axes.
-func Classify(dims grid.Dims, coords []grid.Coord) Pattern {
-	switch len(coords) {
+//
+// One pass finds each axis's position range, which settles every case up
+// to the repeat question. An axis with more elements than positions in
+// its range must repeat one (pigeonhole), which answers it for large
+// structured sets; otherwise a bitset over the range does, stopping at
+// the first repeat. The bitset lives on the stack for ranges up to
+// stackBits positions.
+func classify(ms []Mismatch, t float64, all bool) Pattern {
+	n := 0
+	var lo, hi [3]int
+	for i := range ms {
+		if !all && !(ms[i].RelErrPct > t) {
+			continue
+		}
+		c := axes(ms[i].Coord)
+		if n == 0 {
+			lo, hi = c, c
+		}
+		for a := range c {
+			lo[a] = min(lo[a], c[a])
+			hi[a] = max(hi[a], c[a])
+		}
+		n++
+	}
+	switch n {
 	case 0:
 		return NoPattern
 	case 1:
 		return Single
 	}
 
-	distinctX := distinctCount(coords, func(c grid.Coord) int { return c.X })
-	distinctY := distinctCount(coords, func(c grid.Coord) int { return c.Y })
-	distinctZ := distinctCount(coords, func(c grid.Coord) int { return c.Z })
-
+	// span[a] is axis a's range minus one; the unsigned difference is
+	// exact for any pair of ints.
+	var span [3]uint64
 	varying := 0
-	for _, d := range []int{distinctX, distinctY, distinctZ} {
-		if d > 1 {
+	for a := range span {
+		span[a] = uint64(hi[a]) - uint64(lo[a])
+		if span[a] > 0 {
 			varying++
 		}
 	}
-
 	switch varying {
 	case 0:
-		// All coordinates identical yet len > 1 cannot happen for a set of
+		// All coordinates identical yet n > 1 cannot happen for a set of
 		// distinct mismatch positions; defensively call it Single.
 		return Single
 	case 1:
 		return Line
 	}
 
-	// Spread over 2 or 3 axes: distinguish structured (square/cubic) from
-	// random scatter. A scatter is random when no axis position repeats:
-	// every varying axis has as many distinct values as elements.
-	n := len(coords)
-	isRandom := true
-	if distinctX > 1 && distinctX < n {
-		isRandom = false
-	}
-	if distinctY > 1 && distinctY < n {
-		isRandom = false
-	}
-	if distinctZ > 1 && distinctZ < n {
-		isRandom = false
-	}
-	if isRandom {
-		return Random
-	}
+	structured := Cubic
 	if varying == 2 {
-		return Square
+		structured = Square
 	}
-	return Cubic
+	for a := range span {
+		if span[a] > 0 && uint64(n-1) > span[a] {
+			return structured
+		}
+	}
+	for a := range span {
+		if span[a] > 0 && repeats(ms, t, all, a, lo[a], span[a], n) {
+			return structured
+		}
+	}
+	return Random
 }
 
-func distinctCount(coords []grid.Coord, axis func(grid.Coord) int) int {
-	seen := make(map[int]struct{}, len(coords))
-	for _, c := range coords {
-		seen[axis(c)] = struct{}{}
+// stackBits is the widest axis range classify checks without allocating.
+const stackBits = 4096
+
+// repeats reports whether two of the n selected mismatches share a
+// position on axis a, whose positions lie in [lo, lo+span].
+func repeats(ms []Mismatch, t float64, all bool, a, lo int, span uint64, n int) bool {
+	words := span/64 + 1
+	if words > stackBits/64 && words > uint64(n) {
+		// A range this sparse would cost more than 8 bytes per element
+		// as a bitset. Only out-of-shape coordinates get here, such as a
+		// damaged replayed log could carry.
+		return repeatsSorted(ms, t, all, a, n)
 	}
-	return len(seen)
+	var stack [stackBits / 64]uint64
+	var bits []uint64
+	if words <= uint64(len(stack)) {
+		bits = stack[:words]
+	} else {
+		bits = make([]uint64, words)
+	}
+	for i := range ms {
+		if !all && !(ms[i].RelErrPct > t) {
+			continue
+		}
+		off := uint64(axes(ms[i].Coord)[a]) - uint64(lo)
+		w, bit := off/64, uint64(1)<<(off%64)
+		if bits[w]&bit != 0 {
+			return true
+		}
+		bits[w] |= bit
+	}
+	return false
 }
+
+// repeatsSorted is repeats for ranges too sparse for a bitset.
+func repeatsSorted(ms []Mismatch, t float64, all bool, a, n int) bool {
+	pos := make([]int, 0, n)
+	for i := range ms {
+		if all || ms[i].RelErrPct > t {
+			pos = append(pos, axes(ms[i].Coord)[a])
+		}
+	}
+	slices.Sort(pos)
+	for i := 1; i < len(pos); i++ {
+		if pos[i] == pos[i-1] {
+			return true
+		}
+	}
+	return false
+}
+
+// axes returns c's positions indexed by axis.
+func axes(c grid.Coord) [3]int { return [3]int{c.X, c.Y, c.Z} }

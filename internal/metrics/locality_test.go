@@ -12,31 +12,31 @@ var dims2D = grid.Dims{X: 16, Y: 16, Z: 1}
 var dims3D = grid.Dims{X: 8, Y: 8, Z: 8}
 
 func TestClassifyEmptyAndSingle(t *testing.T) {
-	if Classify(dims2D, nil) != NoPattern {
+	if classifyCoords(dims2D, nil) != NoPattern {
 		t.Fatal("empty should be NoPattern")
 	}
-	if Classify(dims2D, []grid.Coord{{X: 3, Y: 4}}) != Single {
+	if classifyCoords(dims2D, []grid.Coord{{X: 3, Y: 4}}) != Single {
 		t.Fatal("one element should be Single")
 	}
 }
 
 func TestClassifyRow(t *testing.T) {
 	coords := []grid.Coord{{X: 0, Y: 5}, {X: 3, Y: 5}, {X: 9, Y: 5}}
-	if got := Classify(dims2D, coords); got != Line {
+	if got := classifyCoords(dims2D, coords); got != Line {
 		t.Fatalf("row = %v, want line", got)
 	}
 }
 
 func TestClassifyColumn(t *testing.T) {
 	coords := []grid.Coord{{X: 7, Y: 0}, {X: 7, Y: 1}, {X: 7, Y: 15}}
-	if got := Classify(dims2D, coords); got != Line {
+	if got := classifyCoords(dims2D, coords); got != Line {
 		t.Fatalf("column = %v, want line", got)
 	}
 }
 
 func TestClassify3DLine(t *testing.T) {
 	coords := []grid.Coord{{X: 1, Y: 2, Z: 3}, {X: 1, Y: 2, Z: 5}}
-	if got := Classify(dims3D, coords); got != Line {
+	if got := classifyCoords(dims3D, coords); got != Line {
 		t.Fatalf("z-line = %v, want line", got)
 	}
 }
@@ -47,7 +47,7 @@ func TestClassifySquareBlock(t *testing.T) {
 		{X: 2, Y: 2}, {X: 3, Y: 2},
 		{X: 2, Y: 3}, {X: 3, Y: 3},
 	}
-	if got := Classify(dims2D, coords); got != Square {
+	if got := classifyCoords(dims2D, coords); got != Square {
 		t.Fatalf("block = %v, want square", got)
 	}
 }
@@ -57,7 +57,7 @@ func TestClassifyRandomScatter(t *testing.T) {
 	coords := []grid.Coord{
 		{X: 1, Y: 4}, {X: 5, Y: 9}, {X: 12, Y: 2},
 	}
-	if got := Classify(dims2D, coords); got != Random {
+	if got := classifyCoords(dims2D, coords); got != Random {
 		t.Fatalf("scatter = %v, want random", got)
 	}
 }
@@ -67,7 +67,7 @@ func TestClassifyLShapeIsSquare(t *testing.T) {
 	coords := []grid.Coord{
 		{X: 2, Y: 2}, {X: 5, Y: 2}, {X: 2, Y: 8},
 	}
-	if got := Classify(dims2D, coords); got != Square {
+	if got := classifyCoords(dims2D, coords); got != Square {
 		t.Fatalf("L shape = %v, want square", got)
 	}
 }
@@ -77,7 +77,7 @@ func TestClassifyCubic(t *testing.T) {
 		{X: 1, Y: 1, Z: 1}, {X: 2, Y: 1, Z: 1},
 		{X: 1, Y: 2, Z: 1}, {X: 1, Y: 1, Z: 2},
 	}
-	if got := Classify(dims3D, coords); got != Cubic {
+	if got := classifyCoords(dims3D, coords); got != Cubic {
 		t.Fatalf("3D cluster = %v, want cubic", got)
 	}
 }
@@ -86,7 +86,7 @@ func TestClassify3DRandom(t *testing.T) {
 	coords := []grid.Coord{
 		{X: 1, Y: 2, Z: 3}, {X: 4, Y: 5, Z: 6}, {X: 7, Y: 0, Z: 1},
 	}
-	if got := Classify(dims3D, coords); got != Random {
+	if got := classifyCoords(dims3D, coords); got != Random {
 		t.Fatalf("3D scatter = %v, want random", got)
 	}
 }
@@ -96,7 +96,7 @@ func TestClassify3DPlaneIsSquare(t *testing.T) {
 	coords := []grid.Coord{
 		{X: 1, Y: 1, Z: 2}, {X: 2, Y: 1, Z: 2}, {X: 1, Y: 3, Z: 2}, {X: 2, Y: 3, Z: 2},
 	}
-	if got := Classify(dims3D, coords); got != Square {
+	if got := classifyCoords(dims3D, coords); got != Square {
 		t.Fatalf("plane = %v, want square", got)
 	}
 }
@@ -106,7 +106,7 @@ func TestClassifyFullRow2D(t *testing.T) {
 	for x := 0; x < dims2D.X; x++ {
 		coords = append(coords, grid.Coord{X: x, Y: 3})
 	}
-	if got := Classify(dims2D, coords); got != Line {
+	if got := classifyCoords(dims2D, coords); got != Line {
 		t.Fatalf("full row = %v", got)
 	}
 }
@@ -119,7 +119,7 @@ func TestClassifyLargeRegionIsSquare(t *testing.T) {
 			coords = append(coords, grid.Coord{X: x, Y: y})
 		}
 	}
-	if got := Classify(dims2D, coords); got != Square {
+	if got := classifyCoords(dims2D, coords); got != Square {
 		t.Fatalf("region = %v, want square", got)
 	}
 }
@@ -152,11 +152,11 @@ func TestClassifyOrderInvariant(t *testing.T) {
 		for i := range coords {
 			coords[i] = grid.Coord{X: r.Intn(8), Y: r.Intn(8), Z: r.Intn(8)}
 		}
-		base := Classify(dims3D, coords)
+		base := classifyCoords(dims3D, coords)
 		shuffled := make([]grid.Coord, n)
 		copy(shuffled, coords)
 		r.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		return Classify(dims3D, shuffled) == base
+		return classifyCoords(dims3D, shuffled) == base
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestClassify2DNeverCubic(t *testing.T) {
 		for i := range coords {
 			coords[i] = grid.Coord{X: r.Intn(16), Y: r.Intn(16)}
 		}
-		return Classify(dims2D, coords) != Cubic
+		return classifyCoords(dims2D, coords) != Cubic
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -17,7 +17,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"radcrit/internal/grid"
 )
@@ -59,42 +58,28 @@ type Mismatch struct {
 //
 // Reports are cheap to recycle: a campaign session borrows them from a
 // ReportPool, and Reset returns one to its empty state while keeping the
-// mismatch slice's capacity. Use pointers — the lazily built accessor
-// caches make Report values non-copyable (go vet enforces this).
+// mismatch slice's capacity.
 type Report struct {
 	// Dims is the shape of the compared output.
 	Dims grid.Dims
 	// TotalElements is the number of output elements compared.
 	TotalElements int
 	// Mismatches lists every corrupted element. Builders append here
-	// directly; established mismatches must never be mutated in place
-	// (the accessor caches key off the slice length only).
+	// directly.
 	Mismatches []Mismatch
 	// ThresholdPct is the relative-error filter already applied to
 	// Mismatches (0 means unfiltered).
 	ThresholdPct float64
-
-	// coords caches the Coords derivation: in the figure pass both the
-	// summary accumulator and the ABFT reducer classify each SDC's
-	// locality. An atomic pointer keeps concurrent readers race-free:
-	// racing readers compute identical caches and either may win.
-	coords atomic.Pointer[coordsCache]
-}
-
-type coordsCache struct {
-	n      int
-	coords []grid.Coord
 }
 
 // Reset returns the report to its empty state, retaining the mismatch
-// slice's capacity for reuse. Any slices previously handed out by
-// Mismatches or Coords become invalid.
+// slice's capacity for reuse. Any slice previously read from Mismatches
+// becomes invalid.
 func (r *Report) Reset() {
 	r.Dims = grid.Dims{}
 	r.TotalElements = 0
 	r.Mismatches = r.Mismatches[:0]
 	r.ThresholdPct = 0
-	r.coords.Store(nil)
 }
 
 // Clone returns a deep copy of the report whose lifetime is independent of
@@ -257,17 +242,10 @@ func (r *Report) CountAbove(thresholdPct float64) int {
 }
 
 // LocalityAbove classifies the spatial pattern of the mismatches
-// Filter(thresholdPct) keeps, equal to Filter(thresholdPct).Locality().
-// The survivors' coordinates are gathered into scratch, which is returned
-// (possibly grown) for reuse by the next call.
-func (r *Report) LocalityAbove(thresholdPct float64, scratch []grid.Coord) (Pattern, []grid.Coord) {
-	scratch = scratch[:0]
-	for _, m := range r.Mismatches {
-		if m.RelErrPct > thresholdPct {
-			scratch = append(scratch, m.Coord)
-		}
-	}
-	return Classify(r.Dims, scratch), scratch
+// Filter(thresholdPct) keeps, equal to Filter(thresholdPct).Locality(),
+// without building the filtered report.
+func (r *Report) LocalityAbove(thresholdPct float64) Pattern {
+	return classify(r.Mismatches, thresholdPct, false)
 }
 
 // CorruptedFraction returns the fraction of output elements corrupted.
@@ -278,22 +256,7 @@ func (r *Report) CorruptedFraction() float64 {
 	return float64(len(r.Mismatches)) / float64(r.TotalElements)
 }
 
-// Coords returns the coordinates of all mismatches. The slice comes from
-// a lazily built cache shared by every caller: treat it as read-only. It
-// is valid until the report is Reset.
-func (r *Report) Coords() []grid.Coord {
-	if c := r.coords.Load(); c != nil && c.n == len(r.Mismatches) {
-		return c.coords
-	}
-	cs := make([]grid.Coord, len(r.Mismatches))
-	for i, m := range r.Mismatches {
-		cs[i] = m.Coord
-	}
-	r.coords.Store(&coordsCache{n: len(cs), coords: cs})
-	return cs
-}
-
 // Locality classifies the spatial pattern of the mismatches (metric 4).
 func (r *Report) Locality() Pattern {
-	return Classify(r.Dims, r.Coords())
+	return classify(r.Mismatches, 0, true)
 }

@@ -18,13 +18,9 @@ func sampleReport() *Report {
 
 func TestReportReset(t *testing.T) {
 	r := sampleReport()
-	_ = r.Coords() // populate the cache so Reset must drop it
 	r.Reset()
 	if r.Count() != 0 || r.TotalElements != 0 || r.ThresholdPct != 0 || r.Dims != (grid.Dims{}) {
 		t.Fatalf("Reset left state behind: %+v", r)
-	}
-	if len(r.Coords()) != 0 {
-		t.Fatal("Reset kept a stale coords cache")
 	}
 }
 
@@ -64,22 +60,6 @@ func TestReportPoolRecyclesAndDegrades(t *testing.T) {
 	}
 	nilPool.Put(r3)
 	p.Put(nil)
-}
-
-func TestCoordsCached(t *testing.T) {
-	r := sampleReport()
-	c1, c2 := r.Coords(), r.Coords()
-	if &c1[0] != &c2[0] {
-		t.Error("Coords rebuilt despite unchanged mismatches")
-	}
-	// Appending a mismatch must invalidate the cache.
-	r.Mismatches = append(r.Mismatches, Mismatch{Coord: grid.Coord{X: 2, Y: 2}, RelErrPct: 9})
-	if len(r.Coords()) != 4 {
-		t.Fatal("cache served a stale length after append")
-	}
-	if got := r.Coords()[3]; got != (grid.Coord{X: 2, Y: 2}) {
-		t.Fatalf("rebuilt coords wrong: %+v", got)
-	}
 }
 
 // TestReportReserve pins the recycled-capacity policy: Reserve keeps the

@@ -184,7 +184,7 @@ func SplitKernelSpec(spec string) (name, params string) { return registry.SplitS
 // strikes of kern on dev, each resolved by the device architecture and
 // propagated through the kernel's real computation. Every outcome is fed
 // to the sinks in strike-index order and then dropped, so memory stays
-// O(chunk + reducer state) however many strikes — or SDCs — the cell
+// O(window + reducer state) however many strikes — or SDCs — the cell
 // produces. The outcome stream, and so every reducer, is bit-identical
 // for any worker count (DESIGN.md §6).
 func RunCampaignStreaming(dev Device, kern Kernel, cfg Config, sinks ...Sink) (StreamInfo, error) {
