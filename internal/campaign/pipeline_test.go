@@ -55,20 +55,13 @@ func (s *orderSink) FlushChunk(next int) {
 	s.flushes = append(s.flushes, next)
 }
 
-// TestStreamConsumesEveryIndexInOrder pins §6 contract item 1 on the
-// pipelined engine: for every worker count, chunk size and a start on
-// and off a chunk boundary, the sinks see each index of [start, strikes)
-// exactly once, in order, with a FlushChunk at every chunk boundary
-// counted from start and at the end, and the same outcomes a one-worker
-// full run gives.
-func TestStreamConsumesEveryIndexInOrder(t *testing.T) {
+// streamGrid runs the pipelined engine, uncancelled, over every worker
+// count, chunk size and a start on and off a chunk boundary, and hands
+// each run's sink to check. The sink itself fails the test if an index
+// arrives out of order or a FlushChunk comes before the index under it.
+func streamGrid(t *testing.T, check func(workers, chunk, start, strikes int, s *orderSink)) {
+	t.Helper()
 	dev, kern := phi.New(), lavamd.New(4)
-	ref := newOrderSink(t)
-	refCfg := DefaultConfig(53, 600)
-	refCfg.Workers = 1
-	if _, err := RunStreamingCtx(context.Background(), dev, kern, refCfg, ref); err != nil {
-		t.Fatal(err)
-	}
 	for _, workers := range []int{1, 2, 8} {
 		for _, chunk := range []int{1, 5, 7, 64, 512} {
 			strikes := min(3*chunk+50, 600) // at least two boundaries
@@ -77,30 +70,65 @@ func TestStreamConsumesEveryIndexInOrder(t *testing.T) {
 				cfg.Workers, cfg.StreamChunk = workers, chunk
 				s := newOrderSink(t)
 				if _, err := RunStreamingFromCtx(context.Background(), dev, kern, cfg, start, s); err != nil {
-					t.Fatal(err)
+					t.Fatalf("workers=%d chunk=%d start=%d: %v", workers, chunk, start, err)
 				}
-				if len(s.digests) != strikes-start || s.next != strikes {
-					t.Fatalf("workers=%d chunk=%d start=%d: consumed %d strikes ending at %d",
-						workers, chunk, start, len(s.digests), s.next)
-				}
-				for i, d := range s.digests {
-					if d != ref.digests[i] {
-						t.Fatalf("workers=%d chunk=%d start=%d: strike %d = %+v, reference %+v",
-							workers, chunk, start, i, d, ref.digests[i])
-					}
-				}
-				var want []int
-				for b := start + chunk; b < strikes; b += chunk {
-					want = append(want, b)
-				}
-				want = append(want, strikes)
-				if !slices.Equal(s.flushes, want) {
-					t.Fatalf("workers=%d chunk=%d start=%d: flushes %v, want %v",
-						workers, chunk, start, s.flushes, want)
-				}
+				check(workers, chunk, start, strikes, s)
 			}
 		}
 	}
+}
+
+// TestStreamCoversEveryIndexOnce pins §6 contract item 1 on the
+// pipelined engine: the sinks see each index of [start, strikes)
+// exactly once, in ascending order.
+func TestStreamCoversEveryIndexOnce(t *testing.T) {
+	streamGrid(t, func(workers, chunk, start, strikes int, s *orderSink) {
+		if len(s.digests) != strikes-start || s.next != strikes {
+			t.Fatalf("workers=%d chunk=%d start=%d: consumed %d strikes ending at %d",
+				workers, chunk, start, len(s.digests), s.next)
+		}
+		for i := start; i < strikes; i++ {
+			if _, ok := s.digests[i]; !ok {
+				t.Fatalf("workers=%d chunk=%d start=%d: strike %d never consumed", workers, chunk, start, i)
+			}
+		}
+	})
+}
+
+// TestStreamCtxRunsAll: an uncancelled run goes to the end and flushes
+// at every chunk boundary counted from start, and at the end.
+func TestStreamCtxRunsAll(t *testing.T) {
+	streamGrid(t, func(workers, chunk, start, strikes int, s *orderSink) {
+		var want []int
+		for b := start + chunk; b < strikes; b += chunk {
+			want = append(want, b)
+		}
+		want = append(want, strikes)
+		if !slices.Equal(s.flushes, want) {
+			t.Fatalf("workers=%d chunk=%d start=%d: flushes %v, want %v",
+				workers, chunk, start, s.flushes, want)
+		}
+	})
+}
+
+// TestStreamOutcomesAreOrderIndependent: whatever the worker count,
+// chunk or start, each strike's outcome is the one a one-worker full
+// run gives, so the order in which workers finish leaves no trace.
+func TestStreamOutcomesAreOrderIndependent(t *testing.T) {
+	ref := newOrderSink(t)
+	refCfg := DefaultConfig(53, 600)
+	refCfg.Workers = 1
+	if _, err := RunStreamingCtx(context.Background(), phi.New(), lavamd.New(4), refCfg, ref); err != nil {
+		t.Fatal(err)
+	}
+	streamGrid(t, func(workers, chunk, start, strikes int, s *orderSink) {
+		for i, d := range s.digests {
+			if d != ref.digests[i] {
+				t.Fatalf("workers=%d chunk=%d start=%d: strike %d = %+v, reference %+v",
+					workers, chunk, start, i, d, ref.digests[i])
+			}
+		}
+	})
 }
 
 // TestPipelineWindowBound drives the pipeline with spans of uneven cost
