@@ -13,9 +13,9 @@ import (
 // and log.
 const (
 	// maxWindow caps how far the workers may run ahead of the consumer.
-	// A cell's window is min(chunk, maxWindow): at most that many strikes
-	// are executed but not yet consumed, so at most that many reports are
-	// in flight.
+	// A cell's window is min(chunk, maxWindow, strikes it runs): at most
+	// that many strikes are executed but not yet consumed, so at most that
+	// many reports are in flight.
 	maxWindow = 128
 	// spanWidth is the most consecutive strikes a worker claims at once.
 	// The span goes to the session's batch path whole, which keeps the
@@ -24,8 +24,8 @@ const (
 )
 
 // windowSize is the pipeline's ring length, and its bound on strikes in
-// flight, for a chunk size.
-func windowSize(chunk int) int { return min(chunk, maxWindow) }
+// flight, for a chunk size and the number of strikes to run.
+func windowSize(chunk, strikes int) int { return max(0, min(chunk, maxWindow, strikes)) }
 
 // stages are the engine's per-strike steps around the pipeline's ring.
 type stages struct {
@@ -49,7 +49,7 @@ type stages struct {
 // flush. Cancellation is checked only there: once ctx is done at a
 // boundary short of end, pipeline stops and returns ctx.Err(), so the
 // consumer always stops on a chunk boundary. Workers never run more
-// than windowSize(chunk) strikes ahead of the consumer; the slots of
+// than windowSize(chunk, end-start) strikes ahead of the consumer; the slots of
 // strikes they ran past a stop are freed unconsumed. No worker goroutine
 // outlives the call, and a panic on the calling goroutine joins them too.
 func pipeline(ctx context.Context, start, end, chunk, workers int, st stages) error {
@@ -59,7 +59,7 @@ func pipeline(ctx context.Context, start, end, chunk, workers int, st stages) er
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	w := &window{start: start, end: end, size: windowSize(chunk), next: start, consumed: start}
+	w := &window{start: start, end: end, size: windowSize(chunk, end-start), next: start, consumed: start}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

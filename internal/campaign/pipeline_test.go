@@ -134,57 +134,61 @@ func TestStreamOutcomesAreOrderIndependent(t *testing.T) {
 // TestPipelineWindowBound drives the pipeline with spans of uneven cost
 // and checks, each time a worker starts a span, that the strikes
 // started but not yet consumed never exceed the window,
-// min(chunk, maxWindow), and that every consumed slot holds its own
+// windowSize(chunk, end-start), and that every consumed slot holds its own
 // strike. A worker that overran the window would overwrite a slot the
 // consumer still waits on, so a stalled pipeline fails the test too.
 func TestPipelineWindowBound(t *testing.T) {
-	const start, end = 3, 1500
-	for _, workers := range []int{1, 2, 8} {
-		for _, chunk := range []int{1, 5, 7, 64, 512} {
-			size := windowSize(chunk)
-			var started, consumed, freed atomic.Int64
-			var failed atomic.Bool
-			ring := make([]int, size)
-			done := make(chan error, 1)
-			go func() {
-				done <- pipeline(context.Background(), start, end, chunk, workers, stages{
-					run: func(lo, hi, slot int) {
-						if ahead := started.Add(int64(hi-lo)) - consumed.Load(); ahead > int64(size) && !failed.Swap(true) {
-							t.Errorf("workers=%d chunk=%d: %d strikes in flight at span [%d, %d), window %d",
-								workers, chunk, ahead, lo, hi, size)
-						}
-						if lo%3 == 0 {
-							runtime.Gosched()
-						}
-						for i := lo; i < hi; i++ {
-							ring[slot+i-lo] = i
-						}
-					},
-					consume: func(i, slot int) {
-						if ring[slot] != i && !failed.Swap(true) {
-							t.Errorf("workers=%d chunk=%d: slot %d holds strike %d, consuming %d",
-								workers, chunk, slot, ring[slot], i)
-						}
-						consumed.Add(1)
-					},
-					free:  func(int) { freed.Add(1) },
-					flush: func(int) {},
-				})
-			}()
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatal(err)
+	const start = 3
+	// The short cell runs fewer strikes than every chunk above 4, so its
+	// window is the 4 strikes it runs, narrower than the worker count.
+	for _, end := range []int{start + 4, 1500} {
+		for _, workers := range []int{1, 2, 8} {
+			for _, chunk := range []int{1, 5, 7, 64, 512} {
+				size := windowSize(chunk, end-start)
+				var started, consumed, freed atomic.Int64
+				var failed atomic.Bool
+				ring := make([]int, size)
+				done := make(chan error, 1)
+				go func() {
+					done <- pipeline(context.Background(), start, end, chunk, workers, stages{
+						run: func(lo, hi, slot int) {
+							if ahead := started.Add(int64(hi-lo)) - consumed.Load(); ahead > int64(size) && !failed.Swap(true) {
+								t.Errorf("end=%d workers=%d chunk=%d: %d strikes in flight at span [%d, %d), window %d",
+									end, workers, chunk, ahead, lo, hi, size)
+							}
+							if lo%3 == 0 {
+								runtime.Gosched()
+							}
+							for i := lo; i < hi; i++ {
+								ring[slot+i-lo] = i
+							}
+						},
+						consume: func(i, slot int) {
+							if ring[slot] != i && !failed.Swap(true) {
+								t.Errorf("end=%d workers=%d chunk=%d: slot %d holds strike %d, consuming %d",
+									end, workers, chunk, slot, ring[slot], i)
+							}
+							consumed.Add(1)
+						},
+						free:  func(int) { freed.Add(1) },
+						flush: func(int) {},
+					})
+				}()
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(time.Minute):
+					t.Fatalf("end=%d workers=%d chunk=%d: pipeline stalled after %d of %d strikes",
+						end, workers, chunk, consumed.Load(), end-start)
 				}
-			case <-time.After(time.Minute):
-				t.Fatalf("workers=%d chunk=%d: pipeline stalled after %d of %d strikes",
-					workers, chunk, consumed.Load(), end-start)
-			}
-			if failed.Load() {
-				return
-			}
-			if got, n := int(started.Load()), int(freed.Load()); got != end-start || n != got {
-				t.Fatalf("workers=%d chunk=%d: ran %d strikes and freed %d slots, want %d", workers, chunk, got, n, end-start)
+				if failed.Load() {
+					return
+				}
+				if got, n := int(started.Load()), int(freed.Load()); got != end-start || n != got {
+					t.Fatalf("end=%d workers=%d chunk=%d: ran %d strikes and freed %d slots, want %d", end, workers, chunk, got, n, end-start)
+				}
 			}
 		}
 	}

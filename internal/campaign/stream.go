@@ -125,9 +125,10 @@ func RunStreamingCtx(ctx context.Context, dev arch.Device, kern kernels.Kernel, 
 // foundation of checkpoint/resume (a crashed campaign re-runs only the
 // strikes after its last flushed checkpoint).
 //
-// Workers run strikes at most min(chunk, maxWindow) ahead of the sinks,
-// which consume on the calling goroutine while the workers run; chunk
-// boundaries fall every cfg.StreamChunk strikes counted from start.
+// Workers run strikes at most min(chunk, maxWindow) ahead of the sinks
+// (no further than the strikes left to run), which consume on the calling
+// goroutine while the workers run; chunk boundaries fall every
+// cfg.StreamChunk strikes counted from start.
 // Cancellation is graceful and chunk-aligned: the engine checks ctx only
 // at a boundary, so the chunk in progress runs to its end and the sinks
 // always observe a chunk-aligned prefix of the deterministic outcome
@@ -151,11 +152,12 @@ func RunStreamingFromCtx(ctx context.Context, dev arch.Device, kern kernels.Kern
 	if chunk <= 0 {
 		chunk = DefaultStreamChunk
 	}
-	size := windowSize(chunk)
+	start = max(start, 0)
+	size := windowSize(chunk, cfg.Strikes-start)
 	outs := make([]injector.Outcome, size)
 	strikes := make([]fault.Strike, size)
 	rngs := make([]*xrand.RNG, size)
-	err = pipeline(ctx, max(start, 0), cfg.Strikes, chunk, cfg.Workers, stages{
+	err = pipeline(ctx, start, cfg.Strikes, chunk, cfg.Workers, stages{
 		// Each span runs through the session's batch path: strikes derive
 		// their RNG from the per-index split (bit-identity at any worker
 		// count), and the kernel sees the whole span at once.

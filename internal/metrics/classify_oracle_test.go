@@ -124,8 +124,8 @@ func fuzzCoords(seed uint64, n int, span [3]uint64, base int64, mode uint8) []gr
 // the frozen map-based classifier on generated coordinate sets:
 // duplicates, negative and out-of-shape positions, one to three varying
 // axes, element counts at and around each axis's range (the pigeonhole
-// edge), ranges wide enough for a heap bitset and ranges too sparse for
-// any bitset. Each mismatch draws its relative error from a set that
+// edge), ranges just inside and just past the stack bitset's width, and
+// ranges far too sparse for any bitset. Each mismatch draws its relative error from a set that
 // straddles the threshold, so the filtered path is compared too.
 func FuzzClassifyMatchesOracle(f *testing.F) {
 	type seedCase struct {
@@ -146,8 +146,9 @@ func FuzzClassifyMatchesOracle(f *testing.F) {
 		{65, 63, 63, 63, 0, 7, 2},            // three axes past the edge
 		{40, 7, 7, 7, 0, 0, 2},               // cubic, random draws
 		{30, 100, 100, 0, -50, 3 | 8, 2},     // duplicate, negative positions
-		{900, 6000, 6000, 0, 0, 3, 1},        // heap bitset
-		{900, 6000, 6000, 5, 0, 3 | 8, 5},    // heap bitset, duplicate
+		{900, 4095, 4095, 0, 0, 3, 1},        // widest bitset range
+		{900, 4096, 4096, 0, 0, 3, 1},        // narrowest sorted range
+		{900, 6000, 6000, 5, 0, 3 | 8, 5},    // sorted, duplicate
 		{200, 1 << 40, 1 << 40, 0, -1, 3, 2}, // too sparse for a bitset
 		{50, 1 << 62, 100, 3, math.MaxInt64 - 5, 1, 0},
 		{300, math.MaxUint64, math.MaxUint64, 0, math.MinInt64, 3, 2},

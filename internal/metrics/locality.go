@@ -69,8 +69,8 @@ var Patterns = []Pattern{Cubic, Square, Line, Single, Random}
 // to the repeat question. An axis with more elements than positions in
 // its range must repeat one (pigeonhole), which answers it for large
 // structured sets; otherwise a bitset over the range does, stopping at
-// the first repeat. The bitset lives on the stack for ranges up to
-// stackBits positions.
+// the first repeat. The bitset lives on the stack and covers ranges up
+// to stackBits positions; a wider range is sorted instead.
 func classify(ms []Mismatch, t float64, all bool) Pattern {
 	n := 0
 	var lo, hi [3]int
@@ -131,26 +131,19 @@ func classify(ms []Mismatch, t float64, all bool) Pattern {
 	return Random
 }
 
-// stackBits is the widest axis range classify checks without allocating.
+// stackBits is the widest axis range repeats checks with a bitset.
 const stackBits = 4096
 
 // repeats reports whether two of the n selected mismatches share a
 // position on axis a, whose positions lie in [lo, lo+span].
 func repeats(ms []Mismatch, t float64, all bool, a, lo int, span uint64, n int) bool {
-	words := span/64 + 1
-	if words > stackBits/64 && words > uint64(n) {
-		// A range this sparse would cost more than 8 bytes per element
-		// as a bitset. Only out-of-shape coordinates get here, such as a
-		// damaged replayed log could carry.
+	if span >= stackBits {
+		// Sparse sets on paper-scale inputs (DGEMM 8192) and the
+		// out-of-shape coordinates a damaged replayed log could carry get
+		// here; no benchmark workload has an axis this wide.
 		return repeatsSorted(ms, t, all, a, n)
 	}
-	var stack [stackBits / 64]uint64
-	var bits []uint64
-	if words <= uint64(len(stack)) {
-		bits = stack[:words]
-	} else {
-		bits = make([]uint64, words)
-	}
+	var bits [stackBits / 64]uint64
 	for i := range ms {
 		if !all && !(ms[i].RelErrPct > t) {
 			continue
@@ -165,7 +158,7 @@ func repeats(ms []Mismatch, t float64, all bool, a, lo int, span uint64, n int) 
 	return false
 }
 
-// repeatsSorted is repeats for ranges too sparse for a bitset.
+// repeatsSorted is repeats for ranges wider than stackBits.
 func repeatsSorted(ms []Mismatch, t float64, all bool, a, n int) bool {
 	pos := make([]int, 0, n)
 	for i := range ms {
