@@ -1,8 +1,9 @@
 package campaign
 
-// Batch-seam determinism suite (DESIGN.md §13): Session.RunBatch and every
-// kernel's RunInjectedBatch implementation must be bit-identical to the
-// per-strike RunOne path, at every span split, for every kernel family.
+// Span determinism suite (DESIGN.md §13): Session.RunBatch, the engine's
+// entry for a worker span, must match the per-strike RunOne path bit for
+// bit, detector verdict included, at every span split, for every kernel
+// family.
 
 import (
 	"testing"
@@ -31,12 +32,15 @@ func requireSameOutcome(t *testing.T, label string, i int, got, want injector.Ou
 	if got.Report != nil && !sameReport(got.Report, want.Report) {
 		t.Fatalf("%s strike %d: reports differ", label, i)
 	}
+	if got.Report != nil && got.Report.Detected != want.Report.Detected {
+		t.Fatalf("%s strike %d: detector verdict %v != %v", label, i, got.Report.Detected, want.Report.Detected)
+	}
 }
 
 // TestBatchMatchesRunOneBitIdentical runs the same strike population
 // through RunOne (one call per strike) and RunBatch (several span splits,
 // including span=1 and one whole-population span) and requires bit-equal
-// classifications and reports everywhere.
+// classifications, reports and verdicts everywhere.
 func TestBatchMatchesRunOneBitIdentical(t *testing.T) {
 	const strikes = 160
 	for _, cell := range determinismCells() {

@@ -111,7 +111,8 @@ func oracleCLAMRLocalityMap(dev arch.Device, s Scale, cfg Config, rng *xrand.RNG
 	// whose corrupted area is closest to a third of the output — larger
 	// ones have already flooded the whole domain, smaller ones have not
 	// yet developed the wave shape.
-	target := k.Side() * k.Side() / 3
+	side := prof.OutputDims.X
+	target := side * side / 3
 	score := func(count int) int {
 		d := count - target
 		if d < 0 {
@@ -143,7 +144,7 @@ func oracleCLAMRLocalityMap(dev arch.Device, s Scale, cfg Config, rng *xrand.RNG
 			bestIdx = i
 		}
 	}
-	m := LocalityMap{Width: k.Side(), Height: k.Side()}
+	m := LocalityMap{Width: side, Height: side}
 	m.Marked = make([][]bool, m.Height)
 	for i := range m.Marked {
 		m.Marked[i] = make([]bool, m.Width)
@@ -187,11 +188,11 @@ func TestFigurePassMatchesRetiredCLAMRBuilders(t *testing.T) {
 // sdcOf is a hand-built SDC outcome on a 4x4 output whose mismatches sit
 // at the given x positions of row y, each with relative error relErr.
 func sdcOf(y int, relErr float64, detected bool, xs ...int) injector.Outcome {
-	rep := &metrics.Report{Dims: grid.Dims{X: 4, Y: 4, Z: 1}, TotalElements: 16}
+	rep := &metrics.Report{Dims: grid.Dims{X: 4, Y: 4, Z: 1}, TotalElements: 16, Detected: detected}
 	for _, x := range xs {
 		rep.Mismatches = append(rep.Mismatches, metrics.Mismatch{Coord: grid.Coord{X: x, Y: y}, RelErrPct: relErr})
 	}
-	return injector.Outcome{Class: fault.SDC, Report: rep, Detected: detected}
+	return injector.Outcome{Class: fault.SDC, Report: rep}
 }
 
 // TestCLAMRReducersEdgeCases pins the rules the real stream rarely

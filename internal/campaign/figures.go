@@ -87,7 +87,7 @@ type MassCheckRow struct {
 
 // MassCheckReducer evaluates CLAMR's mass-conservation check against
 // the critical SDCs: those with a mismatch above the paper's 2% filter
-// (§V-D). The verdict is the outcome's Detected bit.
+// (§V-D). The verdict is the report's Detected bit.
 type MassCheckReducer struct {
 	Stats detect.CoverageStats
 }
@@ -95,7 +95,7 @@ type MassCheckReducer struct {
 // Consume implements Sink.
 func (r *MassCheckReducer) Consume(_ int, out injector.Outcome) {
 	if out.Class == fault.SDC && out.Report.CountAbove(metrics.DefaultThresholdPct) > 0 {
-		r.Stats.Add(out.Detected)
+		r.Stats.Add(out.Report.Detected)
 	}
 }
 

@@ -18,8 +18,9 @@ const (
 	// many reports are in flight.
 	maxWindow = 128
 	// spanWidth is the most consecutive strikes a worker claims at once.
-	// The span goes to the session's batch path whole, which keeps the
-	// kernel's scratch and golden tables cache-hot across its strikes.
+	// Its strikes run one by one, so a span only amortises the claim
+	// lock; 16 keeps the claims cheap and the spans short enough to
+	// balance irregular strikes across workers.
 	spanWidth = 16
 )
 

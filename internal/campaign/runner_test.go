@@ -190,7 +190,6 @@ func (stubKernel) Golden(arch.Device) kernels.GoldenState { return nil }
 func (stubKernel) RunInjectedPooled(kernels.GoldenState, arch.Injection, *xrand.RNG, *metrics.ReportPool) *metrics.Report {
 	return nil
 }
-func (stubKernel) RunInjectedBatch(kernels.GoldenState, []kernels.BatchStrike, *metrics.ReportPool) {}
 
 // TestCellErrorCachedNotRepanicked pins the typed failure of an invalid
 // cell on the streaming path: both the engine and the per-cell plan body

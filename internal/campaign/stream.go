@@ -158,9 +158,9 @@ func RunStreamingFromCtx(ctx context.Context, dev arch.Device, kern kernels.Kern
 	strikes := make([]fault.Strike, size)
 	rngs := make([]*xrand.RNG, size)
 	err = pipeline(ctx, start, cfg.Strikes, chunk, cfg.Workers, stages{
-		// Each span runs through the session's batch path: strikes derive
-		// their RNG from the per-index split (bit-identity at any worker
-		// count), and the kernel sees the whole span at once.
+		// Each span runs through the session strike by strike: strikes
+		// derive their RNG from the per-index split (bit-identity at any
+		// worker count).
 		run: func(lo, hi, slot int) {
 			for j := lo; j < hi; j++ {
 				sub := rng.Split(uint64(j) + 1)

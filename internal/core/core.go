@@ -168,12 +168,6 @@ func (c *Criticality) LocalityShare(p metrics.Pattern) float64 {
 	return float64(c.Locality[p]) / float64(c.CriticalSDCs)
 }
 
-// SpreadShare returns the cubic+square share: the errors that defeat
-// row/column-structured hardening like ABFT.
-func (c *Criticality) SpreadShare() float64 {
-	return c.LocalityShare(metrics.Cubic) + c.LocalityShare(metrics.Square)
-}
-
 // String renders a compact human-readable profile.
 func (c *Criticality) String() string {
 	var sb strings.Builder

@@ -88,8 +88,8 @@ func TestLocalityShares(t *testing.T) {
 	if c.LocalityShare(metrics.Square) != 0.5 {
 		t.Fatalf("square share = %v", c.LocalityShare(metrics.Square))
 	}
-	if c.SpreadShare() != 0.5 {
-		t.Fatalf("spread share = %v", c.SpreadShare())
+	if spread := c.LocalityShare(metrics.Cubic) + c.LocalityShare(metrics.Square); spread != 0.5 {
+		t.Fatalf("spread share = %v", spread)
 	}
 }
 

@@ -18,7 +18,9 @@ import (
 // production-ish defaults; tests shrink everything.
 type Options struct {
 	// LeaseTTL is how long a lease survives without a heartbeat before it
-	// expires and its cell is requeued (default 10s).
+	// expires and its cell is requeued (default 10s). A worker silent for
+	// three LeaseTTLs is deregistered, and no longer counts as healthy for
+	// the degrade-to-local decision.
 	LeaseTTL time.Duration
 	// Heartbeat is the interval workers are told to heartbeat at
 	// (default LeaseTTL/4).
@@ -26,9 +28,6 @@ type Options struct {
 	// Poll is the idle-worker poll interval workers are told to use
 	// (default 500ms).
 	Poll time.Duration
-	// WorkerTTL is how long a silent worker stays registered — and counts
-	// as "healthy" for the degrade-to-local decision (default 3×LeaseTTL).
-	WorkerTTL time.Duration
 	// SpeculateAfter is the straggler threshold: an item leased for longer
 	// than this may be speculatively re-dispatched to an idle worker
 	// (work-stealing), first result wins. <= 0 selects the default 30s;
@@ -52,9 +51,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if opts.Poll <= 0 {
 		opts.Poll = 500 * time.Millisecond
-	}
-	if opts.WorkerTTL <= 0 {
-		opts.WorkerTTL = 3 * opts.LeaseTTL
 	}
 	if opts.SpeculateAfter <= 0 {
 		opts.SpeculateAfter = 30 * time.Second
@@ -174,7 +170,7 @@ func (c *Coordinator) nextIDLocked(prefix string) string {
 // to be trusted with a lease.
 func (c *Coordinator) healthyLocked(now time.Time) bool {
 	for _, w := range c.workers {
-		if now.Sub(w.lastSeen) <= c.opts.WorkerTTL {
+		if now.Sub(w.lastSeen) <= 3*c.opts.LeaseTTL {
 			return true
 		}
 	}
@@ -385,7 +381,7 @@ func (c *Coordinator) sweep(now time.Time) {
 		}
 	}
 	for id, w := range c.workers {
-		if now.Sub(w.lastSeen) > c.opts.WorkerTTL {
+		if now.Sub(w.lastSeen) > 3*c.opts.LeaseTTL {
 			c.counters.WorkersExpired++
 			c.opts.Logf("fleet: worker %s (%s) silent for %v, deregistered", id, w.name, now.Sub(w.lastSeen).Round(time.Millisecond))
 			delete(c.workers, id)

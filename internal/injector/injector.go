@@ -2,9 +2,9 @@
 // execution: it resolves the strike against the device architecture,
 // applies the resulting injection to the real kernel, and classifies the
 // outcome (Masked / SDC / Crash / Hang, §II-A). A Session, prepared once
-// per (device, kernel), is the one way in: the campaign engine runs spans
-// of strikes through Session.RunBatch, and Session.RunOne is the
-// single-strike form it is pinned bit-identical to.
+// per (device, kernel), is the one way in: Session.RunOne runs one
+// strike through the kernel's one run method, and Session.RunBatch, the
+// campaign engine's entry for a span of strikes, is a loop over it.
 //
 // Logical masking is emergent: a syndrome that the architecture resolves
 // to an SDC can still produce a bit-identical output (a flipped bit below
@@ -13,8 +13,6 @@
 package injector
 
 import (
-	"sync"
-
 	"radcrit/internal/arch"
 	"radcrit/internal/fault"
 	"radcrit/internal/kernels"
@@ -30,14 +28,9 @@ type Outcome struct {
 	Resource fault.Resource
 	// Scope is the injection semantics (meaningful for SDC syndromes).
 	Scope arch.Scope
-	// Report holds the output mismatches; non-nil only for Class == SDC.
+	// Report holds the output mismatches, and the kernel detector's
+	// verdict (Report.Detected); non-nil only for Class == SDC.
 	Report *metrics.Report
-	// Detected is whether the kernel's own detector (CLAMR's mass check)
-	// fired on this SDC, as RunBatch reports it. It stays false for other
-	// classes, for kernels without a detector, and from RunOne. It is an
-	// in-memory verdict for reducers: logs, summaries and cell keys never
-	// carry it.
-	Detected bool
 }
 
 // Session is a prepared (device, kernel) execution context. It hoists the
@@ -56,16 +49,6 @@ type Session struct {
 	prof    arch.Profile
 	golden  kernels.GoldenState
 	reports metrics.ReportPool
-	// batches recycles the per-span strike-assembly buffers of RunBatch.
-	batches sync.Pool
-}
-
-// batchBuf is one recyclable RunBatch working set: the SDC strikes
-// collected for the kernel's batch seam and their positions in the
-// caller's outcome slice.
-type batchBuf struct {
-	items []kernels.BatchStrike
-	idx   []int
 }
 
 // NewSession prepares a session for kern on dev, validating the profile.
@@ -106,47 +89,12 @@ func (s *Session) RunOne(strike fault.Strike, rng *xrand.RNG) Outcome {
 	return out
 }
 
-// RunBatch executes a span of strikes and classifies each into outs. It
-// is bit-identical to calling RunOne per index — every strike consumes
-// only its own rngs[i], so resolving all syndromes up front and running
-// the SDC survivors through the kernel's cross-strike batch seam
-// (Kernel.RunInjectedBatch) changes locality, not results. Report
-// ownership matches RunOne: non-nil Outcome.Reports are borrowed from the
-// session pool.
-//
+// RunBatch runs strikes[i] with rngs[i] through RunOne into outs[i].
 // strikes, rngs and outs must have equal lengths.
 func (s *Session) RunBatch(strikes []fault.Strike, rngs []*xrand.RNG, outs []Outcome) {
-	bb, _ := s.batches.Get().(*batchBuf)
-	if bb == nil {
-		bb = &batchBuf{}
-	}
-	items, idx := bb.items[:0], bb.idx[:0]
 	for i := range strikes {
-		syn := s.dev.ResolveStrike(s.prof, strikes[i], rngs[i])
-		outs[i] = Outcome{Class: syn.Outcome, Resource: syn.Resource, Scope: syn.Injection.Scope}
-		if syn.Outcome != fault.SDC {
-			continue
-		}
-		items = append(items, kernels.BatchStrike{Inj: syn.Injection, RNG: rngs[i]})
-		idx = append(idx, i)
+		outs[i] = s.RunOne(strikes[i], rngs[i])
 	}
-	s.kern.RunInjectedBatch(s.golden, items, &s.reports)
-	for j, i := range idx {
-		rep := items[j].Report
-		items[j].Report = nil // the pooled buffer must not retain reports
-		items[j].RNG = nil
-		if rep == nil || rep.Count() == 0 {
-			// Logically masked: the corrupted state never reached the
-			// output. The empty report goes straight back to the pool.
-			s.reports.Put(rep)
-			outs[i].Class = fault.Masked
-			continue
-		}
-		outs[i].Report = rep
-		outs[i].Detected = items[j].Detected
-	}
-	bb.items, bb.idx = items, idx
-	s.batches.Put(bb)
 }
 
 // ReleaseReport returns a report obtained from RunOne to the session's

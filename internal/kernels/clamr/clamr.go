@@ -199,9 +199,6 @@ func New(side, steps int) *Kernel {
 	return k
 }
 
-// Side returns the mesh edge length.
-func (k *Kernel) Side() int { return k.side }
-
 // Name implements kernels.Kernel.
 func (k *Kernel) Name() string { return "CLAMR" }
 
@@ -606,52 +603,16 @@ func (k *Kernel) RunInjectedDetailed(gs kernels.GoldenState, inj arch.Injection,
 
 // runInjectedDetailed is the hot path of campaign engines: one irradiated
 // execution against borrowed working state, with the report drawn from
-// reports (nil degrades to plain allocation).
+// reports (nil degrades to plain allocation) and the mass check's verdict
+// recorded in the report's Detected field.
 func (k *Kernel) runInjectedDetailed(gs kernels.GoldenState, inj arch.Injection, rng *xrand.RNG, reports *metrics.ReportPool) (*metrics.Report, Detail) {
 	g := gs.(*goldenTimeline)
 	t0 := k.injectionStep(inj)
 	sc := g.scr.Get()
-	rep, det := k.runInjectedWith(g, sc, g.stateAt(t0), t0, inj, rng, reports)
-	g.scr.Put(sc)
-	return rep, det
-}
-
-// RunInjectedBatch implements kernels.Kernel: the whole batch shares
-// one borrowed pair of working states, and the strike-time golden state
-// lookup is hoisted across consecutive strikes landing on the same
-// timestep.
-func (k *Kernel) RunInjectedBatch(gs kernels.GoldenState, batch []kernels.BatchStrike, reports *metrics.ReportPool) {
-	g := gs.(*goldenTimeline)
-	sc := g.scr.Get()
-	lastT0 := -1
-	var st *state
-	for i := range batch {
-		t0 := k.injectionStep(batch[i].Inj)
-		if t0 != lastT0 {
-			st = g.stateAt(t0)
-			lastT0 = t0
-		}
-		rep, det := k.runInjectedWith(g, sc, st, t0, batch[i].Inj, batch[i].RNG, reports)
-		batch[i].Report, batch[i].Detected = rep, det.MassCheckFired
-	}
-	g.scr.Put(sc)
-}
-
-// injectionStep maps an injection's progress fraction to its timestep.
-func (k *Kernel) injectionStep(inj arch.Injection) int {
-	t0 := int(inj.When * float64(k.steps))
-	if t0 >= k.steps {
-		t0 = k.steps - 1
-	}
-	return t0
-}
-
-// runInjectedWith executes one injection against externally owned scratch
-// and a pre-resolved strike-time golden state (st == stateAt(t0)).
-func (k *Kernel) runInjectedWith(g *goldenTimeline, sc *injectScratch, st *state, t0 int, inj arch.Injection, rng *xrand.RNG, reports *metrics.ReportPool) (*metrics.Report, Detail) {
+	defer g.scr.Put(sc)
 	n := k.side * k.side
 	cur, next := sc.cur, sc.next
-	cur.copyFrom(st)
+	cur.copyFrom(g.stateAt(t0))
 
 	var frozen []bool
 	frozenUntil := -1
@@ -723,7 +684,17 @@ func (k *Kernel) runInjectedWith(g *goldenTimeline, sc *injectScratch, st *state
 		MaxMassDriftRel: maxDrift,
 		MassCheckFired:  maxDrift > k.MassCheckThresholdRel(),
 	}
+	rep.Detected = det.MassCheckFired
 	return rep, det
+}
+
+// injectionStep maps an injection's progress fraction to its timestep.
+func (k *Kernel) injectionStep(inj arch.Injection) int {
+	t0 := int(inj.When * float64(k.steps))
+	if t0 >= k.steps {
+		t0 = k.steps - 1
+	}
+	return t0
 }
 
 // corruptWords flips words..words+count of a conserved array chosen by

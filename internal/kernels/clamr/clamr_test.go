@@ -8,7 +8,6 @@ import (
 	"radcrit/internal/arch"
 	"radcrit/internal/fault"
 	"radcrit/internal/floatbits"
-	"radcrit/internal/kernels"
 	"radcrit/internal/metrics"
 	"radcrit/internal/phi"
 	"radcrit/internal/xrand"
@@ -246,13 +245,14 @@ func TestSanitizeCell(t *testing.T) {
 	}
 }
 
-// TestBatchDetectedMatchesDetail pins the batch seam's detector bit: each
-// strike's Detected is the MassCheckFired of a standalone detailed run,
-// and the batch covers both verdicts.
-func TestBatchDetectedMatchesDetail(t *testing.T) {
+// TestPooledDetectedMatchesDetail pins the detector verdict's home: each
+// pooled run's Report.Detected is the MassCheckFired of a standalone
+// detailed run, and the corpus's SDCs show both verdicts.
+func TestPooledDetectedMatchesDetail(t *testing.T) {
 	k := small()
 	g := k.Golden(phi.New())
-	var batch []kernels.BatchStrike
+	var pool metrics.ReportPool
+	seen := map[bool]bool{}
 	for seed := uint64(0); seed < 40; seed++ {
 		scope := arch.ScopeCacheLine
 		if seed%2 == 1 {
@@ -260,21 +260,18 @@ func TestBatchDetectedMatchesDetail(t *testing.T) {
 		}
 		in := mkInj(scope, 0.5)
 		in.Flip = fault.FlipSpec{Field: floatbits.AnyField, Bits: 1}
-		batch = append(batch, kernels.BatchStrike{Inj: in, RNG: xrand.New(seed)})
-	}
-	k.RunInjectedBatch(g, batch, nil)
-	seen := map[bool]bool{}
-	for i, b := range batch {
-		rep, det := k.RunInjectedDetailed(g, b.Inj, xrand.New(uint64(i)))
-		if b.Detected != det.MassCheckFired || b.Report.Count() != rep.Count() {
-			t.Fatalf("strike %d: batch (detected %v, %d mismatches), detailed (%v, %d)",
-				i, b.Detected, b.Report.Count(), det.MassCheckFired, rep.Count())
+		got := k.RunInjectedPooled(g, in, xrand.New(seed), &pool)
+		rep, det := k.RunInjectedDetailed(g, in, xrand.New(seed))
+		if got.Detected != det.MassCheckFired || rep.Detected != det.MassCheckFired || got.Count() != rep.Count() {
+			t.Fatalf("seed %d: pooled (detected %v, %d mismatches), detailed (%v on report, %v in detail, %d)",
+				seed, got.Detected, got.Count(), rep.Detected, det.MassCheckFired, rep.Count())
 		}
 		if rep.Count() > 0 {
-			seen[b.Detected] = true
+			seen[got.Detected] = true
 		}
+		pool.Put(got)
 	}
 	if !seen[true] || !seen[false] {
-		t.Fatalf("batch SDC verdicts %v: want both fired and evaded", seen)
+		t.Fatalf("pooled SDC verdicts %v: want both fired and evaded", seen)
 	}
 }

@@ -239,8 +239,7 @@ func (r *run) record(i, j int, faulty float64) {
 // finish converts stored corrupted values into the mismatch report.
 // Mismatches are emitted in ascending flat-index (row-major) order so the
 // report is a deterministic function of the corrupted set, exactly as the
-// pre-pooling sort emitted them. The scratch stays with the caller, so a
-// batch of strikes can reuse it back to back.
+// pre-pooling sort emitted them.
 func (r *run) finish() *metrics.Report {
 	n := r.k.n
 	keys := r.sc.cells.SortedKeys()
@@ -266,28 +265,10 @@ func (r *run) finish() *metrics.Report {
 // RunInjectedPooled implements kernels.Kernel: the corrupted-cell map and
 // delta buffers come from the handle's scratch pool, the report from the
 // session pool.
-func (k *Kernel) RunInjectedPooled(g kernels.GoldenState, inj arch.Injection, rng *xrand.RNG, reports *metrics.ReportPool) *metrics.Report {
-	gp := g.(*goldenProduct)
-	sc := gp.scr.Get()
-	rep := k.runInjectedWith(gp, sc, inj, rng, reports)
-	gp.scr.Put(sc)
-	return rep
-}
-
-// RunInjectedBatch implements kernels.Kernel: the whole batch shares
-// one borrowed scratch working set, keeping the corrupted-cell map and the
-// golden rows it touches cache-hot across strikes.
-func (k *Kernel) RunInjectedBatch(gs kernels.GoldenState, batch []kernels.BatchStrike, reports *metrics.ReportPool) {
+func (k *Kernel) RunInjectedPooled(gs kernels.GoldenState, inj arch.Injection, rng *xrand.RNG, reports *metrics.ReportPool) *metrics.Report {
 	gp := gs.(*goldenProduct)
 	sc := gp.scr.Get()
-	for i := range batch {
-		batch[i].Report = k.runInjectedWith(gp, sc, batch[i].Inj, batch[i].RNG, reports)
-	}
-	gp.scr.Put(sc)
-}
-
-// runInjectedWith executes one injection against externally owned scratch.
-func (k *Kernel) runInjectedWith(gp *goldenProduct, sc *runScratch, inj arch.Injection, rng *xrand.RNG, reports *metrics.ReportPool) *metrics.Report {
+	defer gp.scr.Put(sc)
 	rv := k.newRun(gp, sc, reports)
 	r := &rv
 	n := k.n

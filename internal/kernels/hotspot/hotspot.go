@@ -291,32 +291,14 @@ type diffSeed struct {
 // release, so a strike's cost tracks the perturbed region, not the domain.
 func (k *Kernel) RunInjectedPooled(gs kernels.GoldenState, inj arch.Injection, rng *xrand.RNG, reports *metrics.ReportPool) *metrics.Report {
 	g := gs.(*goldenTimeline)
-	t0 := k.injectionStep(inj)
 	sc := g.scr.Get()
-	rep := k.runInjectedWith(g, sc, g.stateAt(t0), t0, inj, rng, reports)
-	g.scr.Put(sc)
+	defer g.scr.Put(sc)
+	seeds, start := k.buildSeeds(g, inj, rng, k.injectionStep(inj), sc.seeds[:0])
+	sc.seeds = seeds // keep grown capacity pooled
+	bx := k.evolveDiff(sc, seeds, start)
+	rep := k.reportFromDiff(reports, sc.diff, bx)
+	scratch.ZeroBox(sc.diff, k.side, bx.minX, bx.minY, bx.maxX, bx.maxY)
 	return rep
-}
-
-// RunInjectedBatch implements kernels.Kernel: the whole batch shares
-// one borrowed evolve scratch, and the strike-time golden state lookup is
-// hoisted across consecutive strikes landing on the same timestep — the
-// memoised reconstruction behind stateAt is shared either way, but the
-// hoist also skips the per-strike memo probe.
-func (k *Kernel) RunInjectedBatch(gs kernels.GoldenState, batch []kernels.BatchStrike, reports *metrics.ReportPool) {
-	g := gs.(*goldenTimeline)
-	sc := g.scr.Get()
-	lastT0 := -1
-	var state []float32
-	for i := range batch {
-		t0 := k.injectionStep(batch[i].Inj)
-		if t0 != lastT0 {
-			state = g.stateAt(t0)
-			lastT0 = t0
-		}
-		batch[i].Report = k.runInjectedWith(g, sc, state, t0, batch[i].Inj, batch[i].RNG, reports)
-	}
-	g.scr.Put(sc)
 }
 
 // injectionStep maps an injection's progress fraction to its iteration.
@@ -328,21 +310,11 @@ func (k *Kernel) injectionStep(inj arch.Injection) int {
 	return t0
 }
 
-// runInjectedWith executes one injection against externally owned scratch
-// and a pre-resolved strike-time golden state (state == stateAt(t0)).
-func (k *Kernel) runInjectedWith(g *goldenTimeline, sc *evolveScratch, state []float32, t0 int, inj arch.Injection, rng *xrand.RNG, reports *metrics.ReportPool) *metrics.Report {
-	seeds, start := k.buildSeeds(g, state, inj, rng, t0, sc.seeds[:0])
-	sc.seeds = seeds // keep grown capacity pooled
-	bx := k.evolveDiff(sc, seeds, start)
-	rep := k.reportFromDiff(reports, sc.diff, bx)
-	scratch.ZeroBox(sc.diff, k.side, bx.minX, bx.minY, bx.maxX, bx.maxY)
-	return rep
-}
-
-// buildSeeds translates the injection into initial difference-field seeds
-// and the iteration at which they enter the field, appending onto the
-// caller's (possibly recycled) seed slice. state is read-only.
-func (k *Kernel) buildSeeds(g *goldenTimeline, state []float32, inj arch.Injection, rng *xrand.RNG, t0 int, seeds []diffSeed) ([]diffSeed, int) {
+// buildSeeds translates the injection at iteration t0 into initial
+// difference-field seeds and the iteration at which they enter the field,
+// appending onto the caller's (possibly recycled) seed slice.
+func (k *Kernel) buildSeeds(g *goldenTimeline, inj arch.Injection, rng *xrand.RNG, t0 int, seeds []diffSeed) ([]diffSeed, int) {
+	state := g.stateAt(t0) // shared by the memo: read-only
 	s := k.side
 	cells := s * s
 	addFlip := func(idx int) {

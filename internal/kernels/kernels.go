@@ -6,9 +6,9 @@
 // Table II of the paper), (b) classify itself (Table I), and (c) run
 // irradiated executions: apply an arch.Injection to its own live state and
 // report the resulting output mismatches against the fault-free golden
-// output. It has exactly two run methods, both against a golden-state
-// handle from Golden: RunInjectedPooled for one strike, and
-// RunInjectedBatch for the slice of strikes the campaign engine hands it.
+// output. It has exactly one run method, RunInjectedPooled: one strike
+// against a golden-state handle from Golden, as the paper observes each
+// irradiated execution on its own.
 //
 // Error propagation is performed by the kernel's real mathematics — a
 // corrupted matrix element re-enters the actual dot products, a corrupted
@@ -82,41 +82,27 @@ type Kernel interface {
 	// be used again; a nil reports pool degrades to plain allocation.
 	// Pooled and unpooled runs are bit-identical for the same (handle,
 	// injection, RNG state) — pinned by TestPooledKernelPathsBitIdentical.
+	// A kernel with its own error detector records the verdict in the
+	// report's Detected field.
 	RunInjectedPooled(g GoldenState, inj arch.Injection, rng *xrand.RNG, reports *metrics.ReportPool) *metrics.Report
-	// RunInjectedBatch is the cross-strike batching seam (DESIGN.md §13)
-	// the campaign engine runs every strike through: it executes a whole
-	// slice of strikes against one golden handle, keeping handle-local
-	// scratch, golden-sum tables, and memoised timeline states cache-hot
-	// across the batch. Each strike must produce a report bit-identical to
-	// a standalone RunInjectedPooled call with the same (handle,
-	// injection, RNG state) — batching is a locality optimisation, never a
-	// semantic one.
-	RunInjectedBatch(g GoldenState, batch []BatchStrike, reports *metrics.ReportPool)
 }
 
-// BatchStrike is one strike of a RunInjectedBatch call: the resolved
-// injection, the strike's private RNG (already split per strike index, so
-// batch members are order-independent), and the output slot the kernel
-// fills with the mismatch report. Report ownership follows the
-// RunInjectedPooled contract: the caller owns every filled report and
-// releases it after consumption; the kernel must not retain references
-// past the batch call.
+// BatchStrike is one strike of a RunBatch call: the resolved injection,
+// the strike's private RNG, and the output slot RunBatch fills with the
+// mismatch report. Report ownership follows the RunInjectedPooled
+// contract.
 type BatchStrike struct {
-	Inj arch.Injection
-	RNG *xrand.RNG
-	// Report is filled by the batch runner; an empty report means the
-	// corruption was logically masked.
+	Inj    arch.Injection
+	RNG    *xrand.RNG
 	Report *metrics.Report
-	// Detected is the kernel's own error detector firing on this run
-	// (CLAMR's mass-conservation check). Kernels without a detector leave
-	// it false.
-	Detected bool
 }
 
-// RunBatch is k.RunInjectedBatch(g, batch, reports). It remains only
-// because the benchmark module (cmd/radbench) calls it.
+// RunBatch runs each strike of batch through k.RunInjectedPooled. It
+// remains only because the benchmark module (cmd/radbench) calls it.
 func RunBatch(k Kernel, g GoldenState, batch []BatchStrike, reports *metrics.ReportPool) {
-	k.RunInjectedBatch(g, batch, reports)
+	for i := range batch {
+		batch[i].Report = k.RunInjectedPooled(g, batch[i].Inj, batch[i].RNG, reports)
+	}
 }
 
 // TimelineMemo is a bounded, concurrency-safe memo of reconstructed

@@ -12,7 +12,6 @@ import (
 	"radcrit/internal/arch"
 	"radcrit/internal/fault"
 	"radcrit/internal/floatbits"
-	"radcrit/internal/kernels"
 	"radcrit/internal/metrics"
 	"radcrit/internal/xrand"
 )
@@ -172,33 +171,5 @@ func TestGoldenSumTableRebuildMatchesIncremental(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("workload never materialised a golden-sum column; test is vacuous")
-	}
-}
-
-// TestLavaMDBatchMatchesSingle pins the kernel's RunInjectedBatch seam: a
-// batch run must fill, strike for strike, the exact reports that
-// standalone pooled calls produce from the same RNG states.
-func TestLavaMDBatchMatchesSingle(t *testing.T) {
-	k := New(3)
-	const p = 24
-	h := k.handleFor(p)
-
-	const n = 32
-	seeds := make([]uint64, n)
-	batch := make([]kernels.BatchStrike, n)
-	singles := make([]*metrics.Report, n)
-	for i := 0; i < n; i++ {
-		seeds[i] = uint64(i)*0x51AB + 3
-		scope := deltaScopes[i%len(deltaScopes)]
-		batch[i] = kernels.BatchStrike{
-			Inj: randomInjection(scope, xrand.New(seeds[i]^0xD5)),
-			RNG: xrand.New(seeds[i]),
-		}
-		singles[i] = k.RunInjectedPooled(h, batch[i].Inj, xrand.New(seeds[i]), nil)
-	}
-
-	k.RunInjectedBatch(h, batch, nil)
-	for i := range batch {
-		reportsBitIdentical(t, batch[i].Report, singles[i])
 	}
 }

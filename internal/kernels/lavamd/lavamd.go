@@ -434,25 +434,7 @@ func (r *run) finish() *metrics.Report {
 func (k *Kernel) RunInjectedPooled(gs kernels.GoldenState, inj arch.Injection, rng *xrand.RNG, reports *metrics.ReportPool) *metrics.Report {
 	h := gs.(*goldenHandle)
 	sc := h.scr.Get()
-	rep := k.runInjectedWith(h, sc, inj, rng, reports)
-	h.scr.Put(sc)
-	return rep
-}
-
-// RunInjectedBatch implements kernels.Kernel: the whole batch shares
-// one borrowed scratch working set, so the faulty map's backing array and
-// the golden-sum tables it touches stay cache-hot across strikes.
-func (k *Kernel) RunInjectedBatch(gs kernels.GoldenState, batch []kernels.BatchStrike, reports *metrics.ReportPool) {
-	h := gs.(*goldenHandle)
-	sc := h.scr.Get()
-	for i := range batch {
-		batch[i].Report = k.runInjectedWith(h, sc, batch[i].Inj, batch[i].RNG, reports)
-	}
-	h.scr.Put(sc)
-}
-
-// runInjectedWith executes one injection against externally owned scratch.
-func (k *Kernel) runInjectedWith(h *goldenHandle, sc *runScratch, inj arch.Injection, rng *xrand.RNG, reports *metrics.ReportPool) *metrics.Report {
+	defer h.scr.Put(sc)
 	sc.faulty.Clear()
 	dims := k.outputDimsP(h.p)
 	r := run{k: k, tab: h.tab, p: h.p, sc: sc, rep: reports.Get(dims, dims.Len())}

@@ -70,6 +70,11 @@ type Report struct {
 	// ThresholdPct is the relative-error filter already applied to
 	// Mismatches (0 means unfiltered).
 	ThresholdPct float64
+	// Detected is whether the kernel's own error detector (CLAMR's mass
+	// check, §V-D) fired on this execution; kernels without a detector
+	// leave it false. It is an in-memory verdict for reducers: logs,
+	// summaries and cell keys never carry it.
+	Detected bool
 }
 
 // Reset returns the report to its empty state, retaining the mismatch
@@ -80,6 +85,7 @@ func (r *Report) Reset() {
 	r.TotalElements = 0
 	r.Mismatches = r.Mismatches[:0]
 	r.ThresholdPct = 0
+	r.Detected = false
 }
 
 // Clone returns a deep copy of the report whose lifetime is independent of
@@ -90,6 +96,7 @@ func (r *Report) Clone() *Report {
 		Dims:          r.Dims,
 		TotalElements: r.TotalElements,
 		ThresholdPct:  r.ThresholdPct,
+		Detected:      r.Detected,
 	}
 	if len(r.Mismatches) > 0 {
 		out.Mismatches = append(make([]Mismatch, 0, len(r.Mismatches)), r.Mismatches...)

@@ -7,7 +7,7 @@ import (
 )
 
 func sampleReport() *Report {
-	r := &Report{Dims: grid.Dims{X: 4, Y: 4, Z: 1}, TotalElements: 16, ThresholdPct: 2}
+	r := &Report{Dims: grid.Dims{X: 4, Y: 4, Z: 1}, TotalElements: 16, ThresholdPct: 2, Detected: true}
 	r.Mismatches = append(r.Mismatches,
 		Mismatch{Coord: grid.Coord{X: 1, Y: 2}, Read: 5, Expected: 4, RelErrPct: 25},
 		Mismatch{Coord: grid.Coord{X: 3, Y: 0}, Read: 2, Expected: 4, RelErrPct: 50},
@@ -19,7 +19,7 @@ func sampleReport() *Report {
 func TestReportReset(t *testing.T) {
 	r := sampleReport()
 	r.Reset()
-	if r.Count() != 0 || r.TotalElements != 0 || r.ThresholdPct != 0 || r.Dims != (grid.Dims{}) {
+	if r.Count() != 0 || r.TotalElements != 0 || r.ThresholdPct != 0 || r.Dims != (grid.Dims{}) || r.Detected {
 		t.Fatalf("Reset left state behind: %+v", r)
 	}
 }
@@ -27,7 +27,7 @@ func TestReportReset(t *testing.T) {
 func TestReportClone(t *testing.T) {
 	r := sampleReport()
 	c := r.Clone()
-	if c.Dims != r.Dims || c.TotalElements != r.TotalElements || c.ThresholdPct != r.ThresholdPct {
+	if c.Dims != r.Dims || c.TotalElements != r.TotalElements || c.ThresholdPct != r.ThresholdPct || c.Detected != r.Detected {
 		t.Fatalf("clone header differs: %+v vs %+v", c, r)
 	}
 	if len(c.Mismatches) != len(r.Mismatches) {

@@ -9,6 +9,7 @@ import (
 
 	"radcrit/internal/campaign"
 	"radcrit/internal/logdata"
+	"radcrit/internal/metrics"
 )
 
 // device and kernel build registered devices and kernels through the
@@ -208,9 +209,8 @@ func TestCLAMRCriticality(t *testing.T) {
 	if crit.LocalityShare(0) != 0 { // metrics.NoPattern guard
 		t.Fatal("critical SDC with no pattern")
 	}
-	if crit.SpreadShare() < 0.7 {
-		t.Fatalf("square+cubic share %.2f; the paper reports 99%% square",
-			crit.SpreadShare())
+	if spread := crit.LocalityShare(metrics.Cubic) + crit.LocalityShare(metrics.Square); spread < 0.7 {
+		t.Fatalf("square+cubic share %.2f; the paper reports 99%% square", spread)
 	}
 }
 

@@ -1,15 +1,22 @@
 // Benchmarks of the per-strike hot path: the cost of one classified
-// strike through a prepared injector.Session, per kernel family. Two
-// populations are measured:
+// strike through a prepared injector.Session, per kernel family. Every
+// strike runs through the kernel's one run method, RunInjectedPooled.
+// Two populations are measured, the second in two shapes:
 //
 //   - BenchmarkStrike<Kernel> draws the full strike population (masked,
 //     SDC, crash, hang in campaign proportions) — the number a campaign's
-//     strikes/second follows. Its allocs/op is guarded by cmd/benchguard
-//     in CI against the baselines recorded in BENCH_campaign.json.
+//     strikes/second follows.
 //   - BenchmarkInjected<Kernel> replays only strikes whose syndrome is an
 //     SDC, so every iteration pays a full injected kernel execution — the
 //     worst-case per-strike cost and the target of the pooled scratch
-//     arenas (ISSUE 4: >=2x on the iterative kernels).
+//     arenas (>=2x on the iterative kernels).
+//   - BenchmarkInjectedBatch<Kernel> replays the same SDC strikes in
+//     spans through Session.RunBatch, the engine's span entry, which
+//     runs them one by one. It differs from BenchmarkInjected<Kernel>
+//     only in holding a span's reports at once.
+//
+// cmd/benchguard guards the allocs/op of all twelve in CI against the
+// baselines recorded in BENCH_campaign.json.
 //
 // Run with: go test -bench='Strike|Injected' -benchmem -run='^$' .
 package radcrit
@@ -99,10 +106,9 @@ func benchInjected(b *testing.B, dev arch.Device, kern kernels.Kernel) {
 }
 
 // benchInjectedBatch measures the same SDC corpus through the session's
-// cross-strike batch path (Session.RunBatch -> Kernel.RunInjectedBatch) in
-// spans of batchSpan strikes, the shape the streaming engine's chunk
-// loop produces. ns/op stays per strike, directly comparable with
-// BenchmarkInjected<Kernel>.
+// span entry (Session.RunBatch, a loop over RunOne) in spans of
+// batchSpan strikes, each span's reports released together. ns/op stays
+// per strike, directly comparable with BenchmarkInjected<Kernel>.
 func benchInjectedBatch(b *testing.B, dev arch.Device, kern kernels.Kernel) {
 	const batchSpan = 64
 	ses, err := injector.NewSession(dev, kern)
