@@ -19,27 +19,45 @@ import (
 )
 
 // The dead-declaration gate. A package-level declaration in a non-test
-// file under internal/ must be used by something other than its own
-// package's tests. It passes if any of these holds:
+// file under internal/ must have a production user. It passes if any of
+// these holds:
 //   - non-test code uses it: the facade, cmd/ (the nested cmd/radbench
 //     module included), examples/, or another declaration;
-//   - another package's _test.go file uses it;
 //   - it is a method that satisfies a method of some interface;
 //   - it is on deadAllow, with a reason.
 //
-// A use inside the declaration itself (recursion, a self-referential
-// type) does not count. Constants of one iota group stand or fall
-// together, since deleting one member would renumber the rest. The
-// facade is public API and is not scanned.
+// A use from a _test.go file does not count, whatever its package, and
+// neither does a use from a test-support package (deadTestSupport),
+// whose own declarations are not scanned. A use inside the declaration
+// itself (recursion, a self-referential type) does not count either.
+// Constants of one iota group stand or fall together, since deleting one
+// member would renumber the rest. The facade is public API and is not
+// scanned.
 
 // deadAllow lists the declarations the gate lets stand without a user,
 // each with the reason it stays.
 var deadAllow = map[string]string{
-	"internal/fit.ConfidenceInterval": "the paper-claims ledger (ROADMAP) reports each headline value with this binomial interval",
+	"internal/fit.ConfidenceInterval":         "the paper-claims ledger (ROADMAP) reports each headline value with this binomial interval",
+	"internal/metrics.Report.Clone":           "public as radcrit.Report; the facade's Sink doc tells callers to clone a report to retain it",
+	"internal/metrics.Report.MaxRelErrPct":    "public as radcrit.Report: a report's worst element, beside MeanRelErrPct, for callers that inspect one execution",
+	"internal/logdata.Log.SDCCount":           "public as radcrit.Log: counts a re-analysed campaign log's SDC events",
+	"internal/logdata.Log.CrashHangCount":     "public as radcrit.Log: counts a re-analysed campaign log's DUE events",
+	"internal/core.Criticality.LocalityShare": "public as radcrit.Criticality: the share of critical SDCs with one locality pattern",
+}
+
+// deadTestSupport lists the non-test packages under internal/ that exist
+// only to serve tests, each with the reason.
+var deadTestSupport = map[string]string{
+	"internal/fleet/chaostest": "the chaos suite's worker subprocess and flaky proxy, imported only by the fleet tests",
 }
 
 func TestNoDeadDeclarations(t *testing.T) {
-	dead, err := findDead(".", allDeadRules)
+	for path, reason := range deadTestSupport {
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("deadTestSupport[%q] has no reason", path)
+		}
+	}
+	dead, err := findDead(".", allDeadRules, deadTestSupport)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,32 +78,38 @@ func TestNoDeadDeclarations(t *testing.T) {
 	}
 	for _, d := range dead {
 		if _, ok := byName[d.name]; ok {
-			t.Errorf("%s: %s has no user outside its own package's tests; delete it, or allowlist it with a reason", d.pos, d.name)
+			t.Errorf("%s: %s has no production user; delete it, or allowlist it with a reason", d.pos, d.name)
 		}
 	}
 }
 
 // TestDeadGateFixture runs the gate over testdata/deadcode. The fixture
-// declares one export that only its own tests use, which the gate must
-// flag, and three that it must not: a generic type's method called only
-// through an instantiation, a method whose only caller is an interface,
-// and a function only the nested cmd/bench module calls. Each of the
-// three is flagged once the rule that clears it is switched off.
+// declares three exports the gate must flag: one only its own tests use,
+// one only another package's test uses, and one only a test-support
+// package uses. It declares three it must not flag: a generic type's
+// method called only through an instantiation, a method whose only
+// caller is an interface, and a function only the nested cmd/bench
+// module calls. Each of those three is flagged once the rule that clears
+// it is switched off. Without its test-support mark, the support
+// package's own export is flagged and the use it makes counts.
 func TestDeadGateFixture(t *testing.T) {
-	always := []string{"internal/a.OnlyOwnTest"}
+	support := map[string]string{"internal/support": "fixture test support"}
+	always := []string{"internal/a.OnlyOtherTest", "internal/a.OnlyOwnTest"}
 	cases := []struct {
-		name  string
-		rules deadRules
-		extra []string
+		name    string
+		rules   deadRules
+		support map[string]string
+		want    []string
 	}{
-		{"all rules", allDeadRules, nil},
-		{"no generic origin", deadRules{ifaces: true, modules: true}, []string{"internal/a.Queue.Lags"}},
-		{"no interface rule", deadRules{origins: true, modules: true}, []string{"internal/a.statusRecorder.Flush"}},
-		{"no nested modules", deadRules{origins: true, ifaces: true}, []string{"internal/a.UsedByBench"}},
+		{"all rules", allDeadRules, support, []string{"internal/a.OnlyViaSupport"}},
+		{"no generic origin", deadRules{ifaces: true, modules: true}, support, []string{"internal/a.OnlyViaSupport", "internal/a.Queue.Lags"}},
+		{"no interface rule", deadRules{origins: true, modules: true}, support, []string{"internal/a.OnlyViaSupport", "internal/a.statusRecorder.Flush"}},
+		{"no nested modules", deadRules{origins: true, ifaces: true}, support, []string{"internal/a.OnlyViaSupport", "internal/a.UsedByBench"}},
+		{"no test support", allDeadRules, nil, []string{"internal/support.Helper"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			dead, err := findDead(filepath.Join("testdata", "deadcode"), c.rules)
+			dead, err := findDead(filepath.Join("testdata", "deadcode"), c.rules, c.support)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +117,7 @@ func TestDeadGateFixture(t *testing.T) {
 			for _, d := range dead {
 				got = append(got, d.name)
 			}
-			want := append(slices.Clone(always), c.extra...)
+			want := append(slices.Clone(always), c.want...)
 			slices.Sort(want)
 			if !slices.Equal(got, want) {
 				t.Errorf("flagged %v, want %v", got, want)
@@ -119,27 +143,27 @@ type deadDecl struct {
 	pos  token.Position
 }
 
-// deadLoader type-checks every package of the modules under one root
-// from source; the standard library comes from export data.
+// deadLoader type-checks the non-test files of every package of the
+// modules under one root from source; the standard library comes from
+// export data.
 type deadLoader struct {
-	fset  *token.FileSet
-	std   types.Importer
-	bps   map[string]*build.Package // this tree's packages by import path
-	pkgs  map[string]*types.Package
-	infos map[string]*types.Info
-	files map[string][]*ast.File
-	// override resolves an import to a test variant while an external
-	// test package is checked (so it sees export_test.go helpers).
-	override map[string]*types.Package
-	rules    deadRules
-	used     map[types.Object]bool
-	ifaces   map[*types.Interface]bool
-	named    map[*types.Named]bool // this tree's named types and their instances
+	fset   *token.FileSet
+	std    types.Importer
+	bps    map[string]*build.Package // this tree's packages by import path
+	pkgs   map[string]*types.Package
+	infos  map[string]*types.Info
+	files  map[string][]*ast.File
+	rules  deadRules
+	used   map[types.Object]bool
+	ifaces map[*types.Interface]bool
+	named  map[*types.Named]bool // this tree's named types and their instances
 }
 
 // findDead reports, sorted by name, the declarations under root's
-// internal/ that no rule clears. Allowlisting is the caller's job.
-func findDead(root string, rules deadRules) ([]deadDecl, error) {
+// internal/ that no rule clears. The packages named in support (paths
+// relative to root's module) are test support: neither loaded for their
+// uses nor scanned. Allowlisting is the caller's job.
+func findDead(root string, rules deadRules, support map[string]string) ([]deadDecl, error) {
 	mods, err := findModules(root)
 	if err != nil {
 		return nil, err
@@ -156,6 +180,7 @@ func findDead(root string, rules deadRules) ([]deadDecl, error) {
 		named:  map[*types.Named]bool{},
 	}
 	l.std = importer.ForCompiler(l.fset, "gc", nil)
+	rootPath := mods[0].path
 	var paths []string
 	for i, m := range mods {
 		if i > 0 && !rules.modules {
@@ -167,13 +192,12 @@ func findDead(root string, rules deadRules) ([]deadDecl, error) {
 		}
 		paths = append(paths, ps...)
 	}
+	paths = slices.DeleteFunc(paths, func(p string) bool {
+		_, ok := support[strings.TrimPrefix(p, rootPath+"/")]
+		return ok
+	})
 	for _, p := range paths {
 		if _, err := l.load(p); err != nil {
-			return nil, err
-		}
-	}
-	for _, p := range paths {
-		if err := l.checkTests(p); err != nil {
 			return nil, err
 		}
 	}
@@ -181,7 +205,6 @@ func findDead(root string, rules deadRules) ([]deadDecl, error) {
 		l.markInterfaceMethods()
 	}
 
-	rootPath := mods[0].path
 	var dead []deadDecl
 	for _, p := range paths {
 		rel, ok := strings.CutPrefix(p, rootPath+"/")
@@ -290,62 +313,24 @@ func (l *deadLoader) addModule(dir, path string, mods []module) ([]string, error
 }
 
 func (l *deadLoader) Import(path string) (*types.Package, error) {
-	if p, ok := l.override[path]; ok {
-		return p, nil
-	}
 	if _, ok := l.bps[path]; ok {
 		return l.load(path)
 	}
 	return l.std.Import(path)
 }
 
-// load type-checks the non-test files of one package, once.
+// load parses and type-checks the non-test files of one package, once,
+// and records their uses.
 func (l *deadLoader) load(path string) (*types.Package, error) {
 	if p, ok := l.pkgs[path]; ok {
 		return p, nil
 	}
 	bp := l.bps[path]
-	pkg, info, files, err := l.check(path, bp.Dir, bp.GoFiles, "")
-	if err != nil {
-		return nil, err
-	}
-	l.pkgs[path], l.infos[path], l.files[path] = pkg, info, files
-	for _, tv := range info.Types {
-		l.addType(tv.Type)
-	}
-	return pkg, nil
-}
-
-// checkTests type-checks a package's in-package tests (with its own
-// files) and its external test package, counting their uses of other
-// packages only.
-func (l *deadLoader) checkTests(path string) error {
-	bp := l.bps[path]
-	variant := l.pkgs[path]
-	var err error
-	if len(bp.TestGoFiles) > 0 {
-		variant, _, _, err = l.check(path, bp.Dir, append(slices.Clone(bp.GoFiles), bp.TestGoFiles...), path)
-		if err != nil {
-			return err
-		}
-	}
-	if len(bp.XTestGoFiles) > 0 {
-		l.override = map[string]*types.Package{path: variant}
-		_, _, _, err = l.check(path+"_test", bp.Dir, bp.XTestGoFiles, path)
-		l.override = nil
-	}
-	return err
-}
-
-// check parses and type-checks files as package path and records their
-// uses. For a test variant, owner is the package under test, whose own
-// declarations its tests do not keep alive.
-func (l *deadLoader) check(path, dir string, names []string, owner string) (*types.Package, *types.Info, []*ast.File, error) {
 	var files []*ast.File
-	for _, n := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, n), nil, parser.SkipObjectResolution)
+	for _, n := range bp.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(bp.Dir, n), nil, parser.SkipObjectResolution)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		files = append(files, f)
 	}
@@ -357,19 +342,23 @@ func (l *deadLoader) check(path, dir string, names []string, owner string) (*typ
 	conf := types.Config{Importer: l}
 	pkg, err := conf.Check(path, l.fset, files, info)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("type-check %s: %w", path, err)
+		return nil, fmt.Errorf("type-check %s: %w", path, err)
 	}
 	for _, f := range files {
 		for _, d := range f.Decls {
-			l.recordUses(d, info, owner)
+			l.recordUses(d, info)
 		}
 	}
-	return pkg, info, files, nil
+	l.pkgs[path], l.infos[path], l.files[path] = pkg, info, files
+	for _, tv := range info.Types {
+		l.addType(tv.Type)
+	}
+	return pkg, nil
 }
 
 // recordUses marks what declaration d uses. A method's receiver is not
 // visited, and a declaration's use of itself does not count.
-func (l *deadLoader) recordUses(d ast.Decl, info *types.Info, owner string) {
+func (l *deadLoader) recordUses(d ast.Decl, info *types.Info) {
 	visit := func(self map[types.Object]bool, n ast.Node) {
 		ast.Inspect(n, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
@@ -377,7 +366,7 @@ func (l *deadLoader) recordUses(d ast.Decl, info *types.Info, owner string) {
 				return true
 			}
 			o := l.origin(info.Uses[id])
-			if o == nil || o.Pkg() == nil || self[o] || (owner != "" && o.Pkg().Path() == owner) {
+			if o == nil || o.Pkg() == nil || self[o] {
 				return true
 			}
 			l.used[o] = true

@@ -137,7 +137,7 @@ func TestEndToEndGoldenBitIdentity(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
 
-	cold, err := d.c.Run(ctx, plan, 0, 20*time.Millisecond, nil)
+	cold, err := d.c.Run(ctx, plan, 0)
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestEndToEndGoldenBitIdentity(t *testing.T) {
 		t.Errorf("cold-store summaries differ from in-process StreamRunner")
 	}
 
-	warm, err := d.c.Run(ctx, plan, 0, 20*time.Millisecond, nil)
+	warm, err := d.c.Run(ctx, plan, 0)
 	if err != nil {
 		t.Fatalf("warm run: %v", err)
 	}
@@ -171,7 +171,7 @@ func TestEndToEndGoldenBitIdentity(t *testing.T) {
 	// persisted store.
 	d2 := startDaemon(t, dir)
 	defer d2.stop(t)
-	again, err := d2.c.Run(ctx, plan, 0, 20*time.Millisecond, nil)
+	again, err := d2.c.Run(ctx, plan, 0)
 	if err != nil {
 		t.Fatalf("post-restart run: %v", err)
 	}
@@ -214,8 +214,10 @@ func TestAPIErrorsAndLifecycle(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	if _, err := d.c.Status(ctx, "j-doesnotexist"); err == nil {
-		t.Errorf("status of unknown job did not error")
+	if resp, err := http.Get(d.srv.URL + "/v1/jobs/j-doesnotexist"); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("status of unknown job: HTTP %d, want 404", resp.StatusCode)
 	}
 	if _, err := d.c.Result(ctx, "j-doesnotexist"); err == nil {
 		t.Errorf("result of unknown job did not error")
@@ -244,10 +246,11 @@ func TestAPIErrorsAndLifecycle(t *testing.T) {
 	if cancelled.ID != snap.ID {
 		t.Errorf("cancel answered for job %q, want %q", cancelled.ID, snap.ID)
 	}
-	final, err := d.c.Wait(ctx, snap.ID, 10*time.Millisecond, nil)
-	if err != nil {
+	if err := d.c.Events(ctx, snap.ID, func(ClientEvent) {}); err != nil {
 		t.Fatal(err)
 	}
+	var final service.Snapshot
+	doJSON(t, mustGet(t, d.srv.URL+"/v1/jobs/"+snap.ID), &final)
 	if final.State != service.StateCancelled {
 		t.Errorf("cancelled job state = %s", final.State)
 	}

@@ -257,13 +257,6 @@ func (c *Client) Submit(ctx context.Context, p *campaign.Plan, priority int) (se
 	return snap, err
 }
 
-// Status fetches a job's snapshot.
-func (c *Client) Status(ctx context.Context, id string) (service.Snapshot, error) {
-	var snap service.Snapshot
-	_, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil, &snap)
-	return snap, err
-}
-
 // Result fetches a finished job's summaries. While the job is still
 // queued or running it returns service.ErrNotFinished.
 func (c *Client) Result(ctx context.Context, id string) (*service.JobResult, error) {
@@ -303,33 +296,6 @@ func (c *Client) List(ctx context.Context) (JobsList, error) {
 	var jl JobsList
 	_, err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &jl)
 	return jl, err
-}
-
-// Wait polls a job until it reaches a terminal state, reporting progress
-// through onProgress (which may be nil) after every poll.
-func (c *Client) Wait(ctx context.Context, id string, poll time.Duration, onProgress func(service.Snapshot)) (service.Snapshot, error) {
-	if poll <= 0 {
-		poll = 250 * time.Millisecond
-	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
-	for {
-		snap, err := c.Status(ctx, id)
-		if err != nil {
-			return snap, err
-		}
-		if onProgress != nil {
-			onProgress(snap)
-		}
-		if snap.State.Terminal() {
-			return snap, nil
-		}
-		select {
-		case <-ctx.Done():
-			return snap, ctx.Err()
-		case <-t.C:
-		}
-	}
 }
 
 // ClientEvent is one frame of a job's SSE event stream as the client
@@ -478,13 +444,14 @@ func terminalFrame(ev ClientEvent) bool {
 	return false
 }
 
-// Run is the whole client workflow: submit, wait, fetch the result.
-func (c *Client) Run(ctx context.Context, p *campaign.Plan, priority int, poll time.Duration, onProgress func(service.Snapshot)) (*service.JobResult, error) {
+// Run is the whole client workflow: submit, follow the job's event
+// stream to its terminal state, fetch the result.
+func (c *Client) Run(ctx context.Context, p *campaign.Plan, priority int) (*service.JobResult, error) {
 	snap, err := c.Submit(ctx, p, priority)
 	if err != nil {
 		return nil, err
 	}
-	if snap, err = c.Wait(ctx, snap.ID, poll, onProgress); err != nil {
+	if err := c.Events(ctx, snap.ID, func(ClientEvent) {}); err != nil {
 		return nil, err
 	}
 	return c.Result(ctx, snap.ID)

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -148,15 +150,21 @@ func TestClientAuthHeaders(t *testing.T) {
 // bearer tokens, plaintext tenant addressing, impersonation refusals and
 // the 429 + Retry-After admission path.
 func TestTenantAuthEndToEnd(t *testing.T) {
-	reg := tenant.NewRegistry()
-	for _, tn := range []tenant.Tenant{
+	data, err := json.Marshal(map[string][]tenant.Tenant{"tenants": {
 		{Name: "alpha", Weight: 3, Token: "alpha-token"},
 		{Name: "beta", Weight: 1},
 		{Name: "capped", Quotas: tenant.Quotas{MaxQueuedJobs: 1}},
-	} {
-		if err := reg.Upsert(tn); err != nil {
-			t.Fatal(err)
-		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tenants.json")
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := tenant.Load(path)
+	if err != nil {
+		t.Fatal(err)
 	}
 	m, err := service.New(service.Options{StateDir: t.TempDir(), Executors: 1, Tenants: reg})
 	if err != nil {

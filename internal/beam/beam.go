@@ -6,7 +6,6 @@
 package beam
 
 import (
-	"fmt"
 	"math"
 
 	"radcrit/internal/xrand"
@@ -100,21 +99,6 @@ func (e Exposure) StrikeRatePerExec() float64 {
 // Fluence is the total neutron fluence of the slot in n/cm^2.
 func (e Exposure) Fluence() float64 {
 	return e.Board.EffectiveFlux(e.Facility) * e.BeamHours * 3600
-}
-
-// Validate reports the first configuration error.
-func (e Exposure) Validate() error {
-	switch {
-	case e.BeamHours <= 0:
-		return fmt.Errorf("beam: non-positive beam hours")
-	case e.ExecSeconds <= 0:
-		return fmt.Errorf("beam: non-positive execution time")
-	case e.SensitiveArea <= 0:
-		return fmt.Errorf("beam: non-positive sensitive area")
-	case e.Board.Derating <= 0 || e.Board.Derating > 1:
-		return fmt.Errorf("beam: derating %v outside (0,1]", e.Board.Derating)
-	}
-	return nil
 }
 
 // TuneSingleStrike returns a copy of the exposure with the board derated

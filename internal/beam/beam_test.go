@@ -40,22 +40,6 @@ func exposure() Exposure {
 	}
 }
 
-func TestExposureValidate(t *testing.T) {
-	if err := exposure().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := exposure()
-	bad.BeamHours = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero hours accepted")
-	}
-	bad = exposure()
-	bad.Board.Derating = 1.5
-	if bad.Validate() == nil {
-		t.Fatal("derating > 1 accepted")
-	}
-}
-
 func TestExecutions(t *testing.T) {
 	e := exposure()
 	if e.Executions() != 10*3600/2 {

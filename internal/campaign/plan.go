@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 
-	"radcrit/internal/arch"
 	"radcrit/internal/beam"
 	"radcrit/internal/metrics"
 	"radcrit/internal/registry"
@@ -223,8 +222,7 @@ func (p *Plan) EffectiveThresholds() []float64 {
 
 // Build resolves every cell spec into a constructed (device, kernel)
 // pair, in plan order. This is where golden state is paid for; Validate
-// first to fail fast. Device models are constructed once per distinct
-// name and shared across the plan's cells.
+// first to fail fast.
 func (p *Plan) Build() ([]Cell, error) {
 	return p.BuildCtx(context.Background())
 }
@@ -238,44 +236,26 @@ func (p *Plan) BuildCtx(ctx context.Context) ([]Cell, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	devs := map[string]arch.Device{}
 	cells := make([]Cell, 0, len(p.Cells))
 	for i, c := range p.Cells {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cellErr := func(err error) error {
-			return fmt.Errorf("plan %q: cell %d: %w", p.Name, i, &CellError{Device: c.Device, Kernel: c.Kernel, Err: err})
-		}
-		dev, ok := devs[c.Device]
-		if !ok {
-			var err error
-			if dev, err = registry.NewDevice(c.Device); err != nil {
-				return nil, cellErr(err)
-			}
-			devs[c.Device] = dev
-		}
-		kern, err := registry.NewKernel(c.Kernel)
+		cell, err := BuildCell(c)
 		if err != nil {
-			return nil, cellErr(err)
+			return nil, fmt.Errorf("plan %q: cell %d: %w", p.Name, i, &CellError{Device: c.Device, Kernel: c.Kernel, Err: err})
 		}
-		cells = append(cells, Cell{Dev: dev, Kern: kern})
+		cells = append(cells, cell)
 	}
 	return cells, nil
 }
 
 // BuildCell resolves one cell spec in isolation — the form serving layers
-// that shard a plan cell-by-cell use, constructing exactly the cell a
-// work item names instead of the whole plan's matrix. The spec is
-// validated first, so a malformed or unregistered cell comes back as an
-// error rather than a construction panic.
+// that run a plan cell by cell use, constructing exactly the cell a work
+// item names. An unregistered device or kernel, or malformed kernel
+// params, come back as the registry's typed errors rather than a
+// construction panic.
 func BuildCell(spec CellSpec) (Cell, error) {
-	if err := registry.ValidateDevice(spec.Device); err != nil {
-		return Cell{}, err
-	}
-	if err := registry.ValidateKernel(spec.Kernel); err != nil {
-		return Cell{}, err
-	}
 	dev, err := registry.NewDevice(spec.Device)
 	if err != nil {
 		return Cell{}, err
@@ -285,6 +265,18 @@ func BuildCell(spec CellSpec) (Cell, error) {
 		return Cell{}, err
 	}
 	return Cell{Dev: dev, Kern: kern}, nil
+}
+
+// CellPlan returns the one-cell plan of cell i: p's configuration with
+// Cells holding only p.Cells[i]. It is the form a cell crosses a process
+// boundary in, validated by Validate and encoded by the plan's own JSON
+// codec, and its CellKey(0) equals p.CellKey(i). The cell slice is capped
+// at one element, so appending to it never writes into p; the other
+// fields share p's Thresholds and Adaptive, which neither plan mutates.
+func (p *Plan) CellPlan(i int) *Plan {
+	c := *p
+	c.Cells = p.Cells[i : i+1 : i+1]
+	return &c
 }
 
 // planJSON mirrors Plan for the custom (un)marshallers: the alias drops

@@ -3,7 +3,10 @@ package campaign
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -145,5 +148,45 @@ func TestEffectiveThresholds(t *testing.T) {
 	p.WithThresholds(5)
 	if got := p.EffectiveThresholds(); !reflect.DeepEqual(got, []float64{5}) {
 		t.Errorf("explicit thresholds = %v", got)
+	}
+}
+
+// TestCellPlan: every cell's one-cell plan carries the parent's cell key,
+// for the golden plan and for the adaptive example plan, and appending to
+// a one-cell plan's Cells never writes into the parent.
+func TestCellPlan(t *testing.T) {
+	golden, err := LoadPlan(strings.NewReader(goldenPlanJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join("..", "..", "examples", "plans", "adaptive.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	adaptive, err := LoadPlan(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Plan{golden, adaptive} {
+		for i := range p.Cells {
+			sub := p.CellPlan(i)
+			if err := sub.Validate(); err != nil {
+				t.Fatalf("%s cell %d: one-cell plan invalid: %v", p.Name, i, err)
+			}
+			if len(sub.Cells) != 1 || sub.Cells[0] != p.Cells[i] {
+				t.Fatalf("%s cell %d: one-cell plan holds %v", p.Name, i, sub.Cells)
+			}
+			if got, want := sub.CellKey(0), p.CellKey(i); got != want {
+				t.Errorf("%s cell %d: CellPlan key %s, want %s", p.Name, i, got, want)
+			}
+		}
+	}
+
+	before := slices.Clone(golden.Cells)
+	sub := golden.CellPlan(0)
+	sub.WithCell("phi", "dgemm:128")
+	if !slices.Equal(golden.Cells, before) {
+		t.Fatalf("appending to a one-cell plan rewrote the parent: %v", golden.Cells)
 	}
 }

@@ -2,13 +2,11 @@ package campaign
 
 import (
 	"radcrit/internal/arch"
-	"radcrit/internal/k40"
 	"radcrit/internal/kernels"
 	"radcrit/internal/kernels/clamr"
 	"radcrit/internal/kernels/dgemm"
 	"radcrit/internal/kernels/hotspot"
 	"radcrit/internal/kernels/lavamd"
-	"radcrit/internal/phi"
 	"radcrit/internal/registry"
 )
 
@@ -23,11 +21,6 @@ const (
 	// PaperScale uses Table II sizes.
 	PaperScale
 )
-
-// Devices returns the two tested accelerators.
-func Devices() []arch.Device {
-	return []arch.Device{k40.New(), phi.New()}
-}
 
 // DGEMMSizes returns the matrix sides swept for a device (Fig. 2/3: three
 // sizes on the K40, four on the Xeon Phi).

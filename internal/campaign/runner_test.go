@@ -15,6 +15,7 @@ import (
 	"radcrit/internal/injector"
 	"radcrit/internal/kernels"
 	"radcrit/internal/metrics"
+	"radcrit/internal/registry"
 	"radcrit/internal/xrand"
 )
 
@@ -215,13 +216,11 @@ func TestCellErrorCachedNotRepanicked(t *testing.T) {
 
 func mustDev(t *testing.T, name string) arch.Device {
 	t.Helper()
-	for _, d := range Devices() {
-		if (name == "k40" && d.ShortName() == "K40") || (name == "phi" && d.ShortName() == "XeonPhi") {
-			return d
-		}
+	d, err := registry.NewDevice(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("no device %q", name)
-	return nil
+	return d
 }
 
 func mustKern(t *testing.T, spec string) kernels.Kernel {

@@ -36,7 +36,7 @@ func (s *SubmitFlags) Active() bool { return s.Addr != "" }
 // Run submits the plan, waits for the job to finish, and fetches its
 // per-cell summaries.
 func (s *SubmitFlags) Run(ctx context.Context, p *campaign.Plan) (*service.JobResult, error) {
-	return api.NewClient(s.Addr).Run(ctx, p, s.Priority, 0, nil)
+	return api.NewClient(s.Addr).Run(ctx, p, s.Priority)
 }
 
 // PrintJobSummaries renders a daemon job result in the campaign tools'

@@ -7,6 +7,7 @@ import (
 
 	"radcrit/internal/fleet"
 	"radcrit/internal/fleet/chaostest"
+	"radcrit/internal/tenant"
 )
 
 // TestChaosFlakyNetworkConvergence routes all worker↔coordinator
@@ -44,7 +45,7 @@ func TestChaosFlakyNetworkConvergence(t *testing.T) {
 
 	plan := smokePlan(96, "k40/dgemm:128", "phi/dgemm:128")
 	want := directSummaries(t, plan)
-	snap, err := tf.m.Submit(plan, 0)
+	snap, err := tf.m.SubmitAs(tenant.Default, plan, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestChaosWorkerSIGKILLMidCell(t *testing.T) {
 
 	plan := smokePlan(96, "k40/dgemm:128")
 	want := directSummaries(t, plan)
-	snap, err := tf.m.Submit(plan, 0)
+	snap, err := tf.m.SubmitAs(tenant.Default, plan, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,8 +182,8 @@ func (c *Coordinator) healthyLocked(now time.Time) bool {
 // RunRemote queues one cell for the fleet and waits for its first
 // result. It returns service.ErrRemoteUnavailable — telling the manager
 // to run the cell locally from the streamed checkpoint — when no worker
-// is healthy, immediately or at any later point where the item holds no
-// lease, or after MaxAttempts lease losses.
+// is healthy, immediately or at any later sweep that finds the item
+// holding no lease, or after MaxAttempts lease losses.
 func (c *Coordinator) RunRemote(ctx context.Context, req service.RemoteCell) (*service.RemoteResult, error) {
 	now := time.Now()
 	c.mu.Lock()
@@ -206,39 +206,17 @@ func (c *Coordinator) RunRemote(ctx context.Context, req service.RemoteCell) (*s
 	c.mu.Unlock()
 	defer c.finishItem(it)
 
-	check := c.opts.LeaseTTL / 2
-	if check > 500*time.Millisecond {
-		check = 500 * time.Millisecond
-	}
-	if check < 10*time.Millisecond {
-		check = 10 * time.Millisecond
-	}
-	tick := time.NewTicker(check)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-it.done:
-			switch {
-			case it.fallback:
-				return nil, service.ErrRemoteUnavailable
-			case it.cellErr != nil:
-				return nil, it.cellErr
-			default:
-				return it.res, nil
-			}
-		case <-tick.C:
-			now := time.Now()
-			c.mu.Lock()
-			if !it.completed && len(it.leases) == 0 && !c.healthyLocked(now) {
-				// The fleet emptied out under us: degrade rather than wait
-				// for workers that may never come back.
-				it.completed, it.fallback = true, true
-				c.counters.LocalFallbacks++
-				close(it.done)
-			}
-			c.mu.Unlock()
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-it.done:
+		switch {
+		case it.fallback:
+			return nil, service.ErrRemoteUnavailable
+		case it.cellErr != nil:
+			return nil, it.cellErr
+		default:
+			return it.res, nil
 		}
 	}
 }
@@ -360,8 +338,9 @@ func (c *Coordinator) janitor() {
 	}
 }
 
-// sweep expires overdue leases (requeueing orphaned items) and forgets
-// long-silent workers.
+// sweep expires overdue leases (requeueing orphaned items), forgets
+// long-silent workers, and hands every unleased item back for local
+// execution once no worker is healthy.
 func (c *Coordinator) sweep(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -385,6 +364,18 @@ func (c *Coordinator) sweep(now time.Time) {
 			c.counters.WorkersExpired++
 			c.opts.Logf("fleet: worker %s (%s) silent for %v, deregistered", id, w.name, now.Sub(w.lastSeen).Round(time.Millisecond))
 			delete(c.workers, id)
+		}
+	}
+	if c.healthyLocked(now) {
+		return
+	}
+	// The fleet emptied out while cells wait: degrade every unleased one
+	// rather than wait for workers that may never come back.
+	for _, it := range c.items {
+		if !it.completed && len(it.leases) == 0 {
+			it.completed, it.fallback = true, true
+			c.counters.LocalFallbacks++
+			close(it.done)
 		}
 	}
 }
@@ -441,8 +432,7 @@ func (c *Coordinator) grantLocked(w *workerState, it *item, now time.Time) WorkI
 	return WorkItem{
 		Lease:           l.id,
 		Key:             it.req.Key,
-		Spec:            it.req.Spec,
-		Cfg:             cellConfig(it.req.Cfg, it.req.Thresholds),
+		Plan:            it.req.Plan,
 		Log:             it.bestLog,
 		LeaseTTLMillis:  c.opts.LeaseTTL.Milliseconds(),
 		HeartbeatMillis: c.opts.Heartbeat.Milliseconds(),
@@ -667,7 +657,7 @@ func (c *Coordinator) Health() Health {
 			Tenant:  tenantOf(l.item.req),
 			AgeMS:   now.Sub(l.started).Milliseconds(),
 			Strikes: l.strikes,
-			Total:   l.item.req.Cfg.Strikes,
+			Total:   l.item.req.Plan.Strikes,
 		})
 	}
 	sort.Slice(h.Leases, func(i, k int) bool { return h.Leases[i].Lease < h.Leases[k].Lease })

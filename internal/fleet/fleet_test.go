@@ -20,6 +20,7 @@ import (
 	"radcrit/internal/fleet/chaostest"
 	"radcrit/internal/logdata"
 	"radcrit/internal/service"
+	"radcrit/internal/tenant"
 )
 
 // TestMain doubles as the chaos suite's worker entry point: when the
@@ -79,6 +80,19 @@ func startFleet(t *testing.T, fo fleet.Options) *testFleet {
 		}
 	})
 	return &testFleet{m: m, coord: coord, srv: srv}
+}
+
+// startCoordinator serves a bare coordinator, with no manager behind it,
+// until the test ends.
+func startCoordinator(t *testing.T, fo fleet.Options) (*fleet.Coordinator, *httptest.Server) {
+	t.Helper()
+	coord := fleet.NewCoordinator(fo)
+	mux := http.NewServeMux()
+	coord.Routes(mux)
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	t.Cleanup(coord.Close)
+	return coord, srv
 }
 
 // startWorker runs an in-process worker against base until the test ends
@@ -215,7 +229,7 @@ func TestFleetShardedBitIdentityAndDedup(t *testing.T) {
 	plan := smokePlan(60, "k40/dgemm:128", "phi/dgemm:128")
 	want := directSummaries(t, plan)
 
-	snap, err := tf.m.Submit(plan, 0)
+	snap, err := tf.m.SubmitAs(tenant.Default, plan, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +255,7 @@ func TestFleetShardedBitIdentityAndDedup(t *testing.T) {
 	}
 
 	// Warm path: a second job over the same plan is pure store dedup.
-	snap2, err := tf.m.Submit(smokePlan(60, "k40/dgemm:128", "phi/dgemm:128"), 0)
+	snap2, err := tf.m.SubmitAs(tenant.Default, smokePlan(60, "k40/dgemm:128", "phi/dgemm:128"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +317,7 @@ func TestFleetLeaseExpiryRequeueFromCheckpoint(t *testing.T) {
 
 	plan := smokePlan(96, "k40/dgemm:128")
 	want := directSummaries(t, plan)
-	snap, err := tf.m.Submit(plan, 0)
+	snap, err := tf.m.SubmitAs(tenant.Default, plan, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +354,7 @@ func TestFleetDegradeToLocal(t *testing.T) {
 	tf := startFleet(t, fleet.Options{LeaseTTL: time.Second})
 	plan := smokePlan(60, "k40/dgemm:128", "phi/dgemm:128")
 	want := directSummaries(t, plan)
-	snap, err := tf.m.Submit(plan, 0)
+	snap, err := tf.m.SubmitAs(tenant.Default, plan, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +406,7 @@ func TestFleetWorkerDiscardsUnresumableLog(t *testing.T) {
 	}
 
 	res, err := tf.coord.RunRemote(context.Background(), service.RemoteCell{
-		JobID: "j1", Cell: 0, Spec: plan.Cells[0], Cfg: cfg, Thresholds: ts,
+		JobID: "j1", Cell: 0, Plan: plan.CellPlan(0),
 		Key: plan.CellKey(0), PrevLog: []byte(damaged),
 	})
 	if err != nil {
@@ -425,7 +439,7 @@ func TestFleetSpeculativeSteal(t *testing.T) {
 
 	plan := smokePlan(96, "k40/dgemm:128")
 	want := directSummaries(t, plan)
-	snap, err := tf.m.Submit(plan, 0)
+	snap, err := tf.m.SubmitAs(tenant.Default, plan, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,20 +461,11 @@ func TestFleetSpeculativeSteal(t *testing.T) {
 // propagating out of RunRemote, first-result-wins 410s, and 410 on
 // heartbeats for dead leases.
 func TestCoordinatorProtocol(t *testing.T) {
-	coord := fleet.NewCoordinator(fleet.Options{LeaseTTL: time.Second, Poll: 10 * time.Millisecond})
-	defer coord.Close()
-	mux := http.NewServeMux()
-	coord.Routes(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	coord, srv := startCoordinator(t, fleet.Options{LeaseTTL: time.Second, Poll: 10 * time.Millisecond})
 
 	plan := smokePlan(8, "k40/dgemm:128")
 	req := service.RemoteCell{
-		JobID: "j1", Cell: 0,
-		Spec:       plan.Cells[0],
-		Cfg:        plan.Config(),
-		Thresholds: plan.EffectiveThresholds(),
-		Key:        plan.CellKey(0),
+		JobID: "j1", Cell: 0, Plan: plan.CellPlan(0), Key: plan.CellKey(0),
 	}
 
 	// No workers: immediately unavailable.
@@ -557,5 +562,70 @@ func TestCoordinatorProtocol(t *testing.T) {
 	}
 	if h.Counters.Completions != 1 {
 		t.Errorf("completions = %d, want 1", h.Counters.Completions)
+	}
+}
+
+// TestFleetBadLeasedPlanIsCellError: a worker checks the plan it leases
+// before building anything. A plan with two cells, an unknown kernel or
+// zero strikes ends as that cell's error, reported through the lease's
+// completion, and the worker goes on serving.
+func TestFleetBadLeasedPlanIsCellError(t *testing.T) {
+	coord, srv := startCoordinator(t, fleet.Options{LeaseTTL: 5 * time.Second, Poll: 10 * time.Millisecond})
+	startWorker(t, srv.URL, "w1", 0, nil)
+	waitWorkers(t, coord, 1)
+
+	cases := []struct {
+		name string
+		plan *campaign.Plan
+		want string
+	}{
+		{"two cells", smokePlan(8, "k40/dgemm:128", "phi/dgemm:128"), "holds 2 cells"},
+		{"unknown kernel", smokePlan(8, "k40/sgemm:128"), "unknown kernel"},
+		{"zero strikes", smokePlan(0, "k40/dgemm:128"), "strikes must be positive"},
+	}
+	for i, c := range cases {
+		_, err := coord.RunRemote(context.Background(), service.RemoteCell{
+			JobID: "j1", Cell: i, Plan: c.plan, Key: c.name,
+		})
+		if err == nil || errors.Is(err, service.ErrRemoteUnavailable) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: RunRemote = %v, want a cell error containing %q", c.name, err, c.want)
+		}
+	}
+	if got := coord.Health().Counters.CellErrors; got != len(cases) {
+		t.Errorf("cell errors = %d, want %d", got, len(cases))
+	}
+}
+
+// TestFleetSilentWorkerFallsBackToLocal: a worker that registers and then
+// goes silent leaves a waiting cell unleased. Once it has been silent for
+// three lease TTLs the janitor deregisters it, finds no healthy worker,
+// and hands the cell back for local execution.
+func TestFleetSilentWorkerFallsBackToLocal(t *testing.T) {
+	const ttl = 100 * time.Millisecond
+	coord, srv := startCoordinator(t, fleet.Options{LeaseTTL: ttl})
+
+	resp, err := http.Post(srv.URL+"/v1/fleet/workers", "application/json", strings.NewReader(`{"name":"silent"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("register: HTTP %d", resp.StatusCode)
+	}
+
+	plan := smokePlan(8, "k40/dgemm:128")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err = coord.RunRemote(ctx, service.RemoteCell{JobID: "j1", Plan: plan.CellPlan(0), Key: plan.CellKey(0)})
+	if !errors.Is(err, service.ErrRemoteUnavailable) {
+		t.Fatalf("RunRemote = %v, want ErrRemoteUnavailable", err)
+	}
+	if waited := time.Since(start); waited < 2*ttl {
+		t.Errorf("fell back after %v, before the worker could have gone silent", waited)
+	}
+	h := coord.Health()
+	if h.Counters.LocalFallbacks != 1 || h.Counters.WorkersExpired != 1 || h.Counters.LeasesDispatched != 0 {
+		t.Errorf("counters = %+v, want 1 local fallback, 1 expired worker, no lease", h.Counters)
 	}
 }

@@ -11,18 +11,14 @@
 // stalling the queue.
 //
 // The determinism contract survives all of it: cells are pure functions
-// of (spec, config, thresholds) — per-index RNG splits make any resumed
+// of their one-cell plan — per-index RNG splits make any resumed
 // tail bit-identical to an uninterrupted run — so whichever worker (or
 // mixture of workers, or local fallback) executes a cell, the summary is
 // byte-identical to a direct in-process StreamRunner run. The chaos
 // suite (chaos_test.go, chaostest/) pins exactly that.
 package fleet
 
-import (
-	"fmt"
-
-	"radcrit/internal/campaign"
-)
+import "radcrit/internal/campaign"
 
 // RegisterRequest announces a worker to the coordinator.
 type RegisterRequest struct {
@@ -44,64 +40,6 @@ type RegisterResponse struct {
 	PollMillis int64 `json:"poll_ms"`
 }
 
-// CellConfig is the engine configuration on the wire: campaign.Config
-// with the facility flattened to its name. JSON floats round-trip
-// bit-exactly (shortest-round-trip encoding), so a worker reconstructs
-// the exact Config — and therefore the exact summary bit pattern.
-type CellConfig struct {
-	Seed            uint64    `json:"seed"`
-	Strikes         int       `json:"strikes"`
-	BaseExecSeconds float64   `json:"base_exec_seconds"`
-	Facility        string    `json:"facility,omitempty"`
-	Workers         int       `json:"workers,omitempty"`
-	StreamChunk     int       `json:"stream_chunk,omitempty"`
-	Thresholds      []float64 `json:"thresholds"`
-	// Adaptive carries the plan's early-stopping spec, when present. The
-	// stop rule is a pure function of (spec, outcome stream), so every
-	// worker — and any resumed tail on a different worker — makes the
-	// same stop decision at the same chunk boundary.
-	Adaptive *campaign.AdaptiveSpec `json:"adaptive,omitempty"`
-}
-
-// cellConfig flattens an engine config for the wire.
-func cellConfig(cfg campaign.Config, thresholds []float64) CellConfig {
-	c := CellConfig{
-		Seed:            cfg.Seed,
-		Strikes:         cfg.Strikes,
-		BaseExecSeconds: cfg.BaseExecSeconds,
-		Facility:        cfg.Facility.Name,
-		Workers:         cfg.Workers,
-		StreamChunk:     cfg.StreamChunk,
-		Thresholds:      append([]float64(nil), thresholds...),
-	}
-	if cfg.Adaptive != nil {
-		a := *cfg.Adaptive
-		c.Adaptive = &a
-	}
-	return c
-}
-
-// EngineConfig reconstructs the campaign Config a worker runs under.
-func (c CellConfig) EngineConfig() (campaign.Config, error) {
-	fac, err := campaign.FacilityByName(c.Facility)
-	if err != nil {
-		return campaign.Config{}, fmt.Errorf("fleet: %w", err)
-	}
-	cfg := campaign.Config{
-		Seed:            c.Seed,
-		Strikes:         c.Strikes,
-		BaseExecSeconds: c.BaseExecSeconds,
-		Facility:        fac,
-		Workers:         c.Workers,
-		StreamChunk:     c.StreamChunk,
-	}
-	if c.Adaptive != nil {
-		a := *c.Adaptive
-		cfg.Adaptive = &a
-	}
-	return cfg, nil
-}
-
 // WorkItem is one leased cell: everything a worker needs to execute it
 // bit-identically, plus the lease's timing contract.
 type WorkItem struct {
@@ -109,9 +47,12 @@ type WorkItem struct {
 	Lease string `json:"lease"`
 	// Key is the cell's content address (campaign.CellKey) — for logs and
 	// health output; workers never need to recompute it.
-	Key  string            `json:"key"`
-	Spec campaign.CellSpec `json:"spec"`
-	Cfg  CellConfig        `json:"config"`
+	Key string `json:"key"`
+	// Plan is the cell as a one-cell plan, in the plan's own strict JSON
+	// form. JSON floats round-trip bit-exactly (shortest-round-trip
+	// encoding), so the worker rebuilds the exact engine config and
+	// thresholds — and therefore the exact summary bit pattern.
+	Plan *campaign.Plan `json:"plan"`
 	// Log is the cell's checkpoint log so far (empty for a fresh cell).
 	// The worker resumes from its last #CHK record, re-running only the
 	// uncovered tail.

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -62,53 +63,102 @@ func TestJitterSeedZeroDistinct(t *testing.T) {
 	}
 }
 
-// TestCellConfigAdaptiveRoundTrip: the adaptive spec survives the wire —
-// flatten, marshal, unmarshal, reconstruct — bit for bit, and absent
-// specs stay absent (no "adaptive" key, nil on reconstruction).
-func TestCellConfigAdaptiveRoundTrip(t *testing.T) {
-	cfg := campaign.NewPlan(42, 300).WithCell("k40", "dgemm:128").Config()
-	cfg.Adaptive = &campaign.AdaptiveSpec{
+// TestWorkItemPlanRoundTrip: a cell's one-cell plan survives the wire —
+// marshal a WorkItem, unmarshal it — bit for bit. The decoded plan
+// yields the same engine config and thresholds (floats compared by bit
+// pattern) and the same cell key, under a non-default facility and base
+// time, an adaptive spec, and explicit as well as empty thresholds; an
+// absent adaptive spec stays absent.
+func TestWorkItemPlanRoundTrip(t *testing.T) {
+	adaptive := campaign.AdaptiveSpec{
 		TargetHalfWidth: 0.1, MinStrikes: 100, CheckEvery: 50, Alpha: 0.01, MaxEpochs: 4,
 	}
-	wire := cellConfig(cfg, []float64{0, 2})
-	blob, err := json.Marshal(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back CellConfig
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatal(err)
-	}
-	got, err := back.EngineConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Adaptive, cfg.Adaptive) {
-		t.Fatalf("adaptive spec mangled on the wire: %+v vs %+v", got.Adaptive, cfg.Adaptive)
-	}
-	if got.Adaptive == cfg.Adaptive {
-		t.Fatal("EngineConfig aliased the wire struct's spec pointer")
-	}
+	full := campaign.NewPlan(42, 300).
+		WithCell("k40", "dgemm:128").
+		WithCell("phi", "lavamd:3").
+		WithAdaptive(adaptive)
+	full.Facility = "ISIS"
+	full.BaseExecSeconds = 2.75
+	plain := campaign.NewPlan(7, 64).WithCell("k40", "dgemm:128")
 
-	cfg.Adaptive = nil
-	blob, err = json.Marshal(cellConfig(cfg, nil))
-	if err != nil {
+	cases := []struct {
+		name       string
+		plan       *campaign.Plan
+		thresholds []float64
+	}{
+		{"adaptive, explicit thresholds", full, []float64{0, 0.5, 2}},
+		{"adaptive, empty thresholds", full, nil},
+		{"no adaptive spec", plain, []float64{1e-3}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := *c.plan
+			p.Thresholds = c.thresholds
+			orig := p.CellPlan(len(p.Cells) - 1)
+			blob, err := json.Marshal(WorkItem{Lease: "l-1", Key: orig.CellKey(0), Plan: orig})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back WorkItem
+			if err := json.Unmarshal(blob, &back); err != nil {
+				t.Fatal(err)
+			}
+			if err := back.Plan.Validate(); err != nil {
+				t.Fatalf("decoded plan does not validate: %v", err)
+			}
+			if got, want := back.Plan.CellKey(0), p.CellKey(len(p.Cells)-1); got != want || back.Key != want {
+				t.Fatalf("cell key %s (item key %s), want %s", got, back.Key, want)
+			}
+			assertConfigBits(t, back.Plan.Config(), orig.Config())
+			gotTs, wantTs := back.Plan.EffectiveThresholds(), orig.EffectiveThresholds()
+			if len(gotTs) != len(wantTs) {
+				t.Fatalf("thresholds %v, want %v", gotTs, wantTs)
+			}
+			for i := range wantTs {
+				if math.Float64bits(gotTs[i]) != math.Float64bits(wantTs[i]) {
+					t.Fatalf("threshold %d: %v, want %v", i, gotTs[i], wantTs[i])
+				}
+			}
+			if orig.Adaptive == nil && jsonHasKey(t, planJSON(t, blob), "adaptive") {
+				t.Fatalf("nil spec serialised an adaptive key: %s", blob)
+			}
+		})
+	}
+}
+
+// assertConfigBits fails unless two engine configs agree field by field,
+// floats by bit pattern.
+func assertConfigBits(t *testing.T, got, want campaign.Config) {
+	t.Helper()
+	bits := math.Float64bits
+	if got.Seed != want.Seed || got.Strikes != want.Strikes || got.Workers != want.Workers ||
+		got.StreamChunk != want.StreamChunk || got.Facility.Name != want.Facility.Name ||
+		bits(got.BaseExecSeconds) != bits(want.BaseExecSeconds) ||
+		bits(got.Facility.Flux) != bits(want.Facility.Flux) ||
+		bits(got.Facility.SpotDiameterInch) != bits(want.Facility.SpotDiameterInch) {
+		t.Fatalf("config %+v, want %+v", got, want)
+	}
+	if (got.Adaptive == nil) != (want.Adaptive == nil) {
+		t.Fatalf("adaptive spec %+v, want %+v", got.Adaptive, want.Adaptive)
+	}
+	if want.Adaptive == nil {
+		return
+	}
+	g, w := *got.Adaptive, *want.Adaptive
+	if bits(g.TargetHalfWidth) != bits(w.TargetHalfWidth) || bits(g.Alpha) != bits(w.Alpha) ||
+		g.MinStrikes != w.MinStrikes || g.CheckEvery != w.CheckEvery || g.MaxEpochs != w.MaxEpochs {
+		t.Fatalf("adaptive spec %+v, want %+v", g, w)
+	}
+}
+
+// planJSON extracts a WorkItem body's "plan" object.
+func planJSON(t *testing.T, item []byte) []byte {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(item, &m); err != nil {
 		t.Fatal(err)
 	}
-	if jsonHasKey(t, blob, "adaptive") {
-		t.Fatalf("nil spec serialised an adaptive key: %s", blob)
-	}
-	var back2 CellConfig
-	if err := json.Unmarshal(blob, &back2); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := back2.EngineConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.Adaptive != nil {
-		t.Fatalf("nil spec came back non-nil: %+v", got2.Adaptive)
-	}
+	return m["plan"]
 }
 
 func jsonHasKey(t *testing.T, blob []byte, key string) bool {

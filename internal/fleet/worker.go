@@ -183,8 +183,8 @@ func (w *Worker) pollLease(ctx context.Context) (*WorkItem, int, error) {
 // means the lease is gone (expired, or a speculative twin finished
 // first) — the cell's context is cancelled and the result dropped.
 func (w *Worker) runItem(ctx context.Context, item *WorkItem) {
-	w.logf("fleet worker %s: lease %s: cell %s/%s from strike log of %d bytes",
-		w.id, item.Lease, item.Spec.Device, item.Spec.Kernel, len(item.Log))
+	w.logf("fleet worker %s: lease %s: cell %.12s from strike log of %d bytes",
+		w.id, item.Lease, item.Key, len(item.Log))
 
 	cellCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -268,32 +268,40 @@ func (w *Worker) runItem(ctx context.Context, item *WorkItem) {
 }
 
 // executeCell runs the leased cell under its checkpoint log, resuming
-// from the item's log (empty: from strike 0). The campaign core attaches
-// its checkpoint sink ahead of the tracker, so a chunk's #CHK record is
-// in buf before the tracker counts that chunk: a heartbeat snapshot never
-// claims strikes its log does not cover. A log that cannot be resumed
-// (damaged beyond salvage, or describing another cell or seed) is
-// discarded and the cell runs from strike 0, as the daemon does locally;
-// the core rejects such a log before writing anything to buf.
+// from the item's log (empty: from strike 0). The leased plan is checked
+// first: a plan that does not validate, or holds other than one cell,
+// fails the cell with an error the coordinator records, never a panic.
+// The campaign core attaches its checkpoint sink ahead of the tracker,
+// so a chunk's #CHK record is in buf before the tracker counts that
+// chunk: a heartbeat snapshot never claims strikes its log does not
+// cover. A log that cannot be resumed (damaged beyond salvage, or
+// describing another cell or seed) is discarded and the cell runs from
+// strike 0, as the daemon does locally; the core rejects such a log
+// before writing anything to buf.
 func (w *Worker) executeCell(ctx context.Context, item *WorkItem, buf *logBuffer, tracker campaign.FlushFunc) (campaign.StreamInfo, *campaign.Summary, error) {
-	cfg, err := item.Cfg.EngineConfig()
+	plan := item.Plan
+	if err := plan.Validate(); err != nil {
+		return campaign.StreamInfo{}, nil, fmt.Errorf("fleet: leased plan: %w", err)
+	}
+	if len(plan.Cells) != 1 {
+		return campaign.StreamInfo{}, nil, fmt.Errorf("fleet: leased plan holds %d cells, want 1", len(plan.Cells))
+	}
+	spec := plan.Cells[0]
+	cell, err := campaign.BuildCell(spec)
 	if err != nil {
 		return campaign.StreamInfo{}, nil, err
 	}
-	cell, err := campaign.BuildCell(item.Spec)
-	if err != nil {
-		return campaign.StreamInfo{}, nil, err
-	}
+	cfg, ts := plan.Config(), plan.EffectiveThresholds()
 	sinks := []campaign.Sink{tracker}
 	if w.opts.Metrics != nil {
-		sinks = append(sinks, w.opts.Metrics.Sink(item.Spec.Kernel, item.Spec.Device))
+		sinks = append(sinks, w.opts.Metrics.Sink(spec.Kernel, spec.Device))
 	}
-	info, sum, err := campaign.ResumePlanCell(ctx, bytes.NewReader(item.Log), buf, cell, cfg, item.Cfg.Thresholds, sinks...)
+	info, sum, err := campaign.ResumePlanCell(ctx, bytes.NewReader(item.Log), buf, cell, cfg, ts, sinks...)
 	if err == nil || len(item.Log) == 0 || ctx.Err() != nil {
 		return info, sum, err
 	}
 	w.logf("fleet worker %s: lease %s: discarding unresumable log (%v), running from strike 0", w.id, item.Lease, err)
-	return campaign.ResumePlanCell(ctx, bytes.NewReader(nil), buf, cell, cfg, item.Cfg.Thresholds, sinks...)
+	return campaign.ResumePlanCell(ctx, bytes.NewReader(nil), buf, cell, cfg, ts, sinks...)
 }
 
 // complete reports the cell's outcome, retrying transient transport

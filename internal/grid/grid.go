@@ -91,27 +91,3 @@ func (g *Grid) Clone() *Grid {
 	copy(out.data, g.data)
 	return out
 }
-
-// Fill sets every element to v.
-func (g *Grid) Fill(v float64) {
-	for i := range g.data {
-		g.data[i] = v
-	}
-}
-
-// Equal reports whether two grids have identical shape and bit-identical
-// contents.
-func (g *Grid) Equal(other *Grid) bool {
-	if g.dims != other.dims {
-		return false
-	}
-	for i, v := range g.data {
-		if v != other.data[i] {
-			// NaN != NaN: treat NaN-vs-NaN as equal bits would require
-			// bit comparison; for outputs NaN is always a corruption,
-			// so plain inequality is the intended semantics.
-			return false
-		}
-	}
-	return true
-}

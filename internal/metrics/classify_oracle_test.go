@@ -113,7 +113,7 @@ func fuzzCoords(seed uint64, n int, span [3]uint64, base int64, mode uint8) []gr
 			}
 		}
 	}
-	r.Shuffle(n, func(i, j int) { coords[i], coords[j] = coords[j], coords[i] })
+	shuffle(r, n, func(i, j int) { coords[i], coords[j] = coords[j], coords[i] })
 	if mode&8 != 0 && n > 1 {
 		coords[1+r.Intn(n-1)] = coords[0]
 	}

@@ -40,7 +40,9 @@ func TestFullGridCorruptionIsSquare(t *testing.T) {
 	// CLAMR frequently floods the whole mesh: that must classify as
 	// square (structured 2D spread), never random.
 	golden := grid.New2D(16, 16)
-	golden.Fill(5)
+	for i := range golden.Data() {
+		golden.Data()[i] = 5
+	}
 	observed := golden.Clone()
 	for i := range observed.Data() {
 		observed.Data()[i] = 6

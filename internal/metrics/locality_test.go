@@ -155,7 +155,7 @@ func TestClassifyOrderInvariant(t *testing.T) {
 		base := classifyCoords(dims3D, coords)
 		shuffled := make([]grid.Coord, n)
 		copy(shuffled, coords)
-		r.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		shuffle(r, n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		return classifyCoords(dims3D, shuffled) == base
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -177,5 +177,12 @@ func TestClassify2DNeverCubic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// shuffle permutes n elements through swap, Fisher-Yates over r.
+func shuffle(r *xrand.RNG, n int, swap func(i, j int)) {
+	for i := n - 1; i > 0; i-- {
+		swap(i, r.Intn(i+1))
 	}
 }

@@ -74,7 +74,9 @@ func makeReport(t *testing.T, side int, corrupt map[grid.Coord]float64) *Report 
 
 func TestEvaluateIdentical(t *testing.T) {
 	g := grid.New2D(8, 8)
-	g.Fill(3)
+	for i := range g.Data() {
+		g.Data()[i] = 3
+	}
 	r := Evaluate(g, g.Clone())
 	if r.IsSDC() || r.Count() != 0 {
 		t.Fatal("identical grids produced mismatches")

@@ -46,7 +46,7 @@ func TestManagerMetricsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Start()
-	snap, err := m.Submit(smokePlan(64), 0)
+	snap, err := m.SubmitAs(tenant.Default, smokePlan(64), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestMeteredStoreHit(t *testing.T) {
 	}
 	m.Start()
 	for i := 0; i < 2; i++ {
-		snap, err := m.Submit(smokePlan(48), 0)
+		snap, err := m.SubmitAs(tenant.Default, smokePlan(48), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

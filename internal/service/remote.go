@@ -16,14 +16,15 @@ var ErrRemoteUnavailable = errors.New("service: remote execution unavailable")
 
 // RemoteCell describes one cell the manager offers to a remote executor.
 // Everything a worker needs to reproduce the cell bit-identically is
-// here: the spec strings, the engine config, the summary thresholds and
-// (for a cell interrupted mid-flight) the checkpoint log to resume from.
+// here: the cell as a one-cell plan (its spec, engine config and summary
+// thresholds) and, for a cell interrupted mid-flight, the checkpoint log
+// to resume from.
 type RemoteCell struct {
-	JobID      string
-	Cell       int
-	Spec       campaign.CellSpec
-	Cfg        campaign.Config
-	Thresholds []float64
+	JobID string
+	Cell  int
+	// Plan is the job's plan narrowed to this cell (campaign.Plan.CellPlan):
+	// exactly one cell, under the job's configuration.
+	Plan *campaign.Plan
 	// Key is the cell's content address (campaign.CellKey).
 	Key string
 	// Tenant names the namespace the owning job was submitted under; the

@@ -272,7 +272,7 @@ var ErrNotFinished = errors.New("service: job has not finished")
 // ErrUnknownJob is returned for job IDs the manager has never seen.
 var ErrUnknownJob = errors.New("service: unknown job")
 
-// ErrDraining is returned by Submit once a drain has begun.
+// ErrDraining is returned by SubmitAs once a drain has begun.
 var ErrDraining = errors.New("service: manager is draining")
 
 // ErrUnknownTenant is returned by SubmitAs for unregistered tenants.
@@ -546,17 +546,13 @@ func (m *Manager) Drain(ctx context.Context) error {
 	}
 }
 
-// Submit validates and enqueues a plan for the default tenant at the
-// given priority (within a tenant, higher runs first and equal priorities
-// run in submission order) and returns the new job's snapshot.
-func (m *Manager) Submit(p *campaign.Plan, priority int) (Snapshot, error) {
-	return m.SubmitAs(tenant.Default, p, priority)
-}
-
-// SubmitAs is Submit under a tenant namespace: the tenant must be
-// registered, its admission quotas are checked against its outstanding
-// work (a breach returns a *QuotaError carrying a Retry-After estimate),
-// and the job is queued into the tenant's weighted-fair sub-queue.
+// SubmitAs validates and enqueues a plan under a tenant namespace at the
+// given priority (within a tenant, higher runs first and equal
+// priorities run in submission order) and returns the new job's
+// snapshot. The tenant must be registered, its admission quotas are
+// checked against its outstanding work (a breach returns a *QuotaError
+// carrying a Retry-After estimate), and the job is queued into the
+// tenant's weighted-fair sub-queue.
 func (m *Manager) SubmitAs(tenantName string, p *campaign.Plan, priority int) (Snapshot, error) {
 	if err := p.Validate(); err != nil {
 		return Snapshot{}, err
@@ -1217,7 +1213,7 @@ func (m *Manager) runCell(jctx context.Context, j *Job, i int, localMu *sync.Mut
 	if m.opts.Remote != nil {
 		prev, _ := os.ReadFile(logPath)
 		res, rerr := m.opts.Remote.RunRemote(jctx, RemoteCell{
-			JobID: j.ID, Cell: i, Spec: spec, Cfg: cfg, Thresholds: ts, Key: cr.Key,
+			JobID: j.ID, Cell: i, Plan: j.Plan.CellPlan(i), Key: cr.Key,
 			Tenant: j.Tenant, Weight: m.tenants.Weight(j.Tenant),
 			CostNS:   m.cost.CellCost(spec.Kernel, cfg.Strikes),
 			PrevLog:  prev,

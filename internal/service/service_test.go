@@ -135,7 +135,7 @@ func TestJobLifecycleAndStoreDedup(t *testing.T) {
 
 	want := directSummaries(t, smokePlan(120))
 
-	s1, err := m.Submit(smokePlan(120), 0)
+	s1, err := m.SubmitAs(tenant.Default, smokePlan(120), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestJobLifecycleAndStoreDedup(t *testing.T) {
 		t.Errorf("cold-store summaries differ from direct StreamRunner run")
 	}
 
-	s2, err := m.Submit(smokePlan(120), 0)
+	s2, err := m.SubmitAs(tenant.Default, smokePlan(120), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestDrainResumeBitIdentical(t *testing.T) {
 	want := directSummaries(t, plan)
 
 	m1 := newManager(t, dir)
-	s, err := m1.Submit(plan, 0)
+	s, err := m1.SubmitAs(tenant.Default, plan, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestTornLogRestart(t *testing.T) {
 	want := directSummaries(t, plan)
 
 	m1 := newManager(t, dir)
-	s, err := m1.Submit(plan, 0)
+	s, err := m1.SubmitAs(tenant.Default, plan, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestAdaptiveJob(t *testing.T) {
 	m := newManager(t, t.TempDir())
 	m.Start()
 	defer drain(t, m)
-	s, err := m.Submit(adaptive(), 0)
+	s, err := m.SubmitAs(tenant.Default, adaptive(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestAdaptiveJob(t *testing.T) {
 		t.Errorf("adaptive job summary differs from direct run:\n%s\nvs\n%s", gotJSON, wantJSON)
 	}
 
-	s2, err := m.Submit(adaptive(), 0)
+	s2, err := m.SubmitAs(tenant.Default, adaptive(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestAdaptiveJob(t *testing.T) {
 func TestCancelRunning(t *testing.T) {
 	dir := t.TempDir()
 	m := newManager(t, dir)
-	s, err := m.Submit(smokePlan(100_000), 0)
+	s, err := m.SubmitAs(tenant.Default, smokePlan(100_000), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,15 +449,15 @@ func TestCancelRunning(t *testing.T) {
 func TestPriorityScheduling(t *testing.T) {
 	dir := t.TempDir()
 	m := newManager(t, dir)
-	low1, err := m.Submit(smokePlan(60), 0)
+	low1, err := m.SubmitAs(tenant.Default, smokePlan(60), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	low2, err := m.Submit(smokePlan(90), 0)
+	low2, err := m.SubmitAs(tenant.Default, smokePlan(90), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := m.Submit(smokePlan(120), 7)
+	high, err := m.SubmitAs(tenant.Default, smokePlan(120), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,14 +488,14 @@ func TestPriorityScheduling(t *testing.T) {
 // TestSubmitValidation rejects invalid plans up front.
 func TestSubmitValidation(t *testing.T) {
 	m := newManager(t, t.TempDir())
-	if _, err := m.Submit(campaign.NewPlan(1, 0).WithCell("k40", "dgemm:128"), 0); err == nil {
+	if _, err := m.SubmitAs(tenant.Default, campaign.NewPlan(1, 0).WithCell("k40", "dgemm:128"), 0); err == nil {
 		t.Errorf("zero-strike plan accepted")
 	}
-	if _, err := m.Submit(campaign.NewPlan(1, 10).WithCell("nope", "dgemm:128"), 0); err == nil {
+	if _, err := m.SubmitAs(tenant.Default, campaign.NewPlan(1, 10).WithCell("nope", "dgemm:128"), 0); err == nil {
 		t.Errorf("unknown-device plan accepted")
 	}
 	drain(t, m)
-	if _, err := m.Submit(smokePlan(10), 0); err != ErrDraining {
+	if _, err := m.SubmitAs(tenant.Default, smokePlan(10), 0); err != ErrDraining {
 		t.Errorf("Submit after drain = %v, want ErrDraining", err)
 	}
 }
@@ -513,7 +513,7 @@ func TestJobRetention(t *testing.T) {
 	defer drain(t, m)
 	var ids []string
 	for i := 0; i < 4; i++ {
-		s, err := m.Submit(smokePlan(60+i), 0)
+		s, err := m.SubmitAs(tenant.Default, smokePlan(60+i), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -542,7 +542,7 @@ func TestJobRetention(t *testing.T) {
 // runJob claims it must stay cancelled, not resurrect and run.
 func TestCancelBetweenPopAndClaim(t *testing.T) {
 	m := newManager(t, t.TempDir())
-	s, err := m.Submit(smokePlan(100_000), 0)
+	s, err := m.SubmitAs(tenant.Default, smokePlan(100_000), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +572,7 @@ func TestCancelBetweenPopAndClaim(t *testing.T) {
 // on a finished job.
 func TestTerminalEventClosesSlowSubscriber(t *testing.T) {
 	m := newManager(t, t.TempDir())
-	s, err := m.Submit(smokePlan(10), 0)
+	s, err := m.SubmitAs(tenant.Default, smokePlan(10), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,25 +1,36 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"radcrit/internal/tenant"
 )
 
-// tenantRegistry builds an in-memory registry with alpha (weight 3) and
-// beta (weight 1) alongside the default tenant.
+// tenantRegistry builds a registry with alpha (weight 3) and beta
+// (weight 1) alongside the default tenant.
 func tenantRegistry(t *testing.T) *tenant.Registry {
+	return loadTenants(t, tenant.Tenant{Name: "alpha", Weight: 3}, tenant.Tenant{Name: "beta", Weight: 1})
+}
+
+// loadTenants loads a registry from a tenants.json holding ts.
+func loadTenants(t *testing.T, ts ...tenant.Tenant) *tenant.Registry {
 	t.Helper()
-	r := tenant.NewRegistry()
-	for _, tn := range []tenant.Tenant{
-		{Name: "alpha", Weight: 3},
-		{Name: "beta", Weight: 1},
-	} {
-		if err := r.Upsert(tn); err != nil {
-			t.Fatal(err)
-		}
+	data, err := json.Marshal(map[string][]tenant.Tenant{"tenants": ts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tenants.json")
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	r, err := tenant.Load(path)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return r
 }
@@ -61,13 +72,10 @@ func TestTenantWeightedPopOrder(t *testing.T) {
 }
 
 func TestTenantQuotas(t *testing.T) {
-	reg := tenant.NewRegistry()
-	if err := reg.Upsert(tenant.Tenant{
+	reg := loadTenants(t, tenant.Tenant{
 		Name:   "capped",
 		Quotas: tenant.Quotas{MaxQueuedJobs: 2, MaxPlannedStrikes: 500},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	m, err := New(Options{StateDir: t.TempDir(), Executors: 2, Tenants: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +110,7 @@ func TestTenantQuotas(t *testing.T) {
 		t.Error("quota error carries no detail")
 	}
 	// The default tenant is never quota-bound.
-	if _, err := m.Submit(smokePlan(40), 0); err != nil {
+	if _, err := m.SubmitAs(tenant.Default, smokePlan(40), 0); err != nil {
 		t.Fatalf("default tenant submit: %v", err)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 )
@@ -151,8 +150,9 @@ type fileRecord struct {
 }
 
 // Load opens (or initialises) a registry persisted at path. A missing
-// file yields a registry with only the default tenant; Upsert writes the
-// file. The default tenant is always present even if the file omits it.
+// file yields a registry with only the default tenant; the operator
+// writes the file. The default tenant is always present even if the
+// file omits it.
 func Load(path string) (*Registry, error) {
 	r := NewRegistry()
 	r.path = path
@@ -175,8 +175,8 @@ func Load(path string) (*Registry, error) {
 	return r, nil
 }
 
-// insertLocked validates and installs one tenant (caller holds no lock
-// during Load; Upsert takes it).
+// insertLocked validates and installs one tenant. Load calls it on a
+// registry no other goroutine can see yet, so it takes no lock.
 func (r *Registry) insertLocked(t Tenant) error {
 	if err := t.Validate(); err != nil {
 		return err
@@ -192,49 +192,6 @@ func (r *Registry) insertLocked(t Tenant) error {
 	r.tenants[t.Name] = t
 	if t.Token != "" {
 		r.byToken[t.Token] = t.Name
-	}
-	return nil
-}
-
-// Upsert installs (or replaces) a tenant registration and persists the
-// registry when it is file-backed.
-func (r *Registry) Upsert(t Tenant) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.insertLocked(t); err != nil {
-		return err
-	}
-	return r.saveLocked()
-}
-
-// saveLocked writes tenants.json atomically (no-op for in-memory
-// registries). The default tenant is written only when customised, so a
-// pristine registry round-trips to an empty file.
-func (r *Registry) saveLocked() error {
-	if r.path == "" {
-		return nil
-	}
-	var rec fileRecord
-	for _, t := range r.allLocked() {
-		if t.Name == Default && t.Weight <= 1 && t.Token == "" && t.Quotas == (Quotas{}) && t.Rate == (RateLimit{}) {
-			continue
-		}
-		rec.Tenants = append(rec.Tenants, t)
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return fmt.Errorf("tenant: %w", err)
-	}
-	data = append(data, '\n')
-	if err := os.MkdirAll(filepath.Dir(r.path), 0o755); err != nil {
-		return fmt.Errorf("tenant: %w", err)
-	}
-	tmp := r.path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o600); err != nil {
-		return fmt.Errorf("tenant: %w", err)
-	}
-	if err := os.Rename(tmp, r.path); err != nil {
-		return fmt.Errorf("tenant: %w", err)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -21,19 +22,10 @@ func TestDefaultAlwaysPresent(t *testing.T) {
 }
 
 func TestLoadSaveRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tenants.json")
-	r, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	alpha := Tenant{Name: "alpha", Weight: 3, Token: "tok-alpha",
 		Quotas: Quotas{MaxQueuedJobs: 10, MaxPlannedStrikes: 5000}}
 	beta := Tenant{Name: "beta", Weight: 1}
-	for _, tn := range []Tenant{alpha, beta} {
-		if err := r.Upsert(tn); err != nil {
-			t.Fatal(err)
-		}
-	}
+	path := writeTenants(t, alpha, beta)
 
 	r2, err := Load(path)
 	if err != nil {
@@ -70,18 +62,18 @@ func TestValidation(t *testing.T) {
 		{Name: "x", Quotas: Quotas{MaxQueuedJobs: -2}},
 	}
 	for _, tn := range bad {
-		if err := r.Upsert(tn); err == nil {
-			t.Errorf("Upsert(%+v) accepted, want error", tn)
+		if err := r.insertLocked(tn); err == nil {
+			t.Errorf("insertLocked(%+v) accepted, want error", tn)
 		}
 	}
-	if err := r.Upsert(Tenant{Name: "a", Token: "shared"}); err != nil {
+	if err := r.insertLocked(Tenant{Name: "a", Token: "shared"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Upsert(Tenant{Name: "b", Token: "shared"}); err == nil {
+	if err := r.insertLocked(Tenant{Name: "b", Token: "shared"}); err == nil {
 		t.Error("token collision accepted")
 	}
 	// Re-registering the same tenant with a new token frees the old one.
-	if err := r.Upsert(Tenant{Name: "a", Token: "fresh"}); err != nil {
+	if err := r.insertLocked(Tenant{Name: "a", Token: "fresh"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := r.ResolveToken("shared"); ok {
@@ -112,12 +104,9 @@ func TestLoadRejectsBadFile(t *testing.T) {
 // swaps weights, tokens and rate limits in one step; a broken file
 // leaves the old table untouched; a deleted file resets to default-only.
 func TestReloadSwapsAtomically(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tenants.json")
+	path := writeTenants(t, Tenant{Name: "alpha", Weight: 3, Token: "tok-a"})
 	r, err := Load(path)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Upsert(Tenant{Name: "alpha", Weight: 3, Token: "tok-a"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -187,4 +176,19 @@ func TestEffectiveBurst(t *testing.T) {
 			t.Errorf("EffectiveBurst(%+v) = %d, want %d", c.rl, got, c.want)
 		}
 	}
+}
+
+// writeTenants writes a tenants.json holding ts, as an operator would,
+// and returns its path.
+func writeTenants(t *testing.T, ts ...Tenant) string {
+	t.Helper()
+	data, err := json.Marshal(fileRecord{Tenants: ts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tenants.json")
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }

@@ -156,14 +156,6 @@ func (r *RNG) Poisson(mean float64) int {
 	}
 }
 
-// Shuffle pseudo-randomly swaps elements using the provided swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // WeightedChoice returns an index in [0, len(weights)) with probability
 // proportional to weights[i]. Zero-weight entries are never chosen.
 // It panics if weights is empty or sums to a non-positive value.

@@ -280,16 +280,3 @@ func TestUint64nPropertyInRange(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestShuffleIsPermutation(t *testing.T) {
-	r := New(61)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, 10)
-	for _, v := range xs {
-		if seen[v] {
-			t.Fatalf("shuffle duplicated %d: %v", v, xs)
-		}
-		seen[v] = true
-	}
-}

@@ -23,3 +23,10 @@ func Wrap(w http.ResponseWriter) http.ResponseWriter { return &statusRecorder{w}
 
 // UsedByBench is called only by the nested cmd/bench module.
 func UsedByBench() int { return 2 }
+
+// OnlyOtherTest is used by cmd/tool's test alone: the gate flags it.
+func OnlyOtherTest() int { return 3 }
+
+// OnlyViaSupport is used by the test-support package alone: the gate
+// flags it while that package is marked as test support.
+func OnlyViaSupport() int { return 4 }
